@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race ci bench bench-smoke bench-json fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
+.PHONY: build test race ci bench bench-smoke bench-json perf-smoke fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,19 @@ bench-json:
 	$(GO) run ./cmd/benchjson < $(BENCH_JSON).txt > $(BENCH_JSON)
 	@rm -f $(BENCH_JSON).txt
 	@echo "wrote $(BENCH_JSON)"
+
+# The repo benchmark's correctness checks — the CI perf-smoke job (see
+# perfbench/README.md): the shortest run of every BENCHMARK.json
+# workload (--seconds 0: the fewest passes that give 100 verdict
+# samples), each cell checked against perfbench/answers.json. Any FAIL
+# line exits 1; no timing is asserted.
+PERF_WORKLOADS ?= fig2-dpor fig3-caching firstbug-grid harness-twins
+perf-smoke:
+	@for w in $(PERF_WORKLOADS); do \
+		echo "== perfbench $$w =="; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 || exit 1; \
+	done
+	@echo "perf-smoke: every workload's cells match perfbench/answers.json"
 
 # Facade hygiene — the CI api-check job. The public sct package is the
 # only supported entry point: examples must build against it alone

@@ -7,15 +7,15 @@ import (
 	"repro/internal/model"
 )
 
-// HostileIDBase offsets hostile-benchmark IDs far above the pinned
-// 79-entry corpus, so the two ID spaces can never collide.
+// HostileIDBase offsets hostile-benchmark IDs far above the 88-entry
+// corpus, so the two ID spaces can never collide.
 const HostileIDBase = 1000
 
 // hostileEntries lists the fault-injection programs: benchmarks whose
 // thread bodies panic or diverge on purpose, for exercising the
 // harness's fault containment (panic-as-violation capture, the stall
 // watchdog, campaign survivability). They are deliberately NOT part of
-// All()/Names()/Count — the paper's corpus is pinned at 79 and the
+// All()/Names()/Count — the corpus is pinned at Count entries and the
 // figure pipelines must never sweep a program that panics by design —
 // but ByName resolves them, so campaign cells and tests can target
 // them explicitly.
@@ -47,13 +47,7 @@ func Hostile() []Benchmark {
 	es := hostileEntries()
 	out := make([]Benchmark, len(es))
 	for i, e := range es {
-		out[i] = Benchmark{
-			ID:      HostileIDBase + i + 1,
-			Name:    e.name,
-			Family:  e.family,
-			Notes:   e.notes,
-			Program: e.build(),
-		}
+		out[i] = e.benchmark(HostileIDBase + i + 1)
 	}
 	return out
 }

@@ -66,50 +66,52 @@ func allEntries() []entry {
 }
 
 // All builds the full corpus. Programs are immutable and stateless, so
-// the result can be shared; All rebuilds on each call to keep callers
-// independent.
+// the result can be shared; All builds every program afresh on each
+// call to keep callers independent. All, Hostile and Names cover the
+// whole set; ByName and ByID build only the program they return.
 func All() []Benchmark {
 	es := allEntries()
 	out := make([]Benchmark, len(es))
 	for i, e := range es {
-		out[i] = Benchmark{
-			ID:      i + 1,
-			Name:    e.name,
-			Family:  e.family,
-			Notes:   e.notes,
-			Program: e.build(),
-		}
+		out[i] = e.benchmark(i + 1)
 	}
 	return out
+}
+
+// benchmark builds e's program under the given ID.
+func (e entry) benchmark(id int) Benchmark {
+	return Benchmark{ID: id, Name: e.name, Family: e.family, Notes: e.notes, Program: e.build()}
 }
 
 // Count is the corpus size: the paper's 79 plus the channel family.
 const Count = 88
 
-// ByName returns the benchmark with the given name. It resolves both
-// the pinned 79-entry corpus and the hostile fault-injection programs
-// (see hostile.go), which are addressable by name only.
+// ByName returns the benchmark with the given name, building only its
+// program. It resolves both the 88-entry corpus and the hostile
+// fault-injection programs (see hostile.go), which are addressable by
+// name only.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, true
+	for i, e := range allEntries() {
+		if e.name == name {
+			return e.benchmark(i + 1), true
 		}
 	}
-	for _, b := range Hostile() {
-		if b.Name == name {
-			return b, true
+	for i, e := range hostileEntries() {
+		if e.name == name {
+			return e.benchmark(HostileIDBase + i + 1), true
 		}
 	}
 	return Benchmark{}, false
 }
 
-// ByID returns the benchmark with the given 1-based ID.
+// ByID returns the benchmark with the given 1-based ID, building only
+// its program.
 func ByID(id int) (Benchmark, bool) {
-	all := All()
-	if id < 1 || id > len(all) {
+	es := allEntries()
+	if id < 1 || id > len(es) {
 		return Benchmark{}, false
 	}
-	return all[id-1], true
+	return es[id-1].benchmark(id), true
 }
 
 // Families lists the distinct family names, sorted.

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/exec"
 	"repro/internal/explore"
+	"repro/internal/model"
+	"repro/internal/progdsl"
 )
 
 // TestCorpusSize pins the corpus size: the paper's 79 plus the
@@ -24,26 +28,80 @@ func TestCorpusSize(t *testing.T) {
 	}
 }
 
-// TestLookup exercises ByName/ByID round trips.
+// shape is the structure of a built program that lookups must
+// reproduce: its universe sizes and, for progdsl programs, every
+// thread's code.
+func shape(src model.Source) string {
+	s := fmt.Sprintf("%s threads=%d vars=%d mutexes=%d init=%v",
+		src.Name(), src.NumThreads(), src.NumVars(), src.NumMutexes(), src.InitiallyRunning())
+	if cs, ok := src.(model.ChannelSource); ok {
+		s += fmt.Sprintf(" chans=%d", cs.NumChannels())
+	}
+	if p, ok := src.(*progdsl.Program); ok {
+		for t := 0; t < p.NumThreads(); t++ {
+			s += "\n" + p.Disassemble(event.ThreadID(t))
+		}
+	}
+	return s
+}
+
+// TestLookup: ByName and ByID, which build only the program they
+// return, agree with the whole-set builders on every corpus and hostile
+// entry — same metadata, a structurally identical program, and a fresh
+// Program on every call — and reject unknown names and IDs.
 func TestLookup(t *testing.T) {
-	for _, b := range All() {
-		got, ok := ByName(b.Name)
-		if !ok || got.ID != b.ID {
-			t.Errorf("ByName(%q) = %v, %v", b.Name, got.ID, ok)
+	all := All()
+	if names := Names(); len(names) != len(all) {
+		t.Fatalf("Names() has %d entries, All() %d", len(names), len(all))
+	}
+	check := func(how string, want, got Benchmark) {
+		t.Helper()
+		if got.ID != want.ID || got.Name != want.Name || got.Family != want.Family || got.Notes != want.Notes {
+			t.Errorf("%s: metadata %d/%q/%q differs from %d/%q/%q",
+				how, got.ID, got.Name, got.Family, want.ID, want.Name, want.Family)
 		}
-		got, ok = ByID(b.ID)
-		if !ok || got.Name != b.Name {
-			t.Errorf("ByID(%d) = %q, %v", b.ID, got.Name, ok)
+		if shape(got.Program) != shape(want.Program) {
+			t.Errorf("%s: program differs in structure:\n got %s\nwant %s", how, shape(got.Program), shape(want.Program))
 		}
 	}
-	if _, ok := ByName("no-such-benchmark"); ok {
-		t.Error("ByName accepted a bogus name")
+	for i, name := range Names() {
+		want := all[i]
+		a, ok := ByName(name)
+		if !ok {
+			t.Fatalf("ByName(%q) not found", name)
+		}
+		check("ByName("+name+")", want, a)
+		b, ok := ByID(want.ID)
+		if !ok {
+			t.Fatalf("ByID(%d) not found", want.ID)
+		}
+		check(fmt.Sprintf("ByID(%d)", want.ID), want, b)
+		if again, _ := ByName(name); again.Program == a.Program {
+			t.Errorf("ByName(%q) returned the same Program twice", name)
+		}
+		if b.Program == a.Program {
+			t.Errorf("ByID(%d) returned ByName's Program", want.ID)
+		}
 	}
-	if _, ok := ByID(0); ok {
-		t.Error("ByID accepted 0")
+	for _, want := range Hostile() {
+		got, ok := ByName(want.Name)
+		if !ok {
+			t.Fatalf("ByName(%q) not found", want.Name)
+		}
+		check("ByName("+want.Name+")", want, got)
+		if _, ok := ByID(want.ID); ok {
+			t.Errorf("ByID(%d) resolved a hostile program", want.ID)
+		}
 	}
-	if _, ok := ByID(Count + 1); ok {
-		t.Error("ByID accepted out-of-range ID")
+	for _, name := range []string{"", "no-such-benchmark", "synth-00", "hostile"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) accepted an unknown name", name)
+		}
+	}
+	for _, id := range []int{-1, 0, Count + 1, HostileIDBase + 1} {
+		if _, ok := ByID(id); ok {
+			t.Errorf("ByID(%d) accepted an unknown ID", id)
+		}
 	}
 }
 
@@ -120,6 +178,33 @@ func TestDeadlockBenchmarks(t *testing.T) {
 		res := eng.Explore(b.Program, explore.Options{ScheduleLimit: 50000, MaxSteps: 2000})
 		if (res.Deadlocks > 0) != wantDeadlock {
 			t.Errorf("%s: deadlocks=%d, wantDeadlock=%v (%v)", name, res.Deadlocks, wantDeadlock, res.String())
+		}
+	}
+}
+
+// byNameMaxAllocs bounds one lookup. Building the whole corpus costs
+// ≈3,600 allocations; one lookup builds one program plus the entry
+// tables, a few hundred at most.
+const byNameMaxAllocs = 400
+
+// TestByNameBuildsOnlyTheMatch keeps a whole-corpus rebuild from
+// coming back into ByName/ByID: campaign cells and figure rows look
+// programs up one at a time, and each lookup must pay for one program,
+// not for all of them. The last corpus entry and a hostile program are
+// the worst cases: they scan every entry before matching.
+func TestByNameBuildsOnlyTheMatch(t *testing.T) {
+	whole := testing.AllocsPerRun(5, func() { All() })
+	names := Names()
+	lookups := map[string]func(){
+		"ByName(" + names[len(names)-1] + ")": func() { ByName(names[len(names)-1]) },
+		"ByName(hostile-diverge)":             func() { ByName("hostile-diverge") },
+		fmt.Sprintf("ByID(%d)", Count):        func() { ByID(Count) },
+	}
+	for how, f := range lookups {
+		got := testing.AllocsPerRun(20, f)
+		if got > byNameMaxAllocs {
+			t.Errorf("%s: %.0f allocs, want ≤ %d (All() costs %.0f — rebuilding the corpus?)",
+				how, got, byNameMaxAllocs, whole)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package explore
 
 import (
+	"runtime"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // Allocation-regression bounds, in heap allocations per explored
@@ -22,10 +21,7 @@ const (
 // event on bm at the given options.
 func allocsPerEvent(t *testing.T, eng Engine, opt Options, name string) float64 {
 	t.Helper()
-	bm, ok := bench.ByName(name)
-	if !ok {
-		t.Fatalf("missing benchmark %s", name)
-	}
+	bm := benchProgram(t, name)
 	res := eng.Explore(bm.Program, opt)
 	if res.Events == 0 {
 		t.Fatalf("%s explored no events on %s", eng.Name(), name)
@@ -68,6 +64,34 @@ func TestBacktrackAllocsO1(t *testing.T) {
 		if got > stackAllocsPerEvent {
 			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.1f (per-step tracker Clone is back?)",
 				eng.Name(), got, stackAllocsPerEvent)
+		}
+	}
+}
+
+// samplerBytesPerWalk bounds a sampler's heap bytes per walk on a
+// short-walk program. A walk's own work — the machine rebuild and the
+// trace — measures ≈2 KB; a math/rand source allocated per walk adds a
+// 4.9 KB rngSource on top and fails it.
+const samplerBytesPerWalk = 4000
+
+// TestSamplerBytesPerWalk complements TestSamplerAllocsStraightLine,
+// whose per-event bound one large allocation per walk slips under: it
+// bounds the bytes each walk allocates, measured as the TotalAlloc
+// delta over a fixed walk count.
+func TestSamplerBytesPerWalk(t *testing.T) {
+	const walks = 400
+	bm := benchProgram(t, "counter-racy-2x1")
+	opt := Options{ScheduleLimit: walks, MaxSteps: 2000}
+	for _, spec := range []string{"random", "pct", "pos"} {
+		eng := samplerBySpec(spec, 1)
+		eng.Explore(bm.Program, opt) // warm up lazily built state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.Explore(bm.Program, opt)
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / walks; got > samplerBytesPerWalk {
+			t.Errorf("%s: %d bytes/walk, want ≤ %d (an rng source allocated per walk?)",
+				spec, got, samplerBytesPerWalk)
 		}
 	}
 }

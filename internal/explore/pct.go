@@ -125,6 +125,7 @@ func (e *pctEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]int, src.NumThreads())
+	rng := rand.New(rand.NewSource(0))
 	for i := 0; i < walks; i++ {
 		// Check cancellation before the walk, not only after it: a
 		// hostile program can make a single walk pay a wall-clock
@@ -133,7 +134,7 @@ func (e *pctEngine) Explore(src model.Source, opt Options) Result {
 			rec.res.Interrupted = true
 			break
 		}
-		rng := rand.New(rand.NewSource(mixWalkSeed(e.seed, i)))
+		rng.Seed(mixWalkSeed(e.seed, i))
 		// Initial priorities: a random permutation of d..d+n−1, every
 		// one above every change-point value 1..d−1.
 		for t, p := range rng.Perm(len(prio)) {

@@ -53,8 +53,9 @@ func (e *posEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]float64, src.NumThreads())
+	rng := rand.New(rand.NewSource(0))
 	for i := 0; i < walks; i++ {
-		rng := rand.New(rand.NewSource(mixWalkSeed(e.seed, i)))
+		rng.Seed(mixWalkSeed(e.seed, i))
 		for t := range prio {
 			prio[t] = rng.Float64()
 		}

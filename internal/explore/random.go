@@ -10,7 +10,7 @@ import (
 // non-systematic baseline ("random testing"). It offers no coverage
 // guarantee; the paper's techniques exist to beat it.
 //
-// Each walk draws from its own rng seeded by mixWalkSeed(seed, index),
+// Each walk re-seeds the engine's one rng with mixWalkSeed(seed, index),
 // so walk i is the same schedule whether the walks run sequentially or
 // are fanned out across workers in index ranges — the property the
 // campaign package's parallel random search relies on for exact
@@ -65,8 +65,9 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 	base := c.replayPrefix(opt.Prefix, nil)
+	rng := rand.New(rand.NewSource(0))
 	for i := 0; i < walks; i++ {
-		rng := rand.New(rand.NewSource(mixWalkSeed(e.seed, e.firstWalk+i)))
+		rng.Seed(mixWalkSeed(e.seed, e.firstWalk+i))
 		for !c.truncated() {
 			en := c.enabled()
 			if len(en) == 0 {
