@@ -137,9 +137,8 @@ bench-json:
 # workload (--seconds 0: the fewest passes that give 100 verdict
 # samples), each cell checked against perfbench/answers.json. Any FAIL
 # line exits 1; no timing is asserted.
-PERF_WORKLOADS ?= fig2-dpor fig3-caching firstbug-grid harness-twins
 perf-smoke:
-	@for w in $(PERF_WORKLOADS); do \
+	@for w in fig2-dpor fig3-caching firstbug-grid harness-twins; do \
 		echo "== perfbench $$w =="; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 || exit 1; \
 	done
