@@ -136,12 +136,17 @@ bench-json:
 # perfbench/README.md): the shortest run of every BENCHMARK.json
 # workload (--seconds 0: the fewest passes that give 100 verdict
 # samples), each cell checked against perfbench/answers.json. Any FAIL
-# line exits 1; no timing is asserted.
+# line exits 1; no timing is asserted. The last pass runs fig2-dpor
+# traced: its wrapper coroutines lack model.SnapshotReuser, so it is
+# the path where the undo log falls back to fresh snapshots, and it
+# checks that traced and untraced Results are identical.
 perf-smoke:
 	@for w in fig2-dpor fig3-caching firstbug-grid harness-twins; do \
 		echo "== perfbench $$w =="; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 || exit 1; \
 	done
+	@echo "== perfbench fig2-dpor (traced) =="
+	@bash perfbench/run.sh --workload fig2-dpor --seed 1 --seconds 0 --trace 1
 	@echo "perf-smoke: every workload's cells match perfbench/answers.json"
 
 # Facade hygiene — the CI api-check job. The public sct package is the

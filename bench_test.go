@@ -442,9 +442,10 @@ func BenchmarkObserverOverhead(b *testing.B) {
 }
 
 // BenchmarkSnapshotVsReplay measures the exploration-backend ablation:
-// the default undo-log backend ("snapshot", name kept stable across
-// the perf trajectory) against the legacy deep-snapshot backend and
-// full replay.
+// the undo-log backend ("snapshot", name kept stable across the perf
+// trajectory), which the default BackendAuto always uses for the stack
+// engines on snapshottable programs, against the legacy deep-snapshot
+// backend and full replay.
 func BenchmarkSnapshotVsReplay(b *testing.B) {
 	bm := mustBench(b, "counter-racy-2x2")
 	for _, mode := range []struct {

@@ -6,15 +6,22 @@ import (
 )
 
 // Allocation-regression bounds, in heap allocations per explored
-// event. The O(1)-backtracking paths sit near 2 allocs/event (arena
-// growth, trace append doubling, per-walk machine rebuilds amortized
-// over the walk); any per-step tracker snapshot work — the
-// tr.Clone() the undo backend used to pay on every retained step —
-// is ≥3 slab copies per event and blows straight past these bounds
+// event. The samplers' straight-line walks sit near 2 allocs/event
+// (arena growth, trace append doubling, per-walk machine rebuilds
+// amortized over the walk). The stack engines' undo-backend paths sit
+// at 1.1–1.4: the machine's undo log copies each step's coroutine into
+// a recycled spare, so a forward step allocates nothing of its own; a
+// fresh coroutine snapshot per undo-logged step adds ~1 per event, and
+// any per-step tracker snapshot work — the tr.Clone() the undo backend
+// used to pay on every retained step — is ≥3 slab copies per event
 // (the legacy deep-snapshot backend measures ~20 allocs/event).
+// lazyDPORAllocsPerEvent bounds lazy-dpor on a lock-heavy program,
+// where every deferred lock race summarises two critical sections
+// (measured ≈2.0; summaries built from fresh maps measure 7.2).
 const (
-	samplerAllocsPerEvent = 3.0
-	stackAllocsPerEvent   = 4.0
+	samplerAllocsPerEvent  = 3.0
+	stackAllocsPerEvent    = 1.75
+	lazyDPORAllocsPerEvent = 2.5
 )
 
 // allocsPerEvent measures eng's steady-state allocations per explored
@@ -54,17 +61,22 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 // TestBacktrackAllocsO1 pins the tentpole: with the undo backend the
 // whole (machine, tracker) pair backtracks in O(1), so the stack
 // engines' allocations per explored event stay constant — no
-// tr.Clone() per retained step. The legacy deep-snapshot backend
-// pays ~10× this bound per event, so the old per-step-Clone code
-// path cannot silently return.
+// tr.Clone() per retained step and no fresh coroutine snapshot per
+// undo-logged step. The legacy deep-snapshot backend pays ~10× this
+// bound per event, so the old per-step-Clone code path cannot
+// silently return.
 func TestBacktrackAllocsO1(t *testing.T) {
 	opt := Options{ScheduleLimit: 500, MaxSteps: 2000, Backend: BackendUndo}
-	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true)} {
+	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true), NewLazyDPOR(), NewHBRCache()} {
 		got := allocsPerEvent(t, eng, opt, "coarse-tail-3x3")
 		if got > stackAllocsPerEvent {
-			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.1f (per-step tracker Clone is back?)",
+			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.2f (per-step snapshot or tracker Clone is back?)",
 				eng.Name(), got, stackAllocsPerEvent)
 		}
+	}
+	if got := allocsPerEvent(t, NewLazyDPOR(), opt, "philosophers-3"); got > lazyDPORAllocsPerEvent {
+		t.Errorf("lazy-dpor/undo on philosophers-3: %.2f allocs/event, want ≤ %.1f (critical-section summaries allocated per lock race?)",
+			got, lazyDPORAllocsPerEvent)
 	}
 }
 

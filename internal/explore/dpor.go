@@ -72,8 +72,21 @@ type csSummary struct {
 // trace position lockIdx (events of the locking thread only, up to the
 // matching unlock).
 func summarizeCS(trace []event.Event, lockIdx int) csSummary {
+	var cs csSummary
+	cs.summarize(trace, lockIdx)
+	return cs
+}
+
+// summarize is summarizeCS into cs, reusing the storage of its sets:
+// the lazy engine summarises two sections per deferred lock race.
+func (cs *csSummary) summarize(trace []event.Event, lockIdx int) {
 	lock := trace[lockIdx]
-	cs := csSummary{reads: map[int32]struct{}{}, writes: map[int32]struct{}{}}
+	if cs.reads == nil {
+		cs.reads, cs.writes = map[int32]struct{}{}, map[int32]struct{}{}
+	}
+	clear(cs.reads)
+	clear(cs.writes)
+	cs.clean = false
 	for j := lockIdx + 1; j < len(trace); j++ {
 		ev := trace[j]
 		if ev.Thread != lock.Thread {
@@ -85,23 +98,21 @@ func summarizeCS(trace []event.Event, lockIdx int) csSummary {
 		case event.KindWrite:
 			cs.writes[ev.Obj] = struct{}{}
 		case event.KindUnlock:
-			if ev.Obj == lock.Obj {
-				cs.clean = true
-				return cs
-			}
-			return cs // unlock of a different mutex: nested sync
+			// An unlock of a different mutex is nested sync.
+			cs.clean = ev.Obj == lock.Obj
+			return
 		case event.KindLock, event.KindSpawn, event.KindJoin:
-			return cs // nested sync or thread structure: not clean
+			return // nested sync or thread structure: not clean
 		case event.KindSend, event.KindRecv, event.KindClose, event.KindSelect:
 			// Channel operations synchronise through their own clocks,
 			// outside the read/write footprint this summary models: any
 			// channel traffic inside the section disqualifies it.
-			return cs
+			return
 		case event.KindAssert:
 			// Thread-local; harmless.
 		}
 	}
-	return cs // trace ended inside the section
+	// The trace ended inside the section: not clean.
 }
 
 // ladderOK reports whether, after trace position i, every thread's
@@ -539,6 +550,7 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 	}
 
 	var deferred []deferredLL
+	var csA, csB csSummary // resolveDeferred's reused section summaries
 
 	// updates runs the race-reversal analysis at the current state
 	// for every running thread's pending transition. In lazy mode,
@@ -586,9 +598,9 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 				addBacktrack(d.i, d.p) // lock never ran: be conservative
 				continue
 			}
-			a := summarizeCS(c.trace, d.i)
-			b := summarizeCS(c.trace, pLock)
-			if a.clean && b.clean && disjoint(a, b) && ladderOK(c.trace, d.i, d.mu) {
+			csA.summarize(c.trace, d.i)
+			csB.summarize(c.trace, pLock)
+			if csA.clean && csB.clean && disjoint(csA, csB) && ladderOK(c.trace, d.i, d.mu) {
 				continue
 			}
 			addBacktrack(d.i, d.p)

@@ -394,9 +394,9 @@ func TestBackendAblationExact(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins the backend-selection rules: auto starts
-// on the undo log for snapshottable programs (and stays free to settle
-// on replay adaptively), DisableSnapshots forces replay and takes
+// TestBackendResolution pins the backend-selection rules: auto
+// resolves exactly as an explicit undo request does (the undo log for
+// snapshottable programs), DisableSnapshots forces replay and takes
 // precedence over any explicit Backend, and explicit requests are
 // honoured.
 func TestBackendResolution(t *testing.T) {
@@ -404,73 +404,22 @@ func TestBackendResolution(t *testing.T) {
 	for _, tc := range []struct {
 		opt  Options
 		want BackendKind
-		auto bool // BackendAuto measurement still pending
 	}{
-		{Options{}, BackendUndo, true},
-		{Options{Backend: BackendUndo}, BackendUndo, false},
-		{Options{Backend: BackendSnapshot}, BackendSnapshot, false},
-		{Options{Backend: BackendReplay}, BackendReplay, false},
-		{Options{DisableSnapshots: true}, BackendReplay, false},
-		{Options{DisableSnapshots: true, Backend: BackendUndo}, BackendReplay, false},
-		{Options{DisableSnapshots: true, Backend: BackendSnapshot}, BackendReplay, false},
-		// Subtree searches and work-steal workers keep the undo
-		// backend without adapting, so seed export stays uniform.
-		{Options{Prefix: []event.ThreadID{0}}, BackendUndo, false},
+		{Options{}, BackendUndo},
+		{Options{Backend: BackendUndo}, BackendUndo},
+		{Options{Backend: BackendSnapshot}, BackendSnapshot},
+		{Options{Backend: BackendReplay}, BackendReplay},
+		{Options{DisableSnapshots: true}, BackendReplay},
+		{Options{DisableSnapshots: true, Backend: BackendUndo}, BackendReplay},
+		{Options{DisableSnapshots: true, Backend: BackendSnapshot}, BackendReplay},
+		{Options{Prefix: []event.ThreadID{0}}, BackendUndo},
 	} {
 		c := newCursor(src, tc.opt)
 		if c.backend != tc.want {
 			t.Errorf("options %+v resolved to backend %v, want %v", tc.opt, c.backend, tc.want)
 		}
-		if c.autoPending != tc.auto {
-			t.Errorf("options %+v: autoPending %v, want %v", tc.opt, c.autoPending, tc.auto)
-		}
 		c.close()
 	}
-}
-
-// TestAutoBackendAdapts drives the two backtrack shapes through a
-// BackendAuto cursor: sampler-style resets to the root make replay the
-// winner (nothing retained to re-execute, so undo's per-step logging
-// is pure overhead), while DFS-style frontier pops keep the undo log
-// (replay would re-execute almost the whole schedule per pop). Either
-// way the measurement phase ends after autoProbeResets.
-func TestAutoBackendAdapts(t *testing.T) {
-	src := curatedSharedCounter()
-	walkToEnd := func(c *cursor) {
-		for {
-			en := c.enabled()
-			if len(en) == 0 || c.truncated() {
-				return
-			}
-			c.step(en[0])
-		}
-	}
-
-	c := newCursor(src, Options{MaxSteps: 2000})
-	if !c.autoPending {
-		t.Fatalf("auto cursor not in measurement phase")
-	}
-	for i := 0; i < autoProbeResets; i++ {
-		walkToEnd(c)
-		c.resetTo(0)
-	}
-	if c.autoPending || c.backend != BackendReplay {
-		t.Errorf("straight-line resets: backend %v (pending %v), want replay",
-			c.backend, c.autoPending)
-	}
-	walkToEnd(c) // still explores fine after the switch
-	c.close()
-
-	c = newCursor(src, Options{MaxSteps: 2000})
-	for i := 0; i < autoProbeResets; i++ {
-		walkToEnd(c)
-		c.resetTo(c.depth() - 1)
-	}
-	if c.autoPending || c.backend != BackendUndo {
-		t.Errorf("frontier pops: backend %v (pending %v), want undo",
-			c.backend, c.autoPending)
-	}
-	c.close()
 }
 
 // TestLazyNeverCoarserThanStates double-checks the paper's central

@@ -204,18 +204,16 @@ func (o Options) Validate() error {
 type BackendKind uint8
 
 const (
-	// BackendAuto picks the fastest supported backend adaptively:
-	// replay for programs that cannot snapshot, the undo log
-	// otherwise — except that the cursor measures the first few
-	// schedules' backtrack shape (reset depth vs rewind distance) and
-	// settles on replay when re-executing the short retained prefixes
-	// is cheaper than paying per-step undo logging (see autoObserve).
-	// Straight-line samplers skip the measurement and use replay
-	// outright. All backends are observationally identical, so the
-	// choice never changes a Result.
+	// BackendAuto picks the fastest supported backend: the undo log
+	// when every live coroutine is snapshottable, replay otherwise —
+	// exactly what BackendUndo resolves to. Straight-line samplers
+	// with no pinned prefix use replay outright (see newWalkCursor).
+	// All backends are observationally identical, so the choice never
+	// changes a Result.
 	BackendAuto BackendKind = iota
 	// BackendUndo rewinds the (machine, tracker) pair through their
-	// O(1)-per-step undo logs — no per-step copying at all. Requires
+	// O(1)-per-step undo logs — the only per-step copy is the stepping
+	// thread's coroutine, recycled where the frontend allows. Requires
 	// snapshottable coroutines; falls back to replay otherwise.
 	BackendUndo
 	// BackendSnapshot is the legacy backend: a deep machine snapshot
@@ -245,17 +243,19 @@ func (b BackendKind) String() string {
 
 // backend resolves the requested backend, honouring the legacy
 // DisableSnapshots spelling (which takes precedence over an explicit
-// Backend). BackendAuto resolves to itself: the cursor owns the
-// adaptive choice. Unknown kinds panic — Options.Validate rejects
-// them, and an engine built from unvalidated options must fail loudly
-// rather than silently explore under a different backend than the
-// ablation asked for.
+// Backend). BackendAuto resolves to BackendUndo; the cursor falls
+// back to replay when the program cannot snapshot. Unknown kinds panic
+// — Options.Validate rejects them, and an engine built from
+// unvalidated options must fail loudly rather than silently explore
+// under a different backend than the ablation asked for.
 func (o Options) backend() BackendKind {
 	if o.DisableSnapshots {
 		return BackendReplay
 	}
 	switch o.Backend {
-	case BackendAuto, BackendUndo, BackendSnapshot, BackendReplay:
+	case BackendAuto:
+		return BackendUndo
+	case BackendUndo, BackendSnapshot, BackendReplay:
 		return o.Backend
 	}
 	panic(fmt.Sprintf("explore: unknown backend %q (Options.Validate rejects it)", o.Backend))
@@ -639,14 +639,6 @@ type cursor struct {
 	seed      *hb.Tracker
 	seedDepth int
 
-	// BackendAuto measurement state: the cursor starts on the undo
-	// backend and autoObserve accumulates per-reset cost estimates for
-	// undo vs replay over the first few schedules, then locks in the
-	// cheaper one (autoPending becomes false either way).
-	autoPending            bool
-	autoResets             int
-	autoUndoC, autoReplayC int
-
 	enabledBuf []event.ThreadID
 	events     int64
 	// backtracks counts resets to an earlier depth — one per branch
@@ -661,19 +653,10 @@ func newCursor(src model.Source, opt Options) *cursor {
 	if mcfg.StallTimeout > 0 {
 		mcfg.Hints = model.NewDivergeHints()
 	}
-	resolved := opt.backend()
-	auto := false
-	if resolved == BackendAuto {
-		resolved = BackendUndo
-		// Adapt only for a root search: work-steal workers and
-		// prefix-partitioned subtree searches keep the undo backend so
-		// their seed-export behaviour stays uniform across workers.
-		auto = opt.Steal == nil && len(opt.Prefix) == 0
-	}
 	c := &cursor{
 		src:      src,
 		maxSteps: opt.maxSteps(),
-		backend:  resolved,
+		backend:  opt.backend(),
 		mcfg:     mcfg,
 		m:        model.NewMachineCfg(src, mcfg),
 		tr:       hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src)),
@@ -682,7 +665,6 @@ func newCursor(src model.Source, opt Options) *cursor {
 	case BackendUndo:
 		if c.m.EnableUndo() {
 			c.tr.EnableUndo()
-			c.autoPending = auto
 		} else {
 			c.backend = BackendReplay
 		}
@@ -820,41 +802,6 @@ func (c *cursor) replayPrefix(prefix []event.ThreadID, step func(event.ThreadID)
 	return len(prefix)
 }
 
-// autoProbeResets is how many resets BackendAuto measures before
-// settling; autoRebuildCost is replay's estimated fixed per-reset cost
-// (machine construction, coroutine restarts) in step units. Both are
-// heuristics calibrated against BenchmarkSnapshotVsReplay: replay wins
-// when resets target shallow depths (little to re-execute) while undo
-// pays logging on every forward step; undo wins when resets rewind a
-// few steps off a deep retained prefix (the stack engines).
-const (
-	autoProbeResets = 8
-	autoRebuildCost = 8
-)
-
-// autoObserve accumulates the estimated per-reset cost of the two
-// candidate backends while BackendAuto is still measuring. Undo pays
-// for rewinding len(trace)−d records plus undo-logging roughly that
-// many re-executed forward steps; replay pays for re-executing the d
-// retained steps plus a machine rebuild. After autoProbeResets the
-// cheaper backend is locked in for the rest of the run; switching to
-// replay drops both undo logs. The backends are observationally
-// identical, so the choice never shows in a Result.
-func (c *cursor) autoObserve(d int) {
-	c.autoResets++
-	c.autoUndoC += 2 * (len(c.trace) - d)
-	c.autoReplayC += d + autoRebuildCost
-	if c.autoResets < autoProbeResets {
-		return
-	}
-	c.autoPending = false
-	if c.autoReplayC < c.autoUndoC {
-		c.backend = BackendReplay
-		c.m.DisableUndo()
-		c.tr.DisableUndo()
-	}
-}
-
 // resetTo truncates the execution back to depth d (0 ≤ d ≤ depth()).
 func (c *cursor) resetTo(d int) {
 	if d > len(c.trace) {
@@ -864,9 +811,6 @@ func (c *cursor) resetTo(d int) {
 		return
 	}
 	c.backtracks++
-	if c.autoPending {
-		c.autoObserve(d)
-	}
 	switch c.backend {
 	case BackendUndo:
 		// Both undo logs rewind in place: O(1) per popped step, no

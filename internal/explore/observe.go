@@ -76,8 +76,8 @@ func (c *Counters) setBackend(b BackendKind) {
 	c.backend.Store(int32(b) + 1)
 }
 
-// Backend returns the resolved backend name, or "" while the adaptive
-// choice is still being measured.
+// Backend returns the resolved backend name, or "" before the first
+// cursor has published progress.
 func (c *Counters) Backend() string {
 	v := c.backend.Load()
 	if v == 0 {
@@ -144,7 +144,7 @@ type Progress struct {
 	MaxDepth        int64 `json:"max_depth"`
 
 	// Backend is the resolved backtracking backend ("undo", "replay",
-	// "snapshot"), or "" while BackendAuto is still measuring.
+	// "snapshot"), or "" before the first progress flush.
 	Backend string `json:"backend,omitempty"`
 
 	// Elapsed is the wall clock since the delivering search started.
@@ -428,9 +428,7 @@ func (t *telemetry) flush(r *recorder, c *cursor) {
 		if hints := c.mcfg.Hints; hints != nil {
 			add64(&t.ctr.DivergeHintHits, hints.Hits(), &f.hintHits)
 		}
-		if !c.autoPending {
-			t.ctr.setBackend(c.backend)
-		}
+		t.ctr.setBackend(c.backend)
 	}
 	add64(&t.ctr.DedupHits, t.dedupHits, &f.dedupHits)
 	add64(&t.ctr.DedupMisses, t.dedupMisses, &f.dedupMisses)

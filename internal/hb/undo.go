@@ -163,14 +163,6 @@ func undoOne(dst *Tracker, r *undoRec) {
 // place. Events applied before the call are not covered.
 func (tr *Tracker) EnableUndo() { tr.undoEnabled = true }
 
-// DisableUndo stops undo recording and drops the log: the tracker can
-// no longer rewind but keeps applying events normally. The adaptive
-// exploration backend uses it to settle on replay after measuring.
-func (tr *Tracker) DisableUndo() {
-	tr.undoEnabled = false
-	tr.undo = nil
-}
-
 // UndoMark returns the current position in the undo log. With undo
 // enabled from the tracker's first event, the mark equals Events().
 func (tr *Tracker) UndoMark() int { return len(tr.undo) }

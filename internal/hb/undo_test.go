@@ -164,25 +164,3 @@ func TestUndoRandomWalk(t *testing.T) {
 		}
 	}
 }
-
-// TestDisableUndo: dropping the log frees rewinding but keeps the
-// tracker applying events normally, and UndoTo refuses afterwards.
-func TestDisableUndo(t *testing.T) {
-	tr := NewTracker(3, 2, 1)
-	tr.EnableUndo()
-	tr.ApplyFast(undoSeq[0])
-	tr.DisableUndo()
-	if m := tr.UndoMark(); m != 0 {
-		t.Errorf("log survived DisableUndo: mark %d", m)
-	}
-	tr.ApplyFast(ev(1, 0, wr(0, 1)))
-	if tr.Events() != 2 {
-		t.Errorf("events %d after DisableUndo, want 2", tr.Events())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("UndoTo after DisableUndo did not panic")
-		}
-	}()
-	tr.UndoTo(0)
-}

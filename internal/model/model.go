@@ -75,6 +75,15 @@ type Snapshottable interface {
 	Snapshot() Coroutine
 }
 
+// SnapshotReuser is optionally implemented by Snapshottable coroutines
+// that can copy their state into a coroutine the machine no longer
+// uses, reusing its storage. SnapshotInto returns the copy: dst itself
+// when it is the frontend's own type, a fresh Snapshot otherwise. The
+// undo log uses it to make a forward Step allocation-free.
+type SnapshotReuser interface {
+	SnapshotInto(dst Coroutine) Coroutine
+}
+
 // Source describes a program under test: a fixed universe of threads,
 // shared variables and mutexes, plus a factory for thread coroutines.
 // Sources must be stateless with respect to executions: Start may be
@@ -280,6 +289,12 @@ type Machine struct {
 	// instead of restoring a deep snapshot.
 	undo        []undoRec
 	undoEnabled bool
+	// spare holds the live coroutines UndoTo replaced by their logged
+	// checkpoints; the next undo-logged Step copies into one of them
+	// instead of allocating. Only SnapshotReusers are kept, so every
+	// entry is consumed by a later Step and the list never outgrows
+	// the undo depth.
+	spare []Coroutine
 }
 
 // divergeKey identifies a divergence point schedule-independently: the
@@ -649,15 +664,11 @@ func (m *Machine) Step(t event.ThreadID) event.Event {
 	op := m.pending[t]
 	var rec *undoRec
 	if m.undoEnabled {
-		s, ok := m.cor[t].(Snapshottable)
-		if !ok {
-			panic("model: undo-logged Step on a non-snapshottable coroutine")
-		}
 		m.undo = append(m.undo, undoRec{
 			t:       t,
 			spawned: NoOwner,
 			op:      op,
-			cor:     s.Snapshot(),
+			cor:     m.checkpoint(m.cor[t]),
 			oldOwn:  NoOwner,
 			nfail:   int32(len(m.failures)),
 			chObj:   -1,
@@ -933,14 +944,6 @@ func (m *Machine) EnableUndo() bool {
 	return true
 }
 
-// DisableUndo stops undo recording and drops the log: the machine can
-// no longer rewind but keeps executing normally. The adaptive
-// exploration backend uses it to settle on replay after measuring.
-func (m *Machine) DisableUndo() {
-	m.undoEnabled = false
-	m.undo = nil
-}
-
 // UndoMark returns the current position in the undo log. With undo
 // enabled every Step appends exactly one record, so the mark equals
 // Executed().
@@ -980,6 +983,9 @@ func (m *Machine) UndoTo(mark int) {
 		}
 		t := r.t
 		m.status[t] = Running
+		if _, ok := m.cor[t].(SnapshotReuser); ok {
+			m.spare = append(m.spare, m.cor[t])
+		}
 		m.cor[t] = r.cor
 		m.pending[t] = r.op
 		m.havePend[t] = true
@@ -995,6 +1001,23 @@ func (m *Machine) UndoTo(mark int) {
 		r.cor = nil // release the snapshot reference
 		m.undo = m.undo[:len(m.undo)-1]
 	}
+}
+
+// checkpoint copies c for the undo log, recycling a spare coroutine
+// when the frontend supports it.
+func (m *Machine) checkpoint(c Coroutine) Coroutine {
+	if r, ok := c.(SnapshotReuser); ok && len(m.spare) > 0 {
+		n := len(m.spare) - 1
+		dst := m.spare[n]
+		m.spare[n] = nil
+		m.spare = m.spare[:n]
+		return r.SnapshotInto(dst)
+	}
+	s, ok := c.(Snapshottable)
+	if !ok {
+		panic("model: undo-logged Step on a non-snapshottable coroutine")
+	}
+	return s.Snapshot()
 }
 
 // sortedFailures returns the failures in a canonical order — by

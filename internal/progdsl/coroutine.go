@@ -18,7 +18,10 @@ type coroutine struct {
 	done    bool
 }
 
-var _ model.Snapshottable = (*coroutine)(nil)
+var (
+	_ model.Snapshottable  = (*coroutine)(nil)
+	_ model.SnapshotReuser = (*coroutine)(nil)
+)
 
 // Peek implements model.Coroutine.
 func (c *coroutine) Peek() (event.Op, bool) {
@@ -187,4 +190,17 @@ func (c *coroutine) Snapshot() model.Coroutine {
 	cp := *c
 	cp.regs = append([]int64(nil), c.regs...)
 	return &cp
+}
+
+// SnapshotInto implements model.SnapshotReuser: it copies c into dst,
+// reusing dst's register storage, when dst is a progdsl coroutine.
+func (c *coroutine) SnapshotInto(dst model.Coroutine) model.Coroutine {
+	d, ok := dst.(*coroutine)
+	if !ok {
+		return c.Snapshot()
+	}
+	regs := append(d.regs[:0], c.regs...)
+	*d = *c
+	d.regs = regs
+	return d
 }

@@ -382,6 +382,35 @@ func TestCoroutineSnapshotDiverges(t *testing.T) {
 	}
 }
 
+// TestCoroutineSnapshotInto: copying into a spare progdsl coroutine
+// reuses it and yields an independent copy, and a foreign dst falls
+// back to a fresh snapshot.
+func TestCoroutineSnapshotInto(t *testing.T) {
+	b := New("snap-into")
+	x := b.Var("x")
+	b.Thread().Read(0, x).AddConst(0, 0, 1).Write(x, 0)
+	p := b.Build()
+	c := p.Start(0).(*coroutine)
+	c.Peek()
+	spare := p.Start(0).(*coroutine)
+	cp := c.SnapshotInto(spare)
+	if cp != model.Coroutine(spare) {
+		t.Fatal("SnapshotInto did not reuse the progdsl dst")
+	}
+	c.Resume(10)
+	spare.Resume(100)
+	if op, _ := c.Peek(); op.Val != 11 {
+		t.Errorf("original writes %d, want 11", op.Val)
+	}
+	if op, _ := spare.Peek(); op.Val != 101 {
+		t.Errorf("copy writes %d, want 101 (registers shared with the original?)", op.Val)
+	}
+	var foreign struct{ model.Coroutine }
+	if got, ok := c.SnapshotInto(&foreign).(*coroutine); !ok || got == c {
+		t.Errorf("foreign dst: got %T, want a fresh progdsl snapshot", got)
+	}
+}
+
 func TestProgramMetadata(t *testing.T) {
 	b := New("meta").AutoStart()
 	x := b.Var("counter")

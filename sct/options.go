@@ -17,15 +17,15 @@ type Backend = explore.BackendKind
 // The backends. All are observationally identical; they differ only
 // in how executions rewind.
 const (
-	// BackendAuto adapts: a root search starts on the undo log,
-	// measures the first few resets (depth retained vs records
-	// rewound), and locks in undo or replay for the rest of the run —
-	// replay wins on shallow reset targets, undo on deep retained
-	// prefixes. Programs that cannot snapshot always use replay.
+	// BackendAuto resolves as BackendUndo does: the undo log when
+	// every thread can snapshot, replay otherwise. Sampling engines
+	// with no pinned prefix use replay, which is cheaper for walks
+	// that never backtrack mid-execution.
 	BackendAuto Backend = explore.BackendAuto
 	// BackendUndo rewinds through paired O(1)-per-step undo logs: the
 	// machine's reversal records plus the HB tracker's per-event
-	// deltas. No per-step copies in either direction.
+	// deltas. The only per-step copy is the stepping thread's
+	// coroutine state, recycled where the frontend allows.
 	BackendUndo Backend = explore.BackendUndo
 	// BackendSnapshot stores a deep machine snapshot at every depth
 	// (the legacy ablation baseline).
@@ -148,7 +148,8 @@ func WithBounds(scheduleLimit, maxSteps int) Option {
 }
 
 // WithBackend selects the cursor backtracking implementation (an
-// ablation knob; the default BackendAuto is right otherwise).
+// ablation knob; the default BackendAuto — the undo log where the
+// program allows it — is right otherwise).
 func WithBackend(b Backend) Option {
 	return func(c *config) error {
 		c.mark("WithBackend")
