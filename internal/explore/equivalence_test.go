@@ -341,11 +341,11 @@ func countersOf(r Result) ablationCounters {
 // copy-on-write exploration backend: for every engine and every zoo
 // program, the undo-log backend (machine + tracker undo logs), the
 // legacy deep-snapshot backend, pure replay (the DisableSnapshots
-// ablation mode) and the adaptive auto backend must report
-// byte-identical Result counters — including the first-bug schedule.
-// Between the two non-replay backends even the Events total must match
-// (neither re-executes a prefix); auto is exempt from that one check
-// because it may settle on replay mid-run.
+// ablation mode) and the auto backend must report byte-identical
+// Result counters — including the first-bug schedule. Auto resolves
+// exactly as undo does, and neither it nor the snapshot backend
+// re-executes a prefix, so all three must also match undo's Events
+// total.
 func TestBackendAblationExact(t *testing.T) {
 	engines := []struct {
 		eng   Engine
@@ -388,6 +388,10 @@ func TestBackendAblationExact(t *testing.T) {
 				if got, want := countersOf(auto), countersOf(undo); got != want {
 					t.Errorf("%s: auto backend disagrees with undo:\n auto=%+v\n undo=%+v",
 						e.eng.Name(), got, want)
+				}
+				if auto.Events != undo.Events {
+					t.Errorf("%s: auto executed %d events, undo %d (auto resolves as undo)",
+						e.eng.Name(), auto.Events, undo.Events)
 				}
 			}
 		})

@@ -19,7 +19,7 @@ const fuzzProbeLimit = 3000
 //
 //   - every engine × backend run satisfies the paper's counting chain;
 //   - each engine's Result counters are byte-identical across the
-//     undo-log, deep-snapshot, replay and adaptive auto backends;
+//     undo-log, deep-snapshot, replay and auto backends;
 //   - when exhaustive DFS exhausts the space, every complete engine
 //     (DPOR ± sleep sets, lazy DPOR, HBR/lazy-HBR caching) agrees with
 //     it on the distinct-state/HBR/lazy-HBR counts and on the state

@@ -125,7 +125,7 @@ func (e *pctEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]int, src.NumThreads())
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(&walkSource{})
 	for i := 0; i < walks; i++ {
 		// Check cancellation before the walk, not only after it: a
 		// hostile program can make a single walk pay a wall-clock

@@ -53,7 +53,7 @@ func (e *posEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]float64, src.NumThreads())
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(&walkSource{})
 	for i := 0; i < walks; i++ {
 		rng.Seed(mixWalkSeed(e.seed, i))
 		for t := range prio {

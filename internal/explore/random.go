@@ -65,7 +65,7 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 	base := c.replayPrefix(opt.Prefix, nil)
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(&walkSource{})
 	for i := 0; i < walks; i++ {
 		rng.Seed(mixWalkSeed(e.seed, e.firstWalk+i))
 		for !c.truncated() {
