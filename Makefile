@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race ci bench bench-smoke bench-json perf-smoke fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
+.PHONY: build test race ci bench bench-smoke bench-json perf-smoke perf-compare fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
 
 build:
 	$(GO) build ./...
@@ -148,6 +148,13 @@ perf-smoke:
 	@echo "== perfbench fig2-dpor (traced) =="
 	@bash perfbench/run.sh --workload fig2-dpor --seed 1 --seconds 0 --trace 1
 	@echo "perf-smoke: every workload's cells match perfbench/answers.json"
+
+# Alternating parent/change pairs of one perfbench workload (see
+# scripts/perf-compare.sh), the protocol a performance claim is judged
+# by: make perf-compare PARENT=../parent WORKLOAD=firstbug-grid PAIRS=10
+PAIRS ?= 10
+perf-compare:
+	bash scripts/perf-compare.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Facade hygiene — the CI api-check job. The public sct package is the
 # only supported entry point: examples must build against it alone

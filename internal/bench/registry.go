@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -49,26 +50,59 @@ type entry struct {
 	build  func() model.Source
 }
 
-// families in registration order; each contributes a fixed number of
-// entries so IDs are stable.
+// families lists the entry families in registration order: the
+// corpus families, each contributing a fixed number of entries so IDs
+// are stable, then the hostile programs (see hostile.go). A corpus
+// entry's ID is its 1-based position across the corpus families; new
+// families append strictly after the paper's 79 so existing IDs never
+// shift.
+var families = [...]func() []entry{
+	coarseEntries,
+	classicEntries,
+	accountEntries,
+	lockEntries,
+	queueEntries,
+	syntheticEntries,
+	chanEntries,
+	hostileEntries,
+}
+
+// corpusFamilies is the number of leading families that form the
+// corpus.
+const corpusFamilies = len(families) - 1
+
+// The lookup table init builds: nameHashes holds a hash of every name
+// in family order (the corpus in ID order, then the hostile programs),
+// and famEnd[f] counts the names of families 0..f. A lookup finds a
+// name's position here and builds only that family's entries; a hash
+// match is confirmed against the entry's name. Hashes rather than
+// names keep the table's live heap to four bytes per entry.
+var (
+	nameHashes []uint32
+	famEnd     [len(families)]int
+)
+
+// nameHash is the 32-bit FNV-1a hash of a benchmark name.
+func nameHash(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h
+}
+
 func allEntries() []entry {
 	var es []entry
-	es = append(es, coarseEntries()...)
-	es = append(es, classicEntries()...)
-	es = append(es, accountEntries()...)
-	es = append(es, lockEntries()...)
-	es = append(es, queueEntries()...)
-	es = append(es, syntheticEntries()...)
-	// New families append strictly after the paper's 79 so existing IDs
-	// never shift.
-	es = append(es, chanEntries()...)
+	for _, f := range families[:corpusFamilies] {
+		es = append(es, f()...)
+	}
 	return es
 }
 
 // All builds the full corpus. Programs are immutable and stateless, so
 // the result can be shared; All builds every program afresh on each
-// call to keep callers independent. All, Hostile and Names cover the
-// whole set; ByName and ByID build only the program they return.
+// call to keep callers independent. All and Hostile build their whole
+// set; ByName and ByID build only the program they return.
 func All() []Benchmark {
 	es := allEntries()
 	out := make([]Benchmark, len(es))
@@ -87,31 +121,48 @@ func (e entry) benchmark(id int) Benchmark {
 const Count = 88
 
 // ByName returns the benchmark with the given name, building only its
-// program. It resolves both the 88-entry corpus and the hostile
-// fault-injection programs (see hostile.go), which are addressable by
-// name only.
+// family's entries and only its own program. It resolves both the
+// 88-entry corpus and the hostile fault-injection programs (see
+// hostile.go), which are addressable by name only.
 func ByName(name string) (Benchmark, bool) {
-	for i, e := range allEntries() {
-		if e.name == name {
-			return e.benchmark(i + 1), true
+	h := nameHash(name)
+	for i, x := range nameHashes {
+		if x != h {
+			continue
 		}
-	}
-	for i, e := range hostileEntries() {
-		if e.name == name {
-			return e.benchmark(HostileIDBase + i + 1), true
+		if e, id := entryAt(i); e.name == name {
+			return e.benchmark(id), true
 		}
 	}
 	return Benchmark{}, false
 }
 
 // ByID returns the benchmark with the given 1-based ID, building only
-// its program.
+// its family's entries and only its own program.
 func ByID(id int) (Benchmark, bool) {
-	es := allEntries()
-	if id < 1 || id > len(es) {
+	if id < 1 || id > Count {
 		return Benchmark{}, false
 	}
-	return es[id-1].benchmark(id), true
+	e, _ := entryAt(id - 1)
+	return e.benchmark(id), true
+}
+
+// entryAt builds the family of position i of the lookup table and
+// returns that position's entry and ID.
+func entryAt(i int) (entry, int) {
+	f := 0
+	for i >= famEnd[f] {
+		f++
+	}
+	start := 0
+	if f > 0 {
+		start = famEnd[f-1]
+	}
+	e := families[f]()[i-start]
+	if f == corpusFamilies {
+		return e, HostileIDBase + i - Count + 1
+	}
+	return e, i + 1
 }
 
 // Families lists the distinct family names, sorted.
@@ -138,22 +189,23 @@ func Names() []string {
 	return out
 }
 
-func mustUnique(es []entry) {
-	seen := map[string]bool{}
-	for _, e := range es {
-		if seen[e.name] {
-			panic(fmt.Sprintf("bench: duplicate benchmark name %q", e.name))
-		}
-		seen[e.name] = true
-	}
-}
-
 func init() {
-	es := allEntries()
-	if len(es) != Count {
-		panic(fmt.Sprintf("bench: corpus has %d entries, want %d", len(es), Count))
+	var hashes []uint32
+	seen := map[string]bool{}
+	for f, build := range families {
+		for _, e := range build() {
+			// Names must be unique across the corpus AND the hostile
+			// set, since ByName resolves both.
+			if seen[e.name] {
+				panic(fmt.Sprintf("bench: duplicate benchmark name %q", e.name))
+			}
+			seen[e.name] = true
+			hashes = append(hashes, nameHash(e.name))
+		}
+		famEnd[f] = len(hashes)
 	}
-	// Names must be unique across the corpus AND the hostile set, since
-	// ByName resolves both.
-	mustUnique(append(append([]entry(nil), es...), hostileEntries()...))
+	nameHashes = slices.Clone(hashes) // without append's spare capacity
+	if n := famEnd[corpusFamilies-1]; n != Count {
+		panic(fmt.Sprintf("bench: corpus has %d entries, want %d", n, Count))
+	}
 }

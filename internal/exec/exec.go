@@ -3,7 +3,9 @@
 // final state and safety outcomes. Exploration engines that need
 // step-level control drive model.Machine and hb.Tracker directly; this
 // package is the single-execution entry point used for replay, random
-// testing and the examples.
+// testing and the examples. A Runner repeats executions of one program
+// on one machine and tracker, resetting them in place between runs,
+// for callers that replay many schedules (schedule minimization).
 package exec
 
 import (
@@ -162,16 +164,47 @@ func (o *Outcome) ViolationKind() string {
 	return model.ViolationKind(o.Deadlock, o.Failures, len(o.Races) > 0)
 }
 
+// Runner executes one program again and again, reusing one machine
+// and tracker: the first run builds them, and each later run resets
+// both in place instead of rebuilding them. An Outcome shares no
+// storage a later run reuses: its trace, choices, failures and races
+// are its own, and the clocks RecordClocks retains are pinned by the
+// tracker (Tracker.Apply), so they stay intact across later runs. A
+// Runner is not safe for concurrent use.
+type Runner struct {
+	src     model.Source
+	opt     Options
+	m       *model.Machine
+	tr      *hb.Tracker
+	enabled []event.ThreadID
+}
+
+// NewRunner returns a runner for src under opt.
+func NewRunner(src model.Source, opt Options) *Runner {
+	return &Runner{src: src, opt: opt}
+}
+
 // Run executes src to completion under ch.
 func Run(src model.Source, ch Chooser, opt Options) Outcome {
+	return NewRunner(src, opt).Run(ch)
+}
+
+// Run executes the runner's program to completion under ch.
+func (r *Runner) Run(ch Chooser) Outcome {
+	src, opt := r.src, r.opt
 	maxSteps := opt.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	m := model.NewMachineCfg(src, model.MachineConfig{StallTimeout: opt.StallTimeout})
-	tr := hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
+	if r.m == nil {
+		r.m = model.NewMachineCfg(src, model.MachineConfig{StallTimeout: opt.StallTimeout})
+		r.tr = hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
+	} else {
+		r.m.Reset()
+		r.tr.Reset()
+	}
+	m, tr := r.m, r.tr
 	var out Outcome
-	var enabled []event.ThreadID
 	// Hoist the nil test out of the loop: with no caller context the
 	// stride check polls context.Background, whose Err is a constant
 	// nil return, instead of branching on opt.Ctx every event.
@@ -189,8 +222,8 @@ func Run(src model.Source, ch Chooser, opt Options) Outcome {
 			m.Abort()
 			break
 		}
-		enabled = m.EnabledThreads(enabled)
-		if len(enabled) == 0 {
+		r.enabled = m.EnabledThreads(r.enabled)
+		if len(r.enabled) == 0 {
 			out.Deadlock = m.Deadlocked()
 			break
 		}
@@ -205,15 +238,17 @@ func Run(src model.Source, ch Chooser, opt Options) Outcome {
 			m.Abort()
 			break
 		}
-		t := ch.Choose(m, enabled, len(out.Trace))
+		t := ch.Choose(m, r.enabled, len(out.Trace))
 		ev := m.Step(t)
-		clocks := tr.Apply(ev)
-		out.Trace = append(out.Trace, ev)
-		out.Choices = append(out.Choices, t)
 		if opt.RecordClocks {
+			clocks := tr.Apply(ev)
 			out.HBClocks = append(out.HBClocks, clocks.HB)
 			out.LazyClocks = append(out.LazyClocks, clocks.Lazy)
+		} else {
+			tr.ApplyFast(ev)
 		}
+		out.Trace = append(out.Trace, ev)
+		out.Choices = append(out.Choices, t)
 	}
 	out.HBFP = tr.HBFingerprint()
 	out.LazyFP = tr.LazyFingerprint()
@@ -225,9 +260,14 @@ func Run(src model.Source, ch Chooser, opt Options) Outcome {
 	return out
 }
 
+// Replay re-executes a recorded schedule on the runner's program.
+func (r *Runner) Replay(choices []event.ThreadID) Outcome {
+	return r.Run(&Prefix{Choices: choices})
+}
+
 // Replay re-executes a recorded schedule and returns its outcome. The
 // replayed outcome of a deterministic program is identical to the
 // original.
 func Replay(src model.Source, choices []event.ThreadID, opt Options) Outcome {
-	return Run(src, &Prefix{Choices: choices}, opt)
+	return NewRunner(src, opt).Replay(choices)
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/event"
@@ -211,4 +213,58 @@ func TestContextCancelTruncates(t *testing.T) {
 	if full.Interrupted || full.StateKey != bare.StateKey || len(full.Trace) != len(bare.Trace) {
 		t.Fatalf("live context changed the outcome: %d vs %d events", len(full.Trace), len(bare.Trace))
 	}
+}
+
+// racyAsserter builds a program whose outcomes differ by schedule: a
+// write/write race on x, and an assertion that fails when t1 reads
+// x after t0's write.
+func racyAsserter() *progdsl.Program {
+	b := progdsl.New("racy-asserter").AutoStart()
+	x := b.Var("x")
+	b.Thread().WriteConst(x, 1)
+	b.Thread().Read(0, x).AssertEq(0, 0).WriteConst(x, 2)
+	return b.Build()
+}
+
+// TestRunnerOutcomesIndependent: a Runner reuses its machine and
+// tracker across runs, but every Outcome it returned stays intact —
+// failures, races and the RecordClocks clocks included — and equals
+// what a one-shot Run of the same schedule reports.
+func TestRunnerOutcomesIndependent(t *testing.T) {
+	prog := racyAsserter()
+	r := NewRunner(prog, Options{RecordClocks: true})
+	schedules := [][]event.ThreadID{{0, 1, 1, 1}, {1, 1, 0, 1}, {0, 1, 1, 1}, {1, 0, 1, 1}}
+	var outs, copies []Outcome
+	for _, s := range schedules {
+		out := r.Replay(s)
+		outs = append(outs, out)
+		copies = append(copies, deepCopy(out))
+	}
+	if len(outs[0].Failures) == 0 || len(outs[0].Races) == 0 {
+		t.Fatalf("setup: schedule 0 should fail an assertion and race: %+v", outs[0])
+	}
+	for i, s := range schedules {
+		if !reflect.DeepEqual(outs[i], copies[i]) {
+			t.Errorf("schedule %d: outcome changed by later runs:\n got %+v\nwant %+v", i, outs[i], copies[i])
+		}
+		if once := Replay(prog, s, Options{RecordClocks: true}); !reflect.DeepEqual(once, copies[i]) {
+			t.Errorf("schedule %d: runner outcome differs from a one-shot Replay:\n got %+v\nwant %+v", i, copies[i], once)
+		}
+	}
+}
+
+// deepCopy copies every slice an Outcome holds, clock contents
+// included.
+func deepCopy(o Outcome) Outcome {
+	cp := o
+	cp.Trace = slices.Clone(o.Trace)
+	cp.Choices = slices.Clone(o.Choices)
+	cp.Failures = slices.Clone(o.Failures)
+	cp.Races = slices.Clone(o.Races)
+	cp.HBClocks, cp.LazyClocks = nil, nil
+	for i := range o.HBClocks {
+		cp.HBClocks = append(cp.HBClocks, o.HBClocks[i].Clone())
+		cp.LazyClocks = append(cp.LazyClocks, o.LazyClocks[i].Clone())
+	}
+	return cp
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // Allocation-regression bounds, in heap allocations per explored
-// event. The samplers' straight-line walks sit near 2 allocs/event
-// (arena growth, trace append doubling, per-walk machine rebuilds
-// amortized over the walk). The stack engines' undo-backend paths sit
+// event. The samplers' straight-line walks sit near 0.5 allocs/event:
+// a walk resets its machine and tracker in place, so what remains is
+// the walk's fresh coroutines and race log amortized over the walk
+// (rebuilding both per walk measured ≈1.3). The stack engines' undo-backend paths sit
 // at 1.1–1.4: the machine's undo log copies each step's coroutine into
 // a recycled spare, so a forward step allocates nothing of its own; a
 // fresh coroutine snapshot per undo-logged step adds ~1 per event, and
@@ -19,7 +20,7 @@ import (
 // where every deferred lock race summarises two critical sections
 // (measured ≈2.0; summaries built from fresh maps measure 7.2).
 const (
-	samplerAllocsPerEvent  = 3.0
+	samplerAllocsPerEvent  = 1.0
 	stackAllocsPerEvent    = 1.75
 	lazyDPORAllocsPerEvent = 2.5
 )
@@ -64,7 +65,9 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 // tr.Clone() per retained step and no fresh coroutine snapshot per
 // undo-logged step. The legacy deep-snapshot backend pays ~10× this
 // bound per event, so the old per-step-Clone code path cannot
-// silently return.
+// silently return. The samplers backtrack to the initial state after
+// every walk; their row pins that this resets the machine and tracker
+// in place instead of rebuilding them.
 func TestBacktrackAllocsO1(t *testing.T) {
 	opt := Options{ScheduleLimit: 500, MaxSteps: 2000, Backend: BackendUndo}
 	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true), NewLazyDPOR(), NewHBRCache()} {
@@ -74,6 +77,13 @@ func TestBacktrackAllocsO1(t *testing.T) {
 				eng.Name(), got, stackAllocsPerEvent)
 		}
 	}
+	for _, eng := range []Engine{NewRandomWalk(1), NewPCT(1, 3), NewPOS(1)} {
+		got := allocsPerEvent(t, eng, opt, "coarse-tail-3x3")
+		if got > samplerAllocsPerEvent {
+			t.Errorf("%s: %.2f allocs/event, want ≤ %.1f (machine or tracker rebuilt per walk?)",
+				eng.Name(), got, samplerAllocsPerEvent)
+		}
+	}
 	if got := allocsPerEvent(t, NewLazyDPOR(), opt, "philosophers-3"); got > lazyDPORAllocsPerEvent {
 		t.Errorf("lazy-dpor/undo on philosophers-3: %.2f allocs/event, want ≤ %.1f (critical-section summaries allocated per lock race?)",
 			got, lazyDPORAllocsPerEvent)
@@ -81,10 +91,12 @@ func TestBacktrackAllocsO1(t *testing.T) {
 }
 
 // samplerBytesPerWalk bounds a sampler's heap bytes per walk on a
-// short-walk program. A walk's own work — the machine rebuild and the
-// trace — measures ≈2 KB; a math/rand source allocated per walk adds a
-// 4.9 KB rngSource on top and fails it.
-const samplerBytesPerWalk = 4000
+// short-walk program. A walk's own work — its fresh coroutines and
+// race log on a machine and tracker reset in place — measures
+// ≈400–430 B; rebuilding the machine and tracker per walk measures
+// ≈2 KB, and a math/rand source allocated per walk adds a 4.9 KB
+// rngSource on top.
+const samplerBytesPerWalk = 900
 
 // TestSamplerBytesPerWalk complements TestSamplerAllocsStraightLine,
 // whose per-event bound one large allocation per walk slips under: it
@@ -102,7 +114,7 @@ func TestSamplerBytesPerWalk(t *testing.T) {
 		eng.Explore(bm.Program, opt)
 		runtime.ReadMemStats(&after)
 		if got := (after.TotalAlloc - before.TotalAlloc) / walks; got > samplerBytesPerWalk {
-			t.Errorf("%s: %d bytes/walk, want ≤ %d (an rng source allocated per walk?)",
+			t.Errorf("%s: %d bytes/walk, want ≤ %d (machine, tracker or rng source allocated per walk?)",
 				spec, got, samplerBytesPerWalk)
 		}
 	}

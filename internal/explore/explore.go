@@ -611,8 +611,8 @@ type cursor struct {
 	backend  BackendKind // resolved: never BackendAuto
 	// mcfg carries the fault-containment machine knobs (stall
 	// watchdog, shared divergence hints) to every machine this cursor
-	// builds — including the fresh machines of replay-backend resets,
-	// which would otherwise re-wait every discovered divergence.
+	// builds. A replay-backend reset keeps the live machine's, so it
+	// never re-waits a discovered divergence.
 	mcfg model.MachineConfig
 
 	m       *model.Machine
@@ -695,14 +695,14 @@ func newCursor(src model.Source, opt Options) *cursor {
 // pct, pos), whose walks never backtrack mid-execution: every walk
 // runs straight to its end and resets to the replay base. With no
 // pinned prefix that base is the initial state, so the replay backend
-// is strictly cheaper there — a reset rebuilds a fresh machine and
-// tracker instead of paying per-step undo logging (a coroutine
-// snapshot per event) or per-depth deep snapshots on the way forward —
-// and the requested backend is overridden. The backends are
-// observationally identical, so Results are unchanged (pinned by
-// TestBackendAblationExact). A pinned prefix keeps the requested
-// backend: rewinding to the base then beats re-executing the prefix on
-// every walk.
+// is strictly cheaper there — a reset returns the machine and tracker
+// to their initial state in place, reusing their storage, instead of
+// paying per-step undo logging (a coroutine snapshot per event) or
+// per-depth deep snapshots on the way forward — and the requested
+// backend is overridden. The backends are observationally identical,
+// so Results are unchanged (pinned by TestBackendAblationExact). A
+// pinned prefix keeps the requested backend: rewinding to the base
+// then beats re-executing the prefix on every walk.
 func newWalkCursor(src model.Source, opt Options) *cursor {
 	if len(opt.Prefix) == 0 {
 		opt.DisableSnapshots = false
@@ -828,9 +828,8 @@ func (c *cursor) resetTo(d int) {
 		c.tr = base.tr.Clone()
 		c.snaps = c.snaps[:d+1]
 	default:
-		c.m.Abort()
-		c.m = model.NewMachineCfg(c.src, c.mcfg)
-		c.tr = hb.NewTrackerChans(c.src.NumThreads(), c.src.NumVars(), c.src.NumMutexes(), model.NumChannels(c.src))
+		c.m.Reset()
+		c.tr.Reset()
 		for i := 0; i < d; i++ {
 			ev := c.m.Step(c.choices[i])
 			c.tr.ApplyFast(ev)

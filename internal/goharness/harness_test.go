@@ -1,6 +1,7 @@
 package goharness
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -100,6 +101,43 @@ func TestAbortReleasesGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+}
+
+// TestResetReleasesGoroutines: a machine reset between 200 walks —
+// each cut off at a random depth, so live thread goroutines are
+// parked at their next operation — aborts them and starts fresh ones,
+// so the goroutine count stays flat, and every walk reaches the state
+// a fresh machine reaches on the same choices.
+func TestResetReleasesGoroutines(t *testing.T) {
+	p := counterProgram(3)
+	before := runtime.NumGoroutine()
+	m := model.NewMachine(p)
+	rng := rand.New(rand.NewSource(4))
+	for walk := 0; walk < 200; walk++ {
+		m.Reset()
+		fresh := model.NewMachine(p)
+		for stop := rng.Intn(8); m.Executed() < stop; {
+			en := m.EnabledThreads(nil)
+			if len(en) == 0 {
+				break
+			}
+			th := en[rng.Intn(len(en))]
+			m.Step(th)
+			fresh.Step(th)
+		}
+		if m.StateKey() != fresh.StateKey() {
+			t.Fatalf("walk %d: state %s, want %s", walk, m.StateKey(), fresh.StateKey())
+		}
+		fresh.Abort()
+	}
+	m.Abort()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew across 200 resets: before=%d after=%d", before, after)
+	}
 }
 
 // TestExplorationOverHarness runs a full DPOR exploration over a

@@ -112,12 +112,15 @@ type Clocks struct {
 	Lazy vclock.VC
 }
 
-// clockArena bump-allocates fixed-width clocks from chunks. Chunks are
-// never reused or freed back: once a clock is published it stays
-// immutable, so its memory can only be reclaimed by the GC when the
-// whole execution is dropped. Chunk sizes double from a small start so
-// short-lived tracker clones (one per exploration backtrack) stay
-// cheap.
+// clockArena bump-allocates fixed-width clocks from chunks. A
+// published clock stays immutable, so arena storage is handed out
+// again only when nothing can still reference it: an undo rewind
+// reuses the storage allocated since its mark, and a Reset reuses the
+// current chunk from its start — each only above the tracker's arena
+// floor (see Tracker.arenaFloor). Older chunks are left to the GC.
+// Chunk sizes double from a small start, so short-lived tracker clones
+// (one per exploration backtrack) stay cheap and a reset tracker's
+// retained chunk grows only to what one execution used.
 type clockArena struct {
 	chunk []int32
 	next  int
@@ -127,24 +130,29 @@ type clockArena struct {
 	// the clocks allocated since a mark are still private to this
 	// tracker (reusable) or published into a clone (must leak to GC).
 	allocated int64
+	// base is the most recently made chunk, whole, and baseAt the
+	// watermark at which it started: Reset rewinds to them.
+	base   []int32
+	baseAt int64
 }
 
 // maxChunkInts caps chunk growth at 16 KiB per chunk.
 const maxChunkInts = 4096
 
 func (a *clockArena) alloc(n int) vclock.VC {
-	a.allocated += int64(n)
 	if len(a.chunk) < n {
 		size := a.next
 		if size < 4*n {
 			size = 4 * n
 		}
 		a.chunk = make([]int32, size)
+		a.base, a.baseAt = a.chunk, a.allocated
 		a.next = size * 2
 		if a.next > maxChunkInts {
 			a.next = maxChunkInts
 		}
 	}
+	a.allocated += int64(n)
 	v := a.chunk[:n:n]
 	a.chunk = a.chunk[n:]
 	return vclock.VC(v)
@@ -199,8 +207,8 @@ type Tracker struct {
 	// undo is the reversal log recorded when undoEnabled: one record
 	// per applied event, letting UndoTo rewind the tracker in place
 	// (see undo.go). arenaFloor is the arena watermark at the last
-	// Clone: arena storage allocated before it is shared with clones
-	// and must never be reused by a rewind.
+	// Clone or Apply: storage below it is shared with clones or
+	// returned clocks and is never reused by UndoTo or Reset.
 	undo        []undoRec
 	undoEnabled bool
 	arenaFloor  int64
@@ -340,9 +348,12 @@ func (tr *Tracker) joined(base, with vclock.VC) vclock.VC {
 
 // Apply folds one executed event into all three relations and returns
 // the event's regular and lazy clocks. The returned clocks are shared,
-// immutable views of tracker state and must not be modified.
+// immutable views of tracker state and must not be modified. They
+// stay valid across later UndoTo and Reset calls: like Clone, Apply
+// raises the arena floor over them.
 func (tr *Tracker) Apply(ev event.Event) Clocks {
 	hb, lazy := tr.apply(ev)
+	tr.arenaFloor = tr.arena.allocated
 	return Clocks{HB: hb, Lazy: lazy}
 }
 
@@ -548,4 +559,26 @@ func (tr *Tracker) Clone() *Tracker {
 	}
 	cp.carve()
 	return cp
+}
+
+// Reset returns the tracker to its initial state (that of
+// NewTrackerChans over the same universe) in place, reusing its slabs,
+// undo log storage and clock arena. The undo switch is kept. The race
+// log is dropped rather than truncated, so a slice returned by Races
+// before the call is never overwritten. The arena restarts at its
+// current chunk only when the arena floor shows that no Clone, CloneTo
+// or Apply result shares that chunk; otherwise it keeps its position
+// and the shared storage is left to the GC.
+func (tr *Tracker) Reset() {
+	clear(tr.slab)
+	clear(tr.evSlab)
+	clear(tr.hasSlab)
+	tr.hbFP, tr.lazyFP = Fingerprint{}, Fingerprint{}
+	tr.races = nil
+	tr.events = 0
+	clear(tr.undo) // release the clock and chunk references
+	tr.undo = tr.undo[:0]
+	if a := &tr.arena; a.base != nil && tr.arenaFloor <= a.baseAt {
+		a.chunk, a.allocated = a.base, a.baseAt
+	}
 }

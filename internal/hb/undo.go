@@ -171,8 +171,8 @@ func (tr *Tracker) UndoMark() int { return len(tr.undo) }
 // previously returned by UndoMark), popping reversal records in LIFO
 // order. Fingerprints, races, per-thread and per-variable clocks and
 // the event count are restored exactly; arena storage allocated since
-// the mark is reused unless a Clone taken since shares it, in which
-// case it leaks to the GC (correct either way).
+// the mark is reused unless a Clone or Apply result taken since
+// shares it, in which case it leaks to the GC (correct either way).
 func (tr *Tracker) UndoTo(mark int) {
 	if !tr.undoEnabled {
 		panic("hb: UndoTo without EnableUndo")

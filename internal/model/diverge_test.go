@@ -179,3 +179,58 @@ func TestDivergenceHintMidThread(t *testing.T) {
 		t.Fatalf("hint not honoured mid-thread: %d timeouts paid, want 1", src.timeouts)
 	}
 }
+
+// TestResetAfterDivergence: a machine fenced by the stall watchdog
+// resets to the state of a fresh machine sharing its hints, keeps its
+// watchdog and hints, and re-fences the thread at the memoised point
+// without paying another timeout — for a stall mid-thread and one
+// before the thread's first announcement.
+func TestResetAfterDivergence(t *testing.T) {
+	for _, stallAt := range []int{0, 1} {
+		src := &stallSource{
+			scriptSource: scriptSource{
+				name: "stall-reset", vars: 1,
+				threads: [][]event.Op{{rd(0), wr(0, 7)}, {wr(0, 1)}},
+				initial: allThreads(2),
+				init:    map[int32]int64{0: 4},
+			},
+			stallThread: 0,
+			stallAt:     stallAt,
+		}
+		cfg := MachineConfig{StallTimeout: time.Millisecond, Hints: NewDivergeHints()}
+		m := NewMachineCfg(src, cfg)
+		if stallAt > 0 {
+			m.Step(0)
+		}
+		if !m.HasDiverged() || src.timeouts != 1 {
+			t.Fatalf("stallAt %d: setup: diverged=%v timeouts=%d", stallAt, m.HasDiverged(), src.timeouts)
+		}
+		m.Reset()
+		fresh := NewMachineCfg(src, cfg)
+		for _, mm := range []*Machine{m, fresh} {
+			if stallAt > 0 {
+				mm.Step(0)
+			}
+		}
+		for _, th := range []event.ThreadID{0, 1} {
+			if m.Status(th) != fresh.Status(th) || m.Steps(th) != fresh.Steps(th) {
+				t.Errorf("stallAt %d: t%d status %v steps %d, want %v %d", stallAt, th,
+					m.Status(th), m.Steps(th), fresh.Status(th), fresh.Steps(th))
+			}
+		}
+		if m.StateSig() != fresh.StateSig() || m.StateKey() != fresh.StateKey() {
+			t.Errorf("stallAt %d: state %s, want %s", stallAt, m.StateKey(), fresh.StateKey())
+		}
+		if m.DivergedThread() != 0 || fresh.DivergedThread() != 0 {
+			t.Errorf("stallAt %d: diverged threads %d and %d, want t0", stallAt, m.DivergedThread(), fresh.DivergedThread())
+		}
+		if src.timeouts != 1 {
+			t.Errorf("stallAt %d: %d timeouts paid, want 1 (hint lost across Reset?)", stallAt, src.timeouts)
+		}
+		m.Step(1)
+		fresh.Step(1)
+		if m.StateKey() != fresh.StateKey() || !m.Terminated() {
+			t.Errorf("stallAt %d: after t1: %s, want %s", stallAt, m.StateKey(), fresh.StateKey())
+		}
+	}
+}

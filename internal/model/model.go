@@ -427,20 +427,55 @@ func NewMachineCfg(src Source, cfg MachineConfig) *Machine {
 			m.hints = NewDivergeHints()
 		}
 	}
+	m.start()
+	return m
+}
+
+// start brings a machine whose per-thread, store and channel state is
+// zeroed to src's initial state: free mutexes, the initial store, and
+// the initial threads started.
+func (m *Machine) start() {
 	for i := range m.owner {
 		m.owner[i] = NoOwner
 	}
-	if is, ok := src.(InitStorer); ok {
+	if is, ok := m.src.(InitStorer); ok {
 		is.InitStore(m.store)
 	}
-	initial := src.InitiallyRunning()
+	initial := m.src.InitiallyRunning()
 	if len(initial) == 0 {
 		initial = []event.ThreadID{0}
 	}
 	for _, t := range initial {
 		m.startThread(t)
 	}
-	return m
+}
+
+// Reset returns the machine to its source's initial state in place,
+// reusing its storage: still-running coroutines are aborted as by
+// Abort, the initial threads are restarted, and the configuration,
+// divergence hints, undo switch and recycled coroutine checkpoints are
+// kept. The failure log is dropped rather than truncated, so a slice
+// returned by Failures before the call is never overwritten.
+func (m *Machine) Reset() {
+	m.Abort()
+	clear(m.store)
+	for i := range m.chans {
+		ch := &m.chans[i]
+		ch.head, ch.count, ch.closed = 0, 0, false
+		clear(ch.buf)
+	}
+	clear(m.status)
+	clear(m.cor)
+	clear(m.steps)
+	clear(m.pending)
+	clear(m.havePend)
+	clear(m.obsHash)
+	m.failures = nil
+	m.executed = 0
+	m.divergedT = NoOwner
+	clear(m.undo) // release the checkpoint references
+	m.undo = m.undo[:0]
+	m.start()
 }
 
 func (m *Machine) startThread(t event.ThreadID) {
@@ -870,10 +905,10 @@ func (m *Machine) killThread(t event.ThreadID) {
 }
 
 // Abort releases external resources of all still-running coroutines.
-// The machine must not be used afterwards. With the watchdog armed,
-// coroutines that support timed aborts get the stall budget to comply
-// and are abandoned otherwise, so one hostile thread cannot hang the
-// teardown of an otherwise healthy execution.
+// The machine must not be used afterwards, except to Reset it. With
+// the watchdog armed, coroutines that support timed aborts get the
+// stall budget to comply and are abandoned otherwise, so one hostile
+// thread cannot hang the teardown of an otherwise healthy execution.
 func (m *Machine) Abort() {
 	for t, c := range m.cor {
 		if m.status[t] != Running {

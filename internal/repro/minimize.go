@@ -59,16 +59,18 @@ func Minimize(src model.Source, a Artifact, replayBudget int) (Artifact, Minimiz
 		return a, stats, fmt.Errorf("repro: %w", err)
 	}
 
-	maxSteps := a.maxSteps()
 	// try is the single validation primitive: one replay per
 	// candidate, returning the outcome alongside the verdict so no
-	// caller re-executes an already-validated schedule.
+	// caller re-executes an already-validated schedule. Every replay
+	// runs on one runner; the outcomes it keeps share none of the
+	// runner's storage.
+	run := exec.NewRunner(src, exec.Options{MaxSteps: a.maxSteps()})
 	try := func(cand []event.ThreadID) (exec.Outcome, bool) {
 		if stats.Replays >= replayBudget {
 			return exec.Outcome{}, false
 		}
 		stats.Replays++
-		out := exec.Replay(src, cand, exec.Options{MaxSteps: maxSteps})
+		out := run.Replay(cand)
 		return out, out.ViolationKind() == a.Kind
 	}
 	test := func(cand []event.ThreadID) bool {

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -365,6 +366,44 @@ func TestMinimizeShrinksRandomWitness(t *testing.T) {
 		t.Logf("%s: %d→%d choices, %d→%d preemptions, %d constraints, %d replays",
 			name, stats.OriginalChoices, stats.MinChoices,
 			stats.OriginalPreemptions, stats.MinPreemptions, stats.Constraints, stats.Replays)
+	}
+}
+
+// minimizeBytesPerCandidate bounds the heap bytes Minimize spends per
+// validation replay. One runner serves every candidate, resetting its
+// machine and tracker in place, which measures ≈2.8 KB per candidate on
+// philosophers-3; building both per replay measures ≈5.2 KB.
+const minimizeBytesPerCandidate = 4000
+
+// TestMinimizeBytesPerCandidate keeps per-candidate machine and
+// tracker rebuilds out of ddmin's replay loop.
+func TestMinimizeBytesPerCandidate(t *testing.T) {
+	phil, ok := bench.ByName("philosophers-3")
+	if !ok {
+		t.Fatal("unknown benchmark philosophers-3")
+	}
+	res := explore.NewRandomWalk(99).Explore(phil.Program, explore.Options{
+		ScheduleLimit: 2000, MaxSteps: 500, StopAtFirstBug: true,
+	})
+	w, ok := FromResult(res)
+	if !ok {
+		t.Fatal("random walk found no deadlock on philosophers-3")
+	}
+	a, err := Capture(phil.Program, w, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Minimize(phil.Program, a, 0) // warm up lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, stats, err := Minimize(phil.Program, a, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (after.TotalAlloc - before.TotalAlloc) / uint64(stats.Replays); got > minimizeBytesPerCandidate {
+		t.Errorf("%d bytes per candidate over %d replays, want ≤ %d (machine or tracker rebuilt per replay?)",
+			got, stats.Replays, minimizeBytesPerCandidate)
 	}
 }
 
