@@ -31,7 +31,7 @@ fmt:
 ci: build vet fmt test race
 
 # The paper's evaluation artifacts as testing.B benchmarks, including
-# the campaign/parallel-exploration scaling runs.
+# the campaign and work-stealing DPOR scaling runs.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
 
@@ -82,7 +82,7 @@ chaos-smoke:
 # Channel subsystem end-to-end under the race detector — the CI
 # chan-smoke job (see docs/ENGINES.md "Channel dependence rules"):
 # the hand-counted DPOR schedule-count gates, the chan differential
-# oracle (every engine × every backend vs exhaustive DFS, committed
+# oracle (every engine × both backends vs exhaustive DFS, committed
 # fuzz corpus included), the backend ablation, the trace round-trip
 # for the channel kinds — then the channel family of the corpus swept
 # across the firstbug engine grid through the CLI, which must find

@@ -284,36 +284,12 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExplore measures single-search scaling: one
-// benchmark's full schedule space explored by sequential DFS vs the
-// partitioned parallel search at GOMAXPROCS workers.
-func BenchmarkParallelExplore(b *testing.B) {
-	bm := mustBench(b, "filesystem-2")
-	opt := explore.Options{MaxSteps: 2000}
-	b.Run("dfs-sequential", func(b *testing.B) {
-		var last explore.Result
-		for i := 0; i < b.N; i++ {
-			last = explore.NewDFS().Explore(bm.Program, opt)
-		}
-		b.ReportMetric(float64(last.Schedules), "schedules")
-	})
-	workers := max(4, runtime.GOMAXPROCS(0))
-	b.Run(fmt.Sprintf("pdfs-workers=%d", workers), func(b *testing.B) {
-		var last explore.Result
-		for i := 0; i < b.N; i++ {
-			last = campaign.ParallelDFS(bm.Program, opt, workers)
-		}
-		b.ReportMetric(float64(last.Schedules), "schedules")
-	})
-}
-
 // BenchmarkWorkStealDPOR is the headline artifact of the work-stealing
-// engine: one exhaustible benchmark explored by sequential DPOR, the
-// static-partition parallel DPOR it replaces, and the work-stealing
-// engine at 1–8 workers. The schedules metric shows the reduction —
-// the static partition over-explores (schedules > sequential), the
-// work-stealing engine matches sequential DPOR exactly at every worker
-// count — while ns/op shows the wall-clock scaling.
+// engine: one exhaustible benchmark explored by sequential DPOR and by
+// the work-stealing engine at 1–8 workers. The schedules metric shows
+// the reduction is kept — the work-stealing engine matches sequential
+// DPOR exactly at every worker count — while ns/op shows the
+// wall-clock scaling.
 func BenchmarkWorkStealDPOR(b *testing.B) {
 	bm := mustBench(b, "synth-10")
 	opt := explore.Options{MaxSteps: 2000}
@@ -321,13 +297,6 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 		var last explore.Result
 		for i := 0; i < b.N; i++ {
 			last = explore.NewDPOR(false).Explore(bm.Program, opt)
-		}
-		b.ReportMetric(float64(last.Schedules), "schedules")
-	})
-	b.Run("pdpor-static-workers=4", func(b *testing.B) {
-		var last explore.Result
-		for i := 0; i < b.N; i++ {
-			last = campaign.ParallelDPORStatic(bm.Program, opt, 4)
 		}
 		b.ReportMetric(float64(last.Schedules), "schedules")
 	})
@@ -350,7 +319,8 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 // a bench-smoke gate: with the undo backend, the stack engines'
 // tracker+machine allocations per explored event must stay constant
 // (~2; a reintroduced per-step tracker Clone costs ≥3 slab copies per
-// event and the legacy deep-snapshot backend measures ~20). The
+// event, and a deep machine snapshot plus tracker Clone per depth
+// costs ~20). The
 // benchmark fails — not just reports — when the bound is exceeded,
 // so the regression cannot silently return. Runs in one iteration
 // under `make bench-smoke`.
@@ -443,9 +413,8 @@ func BenchmarkObserverOverhead(b *testing.B) {
 
 // BenchmarkSnapshotVsReplay measures the exploration-backend ablation:
 // the undo-log backend ("snapshot", name kept stable across the perf
-// trajectory), which the default BackendAuto always uses for the stack
-// engines on snapshottable programs, against the legacy deep-snapshot
-// backend and full replay.
+// trajectory), which the stack engines use by default on snapshottable
+// programs, against full replay.
 func BenchmarkSnapshotVsReplay(b *testing.B) {
 	bm := mustBench(b, "counter-racy-2x2")
 	for _, mode := range []struct {
@@ -453,7 +422,6 @@ func BenchmarkSnapshotVsReplay(b *testing.B) {
 		backend explore.BackendKind
 	}{
 		{"snapshot", explore.BackendUndo},
-		{"legacy-snapshot", explore.BackendSnapshot},
 		{"replay", explore.BackendReplay},
 	} {
 		mode := mode

@@ -11,7 +11,7 @@
 // The campaign mode runs an arbitrary benchmark × engine grid through
 // the parallel campaign runner and streams one JSON line per cell:
 //
-//	eval -fig campaign -engines dpor,lazy-dpor,pdfs:4 -bench coarse -json
+//	eval -fig campaign -engines dpor,lazy-dpor,pdpor:4 -bench coarse -json
 //
 // A partial JSONL stream checkpoint-resumes a campaign: with
 // `-resume cells.jsonl` every cell already present in the stream is

@@ -167,14 +167,14 @@ func TestCampaignJSONFeedsFigures(t *testing.T) {
 }
 
 // TestCampaignStealStats: the work-stealing pdpor engine is selectable
-// from the CLI next to its static baseline, its steal statistics
-// survive the JSON stream, and the human-readable table renders them.
+// from the CLI, its steal statistics survive the JSON stream, and the
+// human-readable table renders them.
 func TestCampaignStealStats(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-fig", "campaign",
 		"-bench", "counter-racy-2x2",
-		"-engines", "pdpor:4,pdpor-static:4",
+		"-engines", "pdpor:4",
 		"-maxsteps", "2000",
 		"-json", "-quiet",
 	}, &stdout, &stderr)
@@ -192,9 +192,6 @@ func TestCampaignStealStats(t *testing.T) {
 	ws := byEngine["pdpor:4"]
 	if ws.Result.Steal == nil || ws.Result.Steal.Workers != 4 || ws.Result.Steal.Units < 1 {
 		t.Errorf("work-stealing cell lost its steal stats: %+v", ws.Result.Steal)
-	}
-	if st := byEngine["pdpor-static:4"]; st.Result.Steal != nil {
-		t.Errorf("static baseline unexpectedly reports steal stats: %+v", st.Result.Steal)
 	}
 
 	var table bytes.Buffer

@@ -3,8 +3,8 @@
 // cells, and the runner executes independent cells concurrently across
 // a worker pool, streaming one JSON-serialisable result per cell as it
 // completes. The package also provides the parallel single-search
-// engines (parallel.go) that split one benchmark's schedule space
-// across the same worker budget.
+// engine (parallel.go, steal.go) that spreads one benchmark's DPOR
+// search across the same worker budget.
 package campaign
 
 import (

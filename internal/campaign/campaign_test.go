@@ -187,14 +187,14 @@ func TestEngineSpecGrammar(t *testing.T) {
 		"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching", "lazy-hbr-caching",
 		"random", "random:9", "pct:3", "pct:2:9", "pos", "pos:9",
 		"pb:2", "pb:1:hbr", "pb:1:lazy", "db:3",
-		"chess-pb:2", "chess-db:2", "pdfs", "pdfs:4", "pdpor:2", "pdpor-static:2", "prandom:5:2",
+		"chess-pb:2", "chess-db:2", "pdpor", "pdpor:2",
 	}
 	for _, s := range good {
 		if _, err := EngineSpec(s).Build(); err != nil {
 			t.Errorf("spec %q rejected: %v", s, err)
 		}
 	}
-	bad := []string{"", "nope", "pb:x", "pb:1:bogus", "random:zzz", "pdfs:w", "pct:0", "pct:x", "pos:zzz"}
+	bad := []string{"", "nope", "pb:x", "pb:1:bogus", "random:zzz", "pdpor:w", "pct:0", "pct:x", "pos:zzz"}
 	for _, s := range bad {
 		if _, err := EngineSpec(s).Build(); err == nil {
 			t.Errorf("spec %q unexpectedly accepted", s)
@@ -262,5 +262,11 @@ func TestParallelFirstBugDeterministicMerge(t *testing.T) {
 	}
 	if early.Schedules > base.Schedules {
 		t.Errorf("StopAtFirstBug explored %d schedules, exhaustive run %d", early.Schedules, base.Schedules)
+	}
+	if early.HitLimit {
+		t.Error("first-bug stop must not report HitLimit")
+	}
+	if err := early.CheckInvariant(); err != nil {
+		t.Error(err)
 	}
 }

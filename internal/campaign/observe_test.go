@@ -25,7 +25,7 @@ import (
 // by design, with or without telemetry.
 func TestObserverDoesNotPerturbResults(t *testing.T) {
 	backends := []explore.BackendKind{
-		explore.BackendAuto, explore.BackendUndo, explore.BackendSnapshot, explore.BackendReplay,
+		explore.BackendUndo, explore.BackendReplay,
 	}
 	for _, spec := range engines.DefaultGrid() {
 		for _, backend := range backends {

@@ -5,23 +5,11 @@ import (
 	"repro/internal/explore"
 )
 
-// The parallel single-search engines self-register with the shared
+// The parallel single-search engine self-registers with the shared
 // engine registry: any binary that links the campaign runner can build
-// them by spec name next to the sequential engines. Worker counts
-// default to GOMAXPROCS (0), seeds to 1 — the same defaults the spec
-// grammar always had.
+// it by spec name next to the sequential engines. The worker count
+// defaults to GOMAXPROCS (0).
 func init() {
-	engines.Register(engines.Info{
-		Name: "pdfs", Usage: "pdfs[:W]", Parallel: true,
-		Summary: "parallel DFS over W workers (static schedule-tree partition)",
-		Build: func(argv []string) (explore.Engine, error) {
-			w, err := engines.IntArg(argv, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewParallelDFS(w), nil
-		},
-	})
 	engines.Register(engines.Info{
 		Name: "pdpor", Usage: "pdpor[:W]", Parallel: true,
 		Summary: "work-stealing parallel DPOR over W workers",
@@ -32,32 +20,6 @@ func init() {
 				return nil, err
 			}
 			return NewParallelDPOR(w), nil
-		},
-	})
-	engines.Register(engines.Info{
-		Name: "pdpor-static", Usage: "pdpor-static[:W]", Parallel: true,
-		Summary: "static-partition parallel DPOR (work-stealing ablation baseline)",
-		Build: func(argv []string) (explore.Engine, error) {
-			w, err := engines.IntArg(argv, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewParallelDPORStatic(w), nil
-		},
-	})
-	engines.Register(engines.Info{
-		Name: "prandom", Usage: "prandom[:seed[:W]]", Parallel: true,
-		Summary: "parallel seeded random walk",
-		Build: func(argv []string) (explore.Engine, error) {
-			seed, err := engines.IntArg(argv, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			w, err := engines.IntArg(argv, 1, 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewParallelRandomWalk(int64(seed), w), nil
 		},
 	})
 }

@@ -19,10 +19,7 @@ import (
 //	pb:N[:hbr|:lazy]        preemption bounding (optionally cached)
 //	db:N                    delay bounding
 //	chess-pb:N | chess-db:N iterative bound deepening
-//	pdfs[:W]                parallel DFS over W workers
 //	pdpor[:W]               work-stealing parallel DPOR over W workers
-//	pdpor-static[:W]        static-partition parallel DPOR (baseline)
-//	prandom[:seed[:W]]      parallel random walk
 //
 // W and seed default to GOMAXPROCS and 1. The grammar is backed by
 // the shared engine registry (internal/engines): any engine registered

@@ -1,8 +1,8 @@
 // Work-stealing parallel DPOR: the coordinator behind ParallelDPOR.
 //
-// Unlike the static partition behind ParallelDFS — which enumerates a
-// fixed frontier of prefixes exhaustively and therefore forfeits the
-// partial-order reduction across the partition layer — the
+// Splitting the schedule tree into a fixed frontier of prefixes and
+// enumerating that frontier exhaustively would forfeit the
+// partial-order reduction across the partition layer; instead the
 // work-stealing scheme lets one DPOR search span all workers. Work is
 // exchanged as *units* (a pinned choice prefix plus an optional
 // happens-before tracker seed) on a striped deque: busy engines donate

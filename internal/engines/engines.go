@@ -8,8 +8,8 @@
 // A spec is a colon-separated name plus optional arguments
 // ("dpor+sleep", "pb:2:lazy", "pdpor:4"); Build parses it and hands
 // the arguments to the registered Builder. The sequential engines of
-// internal/explore register at package init; the parallel searches
-// self-register from internal/campaign (so they exist exactly in
+// internal/explore register at package init; the parallel search
+// self-registers from internal/campaign (so it exists exactly in
 // binaries that link the campaign runner); external embedders add
 // their own engines through sct.Register.
 package engines

@@ -8,8 +8,8 @@ import (
 
 // The sequential engines of internal/explore self-register here, in
 // the canonical order every listing and the default grid follow. The
-// parallel searches register from internal/campaign (they are built on
-// the campaign worker machinery), after these.
+// parallel search registers from internal/campaign (it is built on the
+// campaign worker machinery), after these.
 func init() {
 	Register(Info{
 		Name: "dfs", Summary: "exhaustive depth-first enumeration (the baseline search)",

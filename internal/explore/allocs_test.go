@@ -15,7 +15,8 @@ import (
 // fresh coroutine snapshot per undo-logged step adds ~1 per event, and
 // any per-step tracker snapshot work — the tr.Clone() the undo backend
 // used to pay on every retained step — is ≥3 slab copies per event
-// (the legacy deep-snapshot backend measures ~20 allocs/event).
+// (a deep machine snapshot plus tracker Clone per depth costs ~20
+// allocs/event).
 // lazyDPORAllocsPerEvent bounds lazy-dpor on a lock-heavy program,
 // where every deferred lock race summarises two critical sections
 // (measured ≈2.0; summaries built from fresh maps measure 7.2).
@@ -63,9 +64,8 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 // whole (machine, tracker) pair backtracks in O(1), so the stack
 // engines' allocations per explored event stay constant — no
 // tr.Clone() per retained step and no fresh coroutine snapshot per
-// undo-logged step. The legacy deep-snapshot backend pays ~10× this
-// bound per event, so the old per-step-Clone code path cannot
-// silently return. The samplers backtrack to the initial state after
+// undo-logged step. Deep per-depth snapshots cost ~10× this bound
+// per event, so a per-step-Clone code path cannot silently return. The samplers backtrack to the initial state after
 // every walk; their row pins that this resets the machine and tracker
 // in place instead of rebuilding them.
 func TestBacktrackAllocsO1(t *testing.T) {

@@ -406,15 +406,9 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 	// cursor still sits at (or above) depth d — the Steal coordinator
 	// calls makers synchronously inside Escape/Publish, never later.
 	seedAt := func(d int) func() *hb.Tracker {
-		switch c.backend {
-		case BackendUndo:
+		if c.backend == BackendUndo {
 			if m := d - c.trBase; m >= 0 && m <= c.tr.UndoMark() {
 				return func() *hb.Tracker { return c.tr.CloneTo(m) }
-			}
-		case BackendSnapshot:
-			if d < len(c.snaps) && c.snaps[d].tr != nil {
-				tr := c.snaps[d].tr
-				return func() *hb.Tracker { return tr.Clone() }
 			}
 		}
 		return nil
@@ -520,8 +514,9 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 	addBacktrack := func(i int, p event.ThreadID) {
 		if i < base+pubLocal {
 			// Reversal beneath the pinned prefix or a published
-			// node: globally claimed in work-stealing mode, a
-			// sibling partition's job under static partitioning.
+			// node: globally claimed in work-stealing mode; without
+			// a coordinator the search covers only the subtree
+			// beneath its prefix.
 			if steal != nil {
 				escape(i, p)
 			}

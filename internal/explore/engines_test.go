@@ -182,25 +182,27 @@ func TestScheduleLimitHonoured(t *testing.T) {
 	}
 }
 
-// TestReplayVsSnapshotIdentical: disabling snapshots must not change
-// any count on any engine (the ablation knob is purely mechanical).
+// TestReplayVsSnapshotIdentical: forcing the replay backend instead of
+// the default undo log (which rewinds through coroutine snapshots) must
+// not change any count on any engine (the ablation knob is purely
+// mechanical).
 func TestReplayVsSnapshotIdentical(t *testing.T) {
 	for _, src := range soundnessZoo()[:10] {
 		src := src
 		t.Run(src.Name(), func(t *testing.T) {
 			for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewLazyHBRCache()} {
-				snap := eng.Explore(src, Options{MaxSteps: 2000})
-				repl := eng.Explore(src, Options{MaxSteps: 2000, DisableSnapshots: true})
-				if snap.Schedules != repl.Schedules ||
-					snap.DistinctHBRs != repl.DistinctHBRs ||
-					snap.DistinctLazyHBRs != repl.DistinctLazyHBRs ||
-					snap.DistinctStates != repl.DistinctStates {
-					t.Errorf("%s: snapshot and replay runs disagree:\n snap=%v\n repl=%v",
-						eng.Name(), snap.String(), repl.String())
+				undo := eng.Explore(src, Options{MaxSteps: 2000})
+				repl := eng.Explore(src, Options{MaxSteps: 2000, Backend: BackendReplay})
+				if undo.Schedules != repl.Schedules ||
+					undo.DistinctHBRs != repl.DistinctHBRs ||
+					undo.DistinctLazyHBRs != repl.DistinctLazyHBRs ||
+					undo.DistinctStates != repl.DistinctStates {
+					t.Errorf("%s: undo and replay runs disagree:\n undo=%v\n repl=%v",
+						eng.Name(), undo.String(), repl.String())
 				}
-				if repl.Events <= snap.Events && snap.Schedules > 1 {
-					t.Logf("%s: replay executed %d events vs snapshot %d (informational)",
-						eng.Name(), repl.Events, snap.Events)
+				if repl.Events <= undo.Events && undo.Schedules > 1 {
+					t.Logf("%s: replay executed %d events vs undo %d (informational)",
+						eng.Name(), repl.Events, undo.Events)
 				}
 			}
 		})

@@ -338,14 +338,10 @@ func countersOf(r Result) ablationCounters {
 }
 
 // TestBackendAblationExact is the exactness contract of the
-// copy-on-write exploration backend: for every engine and every zoo
-// program, the undo-log backend (machine + tracker undo logs), the
-// legacy deep-snapshot backend, pure replay (the DisableSnapshots
-// ablation mode) and the auto backend must report byte-identical
-// Result counters — including the first-bug schedule. Auto resolves
-// exactly as undo does, and neither it nor the snapshot backend
-// re-executes a prefix, so all three must also match undo's Events
-// total.
+// exploration backends: for every engine and every zoo program, the
+// undo-log backend (machine + tracker undo logs) and pure replay must
+// report byte-identical Result counters — including the first-bug
+// schedule.
 func TestBackendAblationExact(t *testing.T) {
 	engines := []struct {
 		eng   Engine
@@ -370,39 +366,19 @@ func TestBackendAblationExact(t *testing.T) {
 					return Options{MaxSteps: 2000, ScheduleLimit: e.limit, Backend: b}
 				}
 				undo := e.eng.Explore(src, mkOpt(BackendUndo))
-				snap := e.eng.Explore(src, mkOpt(BackendSnapshot))
 				repl := e.eng.Explore(src, mkOpt(BackendReplay))
-				if got, want := countersOf(undo), countersOf(snap); got != want {
-					t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v",
-						e.eng.Name(), got, want)
-				}
-				if undo.Events != snap.Events {
-					t.Errorf("%s: undo executed %d events, snapshot %d (neither replays)",
-						e.eng.Name(), undo.Events, snap.Events)
-				}
 				if got, want := countersOf(undo), countersOf(repl); got != want {
 					t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v",
 						e.eng.Name(), got, want)
-				}
-				auto := e.eng.Explore(src, mkOpt(BackendAuto))
-				if got, want := countersOf(auto), countersOf(undo); got != want {
-					t.Errorf("%s: auto backend disagrees with undo:\n auto=%+v\n undo=%+v",
-						e.eng.Name(), got, want)
-				}
-				if auto.Events != undo.Events {
-					t.Errorf("%s: auto executed %d events, undo %d (auto resolves as undo)",
-						e.eng.Name(), auto.Events, undo.Events)
 				}
 			}
 		})
 	}
 }
 
-// TestBackendResolution pins the backend-selection rules: auto
-// resolves exactly as an explicit undo request does (the undo log for
-// snapshottable programs), DisableSnapshots forces replay and takes
-// precedence over any explicit Backend, and explicit requests are
-// honoured.
+// TestBackendResolution pins the backend-selection rules: the zero
+// value is the undo log (for snapshottable programs), and explicit
+// requests are honoured, with or without a pinned prefix.
 func TestBackendResolution(t *testing.T) {
 	src := curatedFigure1()
 	for _, tc := range []struct {
@@ -410,12 +386,7 @@ func TestBackendResolution(t *testing.T) {
 		want BackendKind
 	}{
 		{Options{}, BackendUndo},
-		{Options{Backend: BackendUndo}, BackendUndo},
-		{Options{Backend: BackendSnapshot}, BackendSnapshot},
 		{Options{Backend: BackendReplay}, BackendReplay},
-		{Options{DisableSnapshots: true}, BackendReplay},
-		{Options{DisableSnapshots: true, Backend: BackendUndo}, BackendReplay},
-		{Options{DisableSnapshots: true, Backend: BackendSnapshot}, BackendReplay},
 		{Options{Prefix: []event.ThreadID{0}}, BackendUndo},
 	} {
 		c := newCursor(src, tc.opt)

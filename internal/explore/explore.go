@@ -42,14 +42,10 @@ type Options struct {
 	// (exec.DefaultMaxSteps if 0); executions hitting the bound are
 	// counted as truncated.
 	MaxSteps int
-	// DisableSnapshots forces replay-based backtracking even for
-	// snapshotable programs (ablation knob; shorthand for
-	// Backend == BackendReplay).
-	DisableSnapshots bool
 	// Backend selects the cursor's backtracking implementation; see
-	// BackendKind. All backends are observationally identical — the
+	// BackendKind. Both backends are observationally identical — the
 	// ablation tests assert byte-identical Result counters — so the
-	// zero value (fastest supported) is right outside ablations.
+	// zero value (the undo log) is right outside ablations.
 	Backend BackendKind
 	// SleepSets enables sleep sets in the DPOR engine.
 	SleepSets bool
@@ -204,22 +200,14 @@ func (o Options) Validate() error {
 type BackendKind uint8
 
 const (
-	// BackendAuto picks the fastest supported backend: the undo log
-	// when every live coroutine is snapshottable, replay otherwise —
-	// exactly what BackendUndo resolves to. Straight-line samplers
-	// with no pinned prefix use replay outright (see newWalkCursor).
-	// All backends are observationally identical, so the choice never
-	// changes a Result.
-	BackendAuto BackendKind = iota
 	// BackendUndo rewinds the (machine, tracker) pair through their
 	// O(1)-per-step undo logs — the only per-step copy is the stepping
 	// thread's coroutine, recycled where the frontend allows. Requires
 	// snapshottable coroutines; falls back to replay otherwise.
-	BackendUndo
-	// BackendSnapshot is the legacy backend: a deep machine snapshot
-	// stored at every depth (ablation baseline). Requires
-	// snapshottable coroutines; falls back to replay otherwise.
-	BackendSnapshot
+	// Straight-line samplers with no pinned prefix use replay outright
+	// (see newWalkCursor). The backends are observationally identical,
+	// so the choice never changes a Result.
+	BackendUndo BackendKind = iota
 	// BackendReplay re-executes the retained prefix from the initial
 	// state on every backtrack. Works for every program, including
 	// goroutine-backed ones that cannot snapshot.
@@ -229,33 +217,22 @@ const (
 // String names the backend.
 func (b BackendKind) String() string {
 	switch b {
-	case BackendAuto:
-		return "auto"
 	case BackendUndo:
 		return "undo"
-	case BackendSnapshot:
-		return "snapshot"
 	case BackendReplay:
 		return "replay"
 	}
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// backend resolves the requested backend, honouring the legacy
-// DisableSnapshots spelling (which takes precedence over an explicit
-// Backend). BackendAuto resolves to BackendUndo; the cursor falls
-// back to replay when the program cannot snapshot. Unknown kinds panic
-// — Options.Validate rejects them, and an engine built from
-// unvalidated options must fail loudly rather than silently explore
-// under a different backend than the ablation asked for.
+// backend returns the requested backend; the cursor falls back to
+// replay when the program cannot snapshot. Unknown kinds panic —
+// Options.Validate rejects them, and an engine built from unvalidated
+// options must fail loudly rather than silently explore under a
+// different backend than the ablation asked for.
 func (o Options) backend() BackendKind {
-	if o.DisableSnapshots {
-		return BackendReplay
-	}
 	switch o.Backend {
-	case BackendAuto:
-		return BackendUndo
-	case BackendUndo, BackendSnapshot, BackendReplay:
+	case BackendUndo, BackendReplay:
 		return o.Backend
 	}
 	panic(fmt.Sprintf("explore: unknown backend %q (Options.Validate rejects it)", o.Backend))
@@ -351,7 +328,7 @@ type Result struct {
 
 	// Steal describes the work-stealing execution that produced a
 	// parallel DPOR result (worker and unit counts); nil for
-	// sequential searches and the static-partition engines.
+	// sequential searches.
 	Steal *StealStats `json:"steal,omitempty"`
 }
 
@@ -592,23 +569,17 @@ func (r *recorder) finish(c *cursor) Result {
 	return r.res
 }
 
-// snapPair is one stored exploration snapshot (legacy backend).
-type snapPair struct {
-	m  *model.Machine
-	tr *hb.Tracker
-}
-
 // cursor is the engines' shared execution walker: it maintains one live
 // execution (machine + happens-before tracker + trace) and supports
-// truncation to an earlier depth. Three backends implement the
+// truncation to an earlier depth. Two backends implement the
 // truncation (see BackendKind): the paired machine and tracker undo
 // logs (the default — O(1) per backtracked step, nothing copied per
-// forward step), legacy deep per-step snapshots, and deterministic
-// replay for programs that cannot snapshot.
+// forward step), and deterministic replay for programs that cannot
+// snapshot.
 type cursor struct {
 	src      model.Source
 	maxSteps int
-	backend  BackendKind // resolved: never BackendAuto
+	backend  BackendKind // resolved: replay when the program cannot snapshot
 	// mcfg carries the fault-containment machine knobs (stall
 	// watchdog, shared divergence hints) to every machine this cursor
 	// builds. A replay-backend reset keeps the live machine's, so it
@@ -626,12 +597,6 @@ type cursor struct {
 	// seed's log starts at seedDepth. Engines never reset below their
 	// pinned prefix, so marks never go negative.
 	trBase int
-
-	// snaps[d] is the deep snapshot at depth d (legacy backend);
-	// depths covered by a shipped tracker seed hold zero placeholders,
-	// which engines never reset to (they stay above their prefix) and
-	// seed export treats as "unavailable".
-	snaps []snapPair
 
 	// seed is the shipped tracker installed once the replayed prefix
 	// reaches seedDepth events; until then step skips all
@@ -661,16 +626,9 @@ func newCursor(src model.Source, opt Options) *cursor {
 		m:        model.NewMachineCfg(src, mcfg),
 		tr:       hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src)),
 	}
-	switch c.backend {
-	case BackendUndo:
+	if c.backend == BackendUndo {
 		if c.m.EnableUndo() {
 			c.tr.EnableUndo()
-		} else {
-			c.backend = BackendReplay
-		}
-	case BackendSnapshot:
-		if snap, ok := c.m.Snapshot(); ok {
-			c.snaps = append(c.snaps, snapPair{m: snap, tr: c.tr.Clone()})
 		} else {
 			c.backend = BackendReplay
 		}
@@ -697,15 +655,14 @@ func newCursor(src model.Source, opt Options) *cursor {
 // pinned prefix that base is the initial state, so the replay backend
 // is strictly cheaper there — a reset returns the machine and tracker
 // to their initial state in place, reusing their storage, instead of
-// paying per-step undo logging (a coroutine snapshot per event) or
-// per-depth deep snapshots on the way forward — and the requested
-// backend is overridden. The backends are observationally identical,
-// so Results are unchanged (pinned by TestBackendAblationExact). A
-// pinned prefix keeps the requested backend: rewinding to the base
-// then beats re-executing the prefix on every walk.
+// paying per-step undo logging (a coroutine snapshot per event) on
+// the way forward — and the requested backend is overridden. The
+// backends are observationally identical, so Results are unchanged
+// (pinned by TestBackendAblationExact). A pinned prefix keeps the
+// requested backend: rewinding to the base then beats re-executing
+// the prefix on every walk.
 func newWalkCursor(src model.Source, opt Options) *cursor {
 	if len(opt.Prefix) == 0 {
-		opt.DisableSnapshots = false
 		opt.Backend = BackendReplay
 	}
 	return newCursor(src, opt)
@@ -736,16 +693,12 @@ func (c *cursor) diverged() bool { return c.m.HasDiverged() }
 func (c *cursor) step(t event.ThreadID) event.Event {
 	if len(c.trace) < c.seedDepth {
 		// The shipped tracker seed covers this prefix event: advance
-		// the machine only, keep the snapshot backend's depth-indexed
-		// slice aligned with placeholders, and install the seed when
-		// the covered prefix is fully replayed.
+		// the machine only, and install the seed when the covered
+		// prefix is fully replayed.
 		ev := c.m.Step(t)
 		c.trace = append(c.trace, ev)
 		c.choices = append(c.choices, t)
 		c.events++
-		if c.backend == BackendSnapshot {
-			c.snaps = append(c.snaps, snapPair{})
-		}
 		if len(c.trace) == c.seedDepth {
 			c.tr = c.seed
 			c.seed = nil
@@ -763,13 +716,6 @@ func (c *cursor) step(t event.ThreadID) event.Event {
 	c.trace = append(c.trace, ev)
 	c.choices = append(c.choices, t)
 	c.events++
-	if c.backend == BackendSnapshot {
-		snap, ok := c.m.Snapshot()
-		if !ok {
-			panic("explore: snapshot support vanished mid-exploration")
-		}
-		c.snaps = append(c.snaps, snapPair{m: snap, tr: c.tr.Clone()})
-	}
 	// The undo backend needs no per-step work here: the machine and
 	// tracker undo logs each recorded this step's reversal already.
 	return ev
@@ -818,15 +764,6 @@ func (c *cursor) resetTo(d int) {
 		// install depth).
 		c.m.UndoTo(d)
 		c.tr.UndoTo(d - c.trBase)
-	case BackendSnapshot:
-		base := c.snaps[d]
-		restored, ok := base.m.Snapshot()
-		if !ok {
-			panic("explore: snapshot restore failed")
-		}
-		c.m = restored
-		c.tr = base.tr.Clone()
-		c.snaps = c.snaps[:d+1]
 	default:
 		c.m.Reset()
 		c.tr.Reset()
@@ -842,7 +779,7 @@ func (c *cursor) resetTo(d int) {
 
 // close releases any external resources of the live execution; the
 // cursor must not be used afterwards. Only the replay backend can hold
-// abortable (goroutine-backed) coroutines: the other backends require
+// abortable (goroutine-backed) coroutines: the undo backend requires
 // snapshottable programs, which are self-contained by construction.
 func (c *cursor) close() {
 	if c.backend == BackendReplay {

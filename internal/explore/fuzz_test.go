@@ -19,7 +19,7 @@ const fuzzProbeLimit = 3000
 //
 //   - every engine × backend run satisfies the paper's counting chain;
 //   - each engine's Result counters are byte-identical across the
-//     undo-log, deep-snapshot, replay and auto backends;
+//     undo-log and replay backends;
 //   - when exhaustive DFS exhausts the space, every complete engine
 //     (DPOR ± sleep sets, lazy DPOR, HBR/lazy-HBR caching) agrees with
 //     it on the distinct-state/HBR/lazy-HBR counts and on the state
@@ -58,19 +58,12 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 	for _, e := range engines {
 		eng := e.eng
 		undo := eng.Explore(src, mkOpt(BackendUndo))
-		snap := eng.Explore(src, mkOpt(BackendSnapshot))
 		repl := eng.Explore(src, mkOpt(BackendReplay))
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(snap); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(repl); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, mkOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if exhausted && !undo.HitLimit {
 			if e.fullCoverage &&
@@ -112,14 +105,8 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendSnapshot))); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if exhausted {
 			dfsStates := make(map[string]bool, len(dfs.States))
@@ -177,7 +164,7 @@ func TestEngineEquivalenceCorpus(t *testing.T) {
 // decode data with the channel decoder (sends, receives, closes,
 // selects over a small channel universe), then require exactly what
 // the healthy oracle requires — counting chain, byte-identical
-// counters across the four backends, full-coverage agreement with
+// counters across the two backends, full-coverage agreement with
 // exhaustive DFS — plus agreement on the channel-specific verdicts:
 // deadlocks (a blocked receive nobody serves) and panics (send on
 // closed, close of closed).
@@ -210,19 +197,12 @@ func checkChanEquivalence(t *testing.T, data []byte) {
 	for _, e := range engines {
 		eng := e.eng
 		undo := eng.Explore(src, mkOpt(BackendUndo))
-		snap := eng.Explore(src, mkOpt(BackendSnapshot))
 		repl := eng.Explore(src, mkOpt(BackendReplay))
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(snap); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(repl); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, mkOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if exhausted && !undo.HitLimit {
 			if e.fullCoverage &&
@@ -259,14 +239,8 @@ func checkChanEquivalence(t *testing.T, data []byte) {
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendSnapshot))); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if exhausted {
 			dfsStates := make(map[string]bool, len(dfs.States))
@@ -328,7 +302,7 @@ func TestChanEquivalenceCorpus(t *testing.T) {
 //   - every engine × backend run satisfies the counting chain AND the
 //     schedule accounting identity (divergences included);
 //   - each engine's counters — Divergences and Panics included — are
-//     byte-identical across the undo, snapshot, replay and auto backends
+//     byte-identical across the undo and replay backends
 //     (progdsl announces divergence deterministically, so there is no
 //     wall-clock anywhere in this oracle);
 //   - when exhaustive DFS finished with no divergence in the space,
@@ -373,20 +347,13 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 	for _, e := range engines {
 		eng := e.eng
 		undo := eng.Explore(src, mkOpt(BackendUndo))
-		snap := eng.Explore(src, mkOpt(BackendSnapshot))
 		repl := eng.Explore(src, mkOpt(BackendReplay))
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
 		accounting(eng.Name(), undo)
-		if got, want := countersOf(undo), countersOf(snap); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(repl); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, mkOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if exhausted && !undo.HitLimit && undo.Divergences == 0 {
 			if e.fullCoverage &&
@@ -425,14 +392,8 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
 		accounting(eng.Name(), undo)
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendSnapshot))); got != want {
-			t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v", eng.Name(), got, want)
-		}
 		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
-		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendAuto))); got != want {
-			t.Errorf("%s: undo and auto backends disagree:\n undo=%+v\n auto=%+v", eng.Name(), got, want)
 		}
 		if (undo.Panics > 0 && dfs.Panics == 0) ||
 			(undo.Divergences > 0 && dfs.Divergences == 0 && !dfs.HitLimit && dfs.Truncated == 0) {

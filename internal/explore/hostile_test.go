@@ -61,7 +61,7 @@ func TestDivergenceCountingAcrossEngines(t *testing.T) {
 		"db2":        NewDelayBounded(2),
 	}
 	for name, eng := range engines {
-		for _, backend := range []BackendKind{BackendUndo, BackendSnapshot, BackendReplay} {
+		for _, backend := range []BackendKind{BackendUndo, BackendReplay} {
 			res := eng.Explore(divergeRacy(), Options{Backend: backend})
 			if res.Divergences == 0 {
 				t.Errorf("%s/%v: no divergences counted", name, backend)

@@ -62,8 +62,7 @@ type Counters struct {
 	MaxDepth atomic.Int64
 
 	// backend latches the resolved BackendKind + 1 once a cursor
-	// commits to one (0 = not yet resolved; BackendAuto is never
-	// stored — it resolves before it latches).
+	// commits to one (0 = not yet resolved).
 	backend atomic.Int32
 }
 
@@ -143,8 +142,8 @@ type Progress struct {
 	StealReceived   int64 `json:"steal_received"`
 	MaxDepth        int64 `json:"max_depth"`
 
-	// Backend is the resolved backtracking backend ("undo", "replay",
-	// "snapshot"), or "" before the first progress flush.
+	// Backend is the resolved backtracking backend ("undo" or
+	// "replay"), or "" before the first progress flush.
 	Backend string `json:"backend,omitempty"`
 
 	// Elapsed is the wall clock since the delivering search started.

@@ -19,7 +19,7 @@ func TestOptionsValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"zero value", Options{}, ""},
-		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendSnapshot}, ""},
+		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendReplay}, ""},
 		{"negative limit", Options{ScheduleLimit: -1}, "negative ScheduleLimit"},
 		{"negative max steps", Options{MaxSteps: -3}, "negative MaxSteps"},
 		{"unknown backend", Options{Backend: BackendReplay + 1}, "unknown backend"},

@@ -11,31 +11,15 @@ import (
 // guarantee; the paper's techniques exist to beat it.
 //
 // Each walk re-seeds the engine's one rng with mixWalkSeed(seed, index),
-// so walk i is the same schedule whether the walks run sequentially or
-// are fanned out across workers in index ranges — the property the
-// campaign package's parallel random search relies on for exact
-// counter agreement with the sequential engine.
+// so walk i is a pure function of (seed, i) and the program, whatever
+// ran before it.
 type randomEngine struct {
 	seed int64
-	// firstWalk and walks restrict the engine to walk indices
-	// [firstWalk, firstWalk+walks); walks == 0 means the budget
-	// comes from Options.ScheduleLimit starting at index firstWalk.
-	firstWalk int
-	walks     int
 }
 
 // NewRandomWalk returns a seeded random-walk engine; the schedule
 // budget comes from Options.ScheduleLimit (required).
 func NewRandomWalk(seed int64) Engine { return &randomEngine{seed: seed} }
-
-// NewRandomWalkRange returns a random-walk engine restricted to walk
-// indices [first, first+walks) of the seed's walk sequence. Splitting
-// [0, limit) into disjoint ranges and exploring them concurrently
-// under a shared Dedup reproduces NewRandomWalk(seed) with
-// ScheduleLimit=limit exactly.
-func NewRandomWalkRange(seed int64, first, walks int) Engine {
-	return &randomEngine{seed: seed, firstWalk: first, walks: walks}
-}
 
 // Name implements Engine.
 func (e *randomEngine) Name() string { return "random" }
@@ -51,15 +35,15 @@ func mixWalkSeed(seed int64, walk int) int64 {
 
 // Explore implements Engine.
 func (e *randomEngine) Explore(src model.Source, opt Options) Result {
-	walks := e.walks
+	walks := opt.ScheduleLimit
 	if walks <= 0 {
-		walks = opt.ScheduleLimit
-		if walks <= 0 {
-			walks = 1000
-		}
+		walks = 1000
 	}
-	// The walk count is the budget; disable the generic limit check
-	// so ranged sub-engines sharing one Dedup don't each stop early.
+	// The walk count is the budget and the loop bound enforces it, so
+	// the recorder's own limit check is disabled: the final walk then
+	// still checks for cancellation and resets like every other walk
+	// (Interrupted and the backtrack count depend on it), and HitLimit
+	// is set after the loop.
 	opt.ScheduleLimit = 0
 	c := newWalkCursor(src, opt)
 	defer c.close()
@@ -67,7 +51,7 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 	rng := rand.New(&walkSource{})
 	for i := 0; i < walks; i++ {
-		rng.Seed(mixWalkSeed(e.seed, e.firstWalk+i))
+		rng.Seed(mixWalkSeed(e.seed, i))
 		for !c.truncated() {
 			en := c.enabled()
 			if len(en) == 0 {

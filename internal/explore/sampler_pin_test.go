@@ -95,40 +95,3 @@ func TestSamplerStreamsPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestRandomWalkRangeSplitPinned: the walk indices [0, 300) split into
-// three uneven ranges, explored in order under one shared Dedup,
-// reproduce NewRandomWalk over the union exactly — the property the
-// parallel random walk rests on.
-func TestRandomWalkRangeSplitPinned(t *testing.T) {
-	ranges := [][2]int{{0, 70}, {70, 120}, {190, 110}}
-	for _, prog := range []string{"chan-mesh-2p2c", "philosophers-3", "synth-08"} {
-		bm := benchProgram(t, prog)
-		for _, stop := range []bool{false, true} {
-			opt := Options{ScheduleLimit: 300, MaxSteps: 2000, StopAtFirstBug: stop}
-			want := pinOf(NewRandomWalk(7).Explore(bm.Program, opt))
-
-			dedup := NewDedup()
-			ranged := opt
-			ranged.ScheduleLimit = 0
-			ranged.Dedup = dedup
-			var got samplerPin
-			for _, r := range ranges {
-				res := NewRandomWalkRange(7, r[0], r[1]).Explore(bm.Program, ranged)
-				if got.firstBug == 0 && res.FirstBugSchedule != 0 {
-					got.firstBug = got.schedules + res.FirstBugSchedule
-					got.witness = choicesDigest(res.FirstViolation)
-				}
-				got.schedules += res.Schedules
-				got.events += res.Events
-				if stop && res.FirstViolation != nil {
-					break
-				}
-			}
-			got.hbrs, got.lazy, got.states = dedup.Counts()
-			if got != want {
-				t.Errorf("%s (stop=%v): ranges %v\n got %+v\nwant %+v", prog, stop, ranges, got, want)
-			}
-		}
-	}
-}

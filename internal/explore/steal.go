@@ -119,7 +119,7 @@ type StealStats struct {
 	// pending backtrack branches.
 	Donated int `json:"donated"`
 	// Escaped counts units created from backtrack points that escaped
-	// a worker's prefix (the reduction the static partition forfeited).
+	// a worker's prefix.
 	Escaped int `json:"escaped"`
 	// LocalClaims counts backtrack additions to published nodes that
 	// were claimed through the shared table but explored in place by

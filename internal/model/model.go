@@ -924,7 +924,9 @@ func (m *Machine) Abort() {
 
 // Snapshot returns a deep copy of the machine, or ok=false if any live
 // coroutine does not support snapshotting. The copy starts with an
-// empty undo log and undo recording disabled.
+// empty undo log and undo recording disabled. No explorer calls it:
+// the undo log (EnableUndo/UndoTo) rewinds in place, and the undo
+// tests use Snapshot as the reference implementation it must match.
 func (m *Machine) Snapshot() (*Machine, bool) {
 	cp := &Machine{
 		src:       m.src,

@@ -97,24 +97,19 @@ func chanSendOnClosed() model.Source {
 }
 
 // firstBugEngineSpecs is the engine grid the first-bug contract is
-// pinned over: every sequential engine plus the parallel searches,
-// including work-stealing pdpor at 1, 2 and 4 workers.
+// pinned over: every sequential engine plus work-stealing pdpor at 1,
+// 2 and 4 workers.
 var firstBugEngineSpecs = []string{
 	"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching", "lazy-hbr-caching",
 	"pb:2", "db:3", "chess-pb:2", "random:7", "pct:3", "pos:7",
-	"pdfs:2", "pdpor:1", "pdpor:2", "pdpor:4", "prandom:7:2",
+	"pdpor:1", "pdpor:2", "pdpor:4",
 }
 
-// parallelSpec reports whether an engine spec names one of the
-// parallel searches, which may have sibling schedules in flight when
-// the first bug lands.
+// parallelSpec reports whether an engine spec names the parallel
+// search, which may have sibling schedules in flight when the first
+// bug lands.
 func parallelSpec(spec string) bool {
-	for _, p := range []string{"pdfs", "pdpor", "prandom"} {
-		if strings.HasPrefix(spec, p) {
-			return true
-		}
-	}
-	return false
+	return strings.HasPrefix(spec, "pdpor")
 }
 
 // TestStopAtFirstBugAllEngines: with StopAtFirstBug every engine stops

@@ -61,7 +61,7 @@ func Grid(benches, engineSpecs []string, opts ...Option) ([]Cell, error) {
 		return nil, err
 	}
 	if err := cfg.reject("Grid", "campaign cells cannot carry it",
-		"WithBackend", "OnViolation", "WithWorkers"); err != nil {
+		"OnViolation", "WithWorkers"); err != nil {
 		return nil, err
 	}
 	if err := cfg.reject("Grid", "containment is a runner property: pass it to NewCampaign",
@@ -125,7 +125,7 @@ func NewCampaign(cells []Cell, opts ...Option) (*Campaign, error) {
 		return nil, err
 	}
 	if err := cfg.reject("NewCampaign", "set per-cell options on the cells via Grid",
-		"WithScheduleLimit", "WithBounds", "WithBackend", "WithRecordStates",
+		"WithScheduleLimit", "WithBounds", "WithRecordStates",
 		"StopAtFirstBug", "OnViolation", "WithStallTimeout"); err != nil {
 		return nil, err
 	}

@@ -94,11 +94,8 @@ func TestFacadeVsDirectEquivalence(t *testing.T) {
 			}
 			return e
 		}},
-		{"pdfs:2", true, func() explore.Engine { return campaign.NewParallelDFS(2) }},
 		{"pdpor:1", true, func() explore.Engine { return campaign.NewParallelDPOR(1) }},
 		{"pdpor:2", true, func() explore.Engine { return campaign.NewParallelDPOR(2) }},
-		{"pdpor-static:2", true, func() explore.Engine { return campaign.NewParallelDPORStatic(2) }},
-		{"prandom:5:2", true, func() explore.Engine { return campaign.NewParallelRandomWalk(5, 2) }},
 	}
 
 	// Every registered built-in engine must be covered by the pin

@@ -8,34 +8,6 @@ import (
 	"repro/internal/explore"
 )
 
-// Backend names a cursor backtracking implementation — the ablation
-// knob of the copy-on-write exploration backend. The zero value
-// (BackendAuto) picks the fastest supported backend and is right
-// outside ablation studies.
-type Backend = explore.BackendKind
-
-// The backends. All are observationally identical; they differ only
-// in how executions rewind.
-const (
-	// BackendAuto resolves as BackendUndo does: the undo log when
-	// every thread can snapshot, replay otherwise. Sampling engines
-	// with no pinned prefix use replay, which is cheaper for walks
-	// that never backtrack mid-execution.
-	BackendAuto Backend = explore.BackendAuto
-	// BackendUndo rewinds through paired O(1)-per-step undo logs: the
-	// machine's reversal records plus the HB tracker's per-event
-	// deltas. The only per-step copy is the stepping thread's
-	// coroutine state, recycled where the frontend allows.
-	BackendUndo Backend = explore.BackendUndo
-	// BackendSnapshot stores a deep machine snapshot at every depth
-	// (the legacy ablation baseline).
-	BackendSnapshot Backend = explore.BackendSnapshot
-	// BackendReplay re-executes the retained prefix on every
-	// backtrack; it works for every program, including goroutine-
-	// backed ones that cannot snapshot.
-	BackendReplay Backend = explore.BackendReplay
-)
-
 // Option configures a [Run], [Grid] or [NewCampaign]. Options are
 // validated when the call constructs its configuration, so an invalid
 // value fails fast instead of producing a half-meaningful result.
@@ -46,7 +18,6 @@ type Option func(*config) error
 type config struct {
 	scheduleLimit int
 	maxSteps      int
-	backend       Backend
 	workers       int
 	recordStates  bool
 	firstBug      bool
@@ -106,7 +77,6 @@ func (c config) exploreOptions(ctx context.Context) explore.Options {
 	return explore.Options{
 		ScheduleLimit:  c.scheduleLimit,
 		MaxSteps:       c.maxSteps,
-		Backend:        c.backend,
 		RecordStates:   c.recordStates,
 		StopAtFirstBug: c.firstBug,
 		OnViolation:    c.onViolation,
@@ -143,20 +113,6 @@ func WithBounds(scheduleLimit, maxSteps int) Option {
 		}
 		c.scheduleLimit = scheduleLimit
 		c.maxSteps = maxSteps
-		return nil
-	}
-}
-
-// WithBackend selects the cursor backtracking implementation (an
-// ablation knob; the default BackendAuto — the undo log where the
-// program allows it — is right otherwise).
-func WithBackend(b Backend) Option {
-	return func(c *config) error {
-		c.mark("WithBackend")
-		if b > BackendReplay {
-			return fmt.Errorf("unknown backend %q", b)
-		}
-		c.backend = b
 		return nil
 	}
 }

@@ -20,10 +20,9 @@ type EngineInfo = engines.Info
 // The built-in engines self-register: the sequential families
 // (dfs, dpor, dpor+sleep, lazy-dpor, hbr-caching, lazy-hbr-caching,
 // pb, db, random, pct, pos) plus the iterative-deepening loops
-// (chess-pb, chess-db) and the parallel searches (pdfs, pdpor,
-// pdpor-static, prandom).
+// (chess-pb, chess-db) and the work-stealing parallel search (pdpor).
 //
-// The randomized engines (random, prandom, pct, pos) are seed-
+// The randomized engines (random, pct, pos) are seed-
 // reproducible: every spec takes an integer seed (default 1), walk i
 // of a run is a pure function of (seed, i) and the program, and two
 // runs of the same spec under the same Options produce byte-identical

@@ -39,7 +39,7 @@ func TestRegistryComplete(t *testing.T) {
 	wantNames := []string{
 		"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching",
 		"lazy-hbr-caching", "pb", "db", "chess-pb", "chess-db", "random",
-		"pct", "pos", "chaos", "pdfs", "pdpor", "pdpor-static", "prandom",
+		"pct", "pos", "chaos", "pdpor",
 	}
 	if got := sct.EngineNames(); !reflect.DeepEqual(got[:len(wantNames)], wantNames) {
 		t.Fatalf("canonical engine names = %v, want prefix %v", got, wantNames)
@@ -169,7 +169,6 @@ func TestRunErrors(t *testing.T) {
 		{"negative schedule limit", sct.WithScheduleLimit(-1), "schedule limit"},
 		{"negative bounds limit", sct.WithBounds(-5, 0), "schedule limit"},
 		{"negative step bound", sct.WithBounds(0, -5), "step bound"},
-		{"unknown backend", sct.WithBackend(sct.Backend(200)), "backend"},
 		{"nil violation callback", sct.OnViolation(nil), "OnViolation"},
 	}
 	for _, tc := range bad {
@@ -184,10 +183,6 @@ func TestRunErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "WithWorkers") {
 		t.Errorf("Run with WithWorkers: %v, want rejection", err)
 	}
-	if _, err := sct.Grid([]string{"a"}, []string{"dfs"}, sct.WithBackend(sct.BackendReplay)); err == nil ||
-		!strings.Contains(err.Error(), "WithBackend") {
-		t.Errorf("Grid with WithBackend: %v, want rejection", err)
-	}
 	if _, err := sct.Grid([]string{"a"}, []string{"dfs"}, sct.OnViolation(func(sct.Witness) {})); err == nil {
 		t.Error("Grid with OnViolation accepted (cells cannot carry the callback)")
 	}
@@ -199,7 +194,7 @@ func TestRunErrors(t *testing.T) {
 
 	// Valid options still compose.
 	rep, err := sct.Run(ctx, src, "dpor",
-		sct.WithScheduleLimit(100), sct.WithBackend(sct.BackendReplay), sct.WithRecordStates())
+		sct.WithScheduleLimit(100), sct.WithRecordStates())
 	if err != nil {
 		t.Fatalf("valid option combination rejected: %v", err)
 	}
