@@ -117,20 +117,28 @@ obs-smoke:
 	fi
 	@echo "obs-smoke: heartbeats streamed, endpoints served, mixed stream resumed clean"
 
-# Headline hot-path benchmarks, filtered to the ones tracked in the
-# perf trajectory, rendered as a machine-readable JSON artifact
-# (BENCH_PR<PR>.json and successors; see cmd/benchjson). Set PR to the
-# current PR number: make bench-json PR=4.
-PR ?= 10
-BENCH_JSON ?= BENCH_PR$(PR).json
-BENCH_FILTER ?= BenchmarkTracker$$|BenchmarkVClock/|BenchmarkExecutor$$|BenchmarkEngine/|BenchmarkSnapshotVsReplay/|BenchmarkWorkStealDPOR/|BenchmarkFirstBug/|BenchmarkBacktrackAllocs/|BenchmarkObserverOverhead/
-# Two steps (not a pipe) so a failing benchmark run fails the target
-# instead of silently producing an empty artifact.
+# The BENCHMARK.json workloads, in CI and benchmark order.
+PERF_WORKLOADS := fig2-dpor fig3-caching firstbug-grid harness-twins
+
+# The perf trajectory artifact: one traced seed-1 run of every
+# BENCHMARK.json workload (end-to-end and per-layer metrics), written as
+# one JSON object keyed by workload name. Set PR to the current PR
+# number: make bench-json PR=18 writes BENCH_PR18.json. BENCH_SECONDS
+# passes --seconds to every run (perfbench's default when empty; 0 is
+# the shortest run). A failed run fails the target and writes no file.
+BENCH_SECONDS ?=
 bench-json:
-	$(GO) test -bench '$(BENCH_FILTER)' -benchmem -benchtime 1s -run '^$$' . > $(BENCH_JSON).txt
-	$(GO) run ./cmd/benchjson < $(BENCH_JSON).txt > $(BENCH_JSON)
-	@rm -f $(BENCH_JSON).txt
-	@echo "wrote $(BENCH_JSON)"
+	@if [ -z "$(PR)" ]; then echo "bench-json: set PR, e.g. make bench-json PR=18" >&2; exit 1; fi
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for w in $(PERF_WORKLOADS); do \
+		echo "== perfbench $$w ==" >&2; \
+		bash perfbench/run.sh --workload $$w --seed 1 --trace 1 \
+			$(if $(BENCH_SECONDS),--seconds $(BENCH_SECONDS)) > "$$tmp/$$w.out" || exit 1; \
+		tail -n 1 "$$tmp/$$w.out" | jq -c --arg w "$$w" '{($$w): .}' >> "$$tmp/all" || exit 1; \
+	done; \
+	jq -s add "$$tmp/all" > "$$tmp/bench.json" || exit 1; \
+	mv "$$tmp/bench.json" BENCH_PR$(PR).json
+	@echo "wrote BENCH_PR$(PR).json"
 
 # The repo benchmark's correctness checks — the CI perf-smoke job (see
 # perfbench/README.md): the shortest run of every BENCHMARK.json
@@ -141,7 +149,7 @@ bench-json:
 # the path where the undo log falls back to fresh snapshots, and it
 # checks that traced and untraced Results are identical.
 perf-smoke:
-	@for w in fig2-dpor fig3-caching firstbug-grid harness-twins; do \
+	@for w in $(PERF_WORKLOADS); do \
 		echo "== perfbench $$w =="; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0 || exit 1; \
 	done

@@ -9,152 +9,50 @@ import (
 	"repro/internal/model"
 )
 
-// Cache is a fingerprint-membership set used by the caching engines to
-// prune prefixes whose (lazy) HBR has been covered. Implementations may
-// be engine-local or shared between concurrently running engine
-// instances exploring disjoint parts of one schedule space.
-type Cache interface {
-	// Add inserts fp and reports whether it was absent (true = fresh).
-	Add(fp hb.Fingerprint) bool
-}
+// numStripes is the stripe count of stripedSet. Power of two so the
+// modulo compiles to a mask; 64 stripes keep contention negligible at
+// any realistic worker count.
+const numStripes = 64
 
-// mapCache is the engine-local, single-goroutine Cache.
-type mapCache map[hb.Fingerprint]struct{}
-
-func (c mapCache) Add(fp hb.Fingerprint) bool {
-	if _, ok := c[fp]; ok {
-		return false
-	}
-	c[fp] = struct{}{}
-	return true
-}
-
-// cacheShards is the stripe count of the concurrent containers. Power
-// of two so the modulo compiles to a mask; 64 stripes keep contention
-// negligible at any realistic worker count.
-const cacheShards = 64
-
-// ShardedCache is a lock-striped Cache safe for concurrent use by many
-// exploration workers. Fingerprints are already uniformly distributed
-// 128-bit hashes, so the low bits pick the stripe directly.
-type ShardedCache struct {
-	shards [cacheShards]struct {
+// stripedSet is a lock-striped set with exact cardinality, safe for
+// concurrent use by many exploration workers. The caller picks the
+// stripe from a uniformly distributed hash of the key.
+type stripedSet[K comparable] struct {
+	stripes [numStripes]struct {
 		mu sync.Mutex
-		m  map[hb.Fingerprint]struct{}
+		m  map[K]struct{}
 	}
 	n atomic.Int64
 }
 
-// NewShardedCache returns an empty concurrent fingerprint cache.
-func NewShardedCache() *ShardedCache {
-	c := &ShardedCache{}
-	for i := range c.shards {
-		c.shards[i].m = map[hb.Fingerprint]struct{}{}
+// add inserts k into the stripe shard selects and reports whether it
+// was absent.
+func (s *stripedSet[K]) add(k K, shard uint64) bool {
+	st := &s.stripes[shard%numStripes]
+	st.mu.Lock()
+	if st.m == nil {
+		st.m = map[K]struct{}{}
 	}
-	return c
-}
-
-// Add implements Cache.
-func (c *ShardedCache) Add(fp hb.Fingerprint) bool {
-	s := &c.shards[fp[0]%cacheShards]
-	s.mu.Lock()
-	_, dup := s.m[fp]
-	if !dup {
-		s.m[fp] = struct{}{}
-	}
-	s.mu.Unlock()
-	if !dup {
-		c.n.Add(1)
-	}
-	return !dup
-}
-
-// Len returns the number of distinct fingerprints added.
-func (c *ShardedCache) Len() int { return int(c.n.Load()) }
-
-// sigSet is one lock-striped set of binary state digests — the hot
-// container behind #states. Digests are uniformly distributed 128-bit
-// hashes, so the low bits pick the stripe directly.
-type sigSet struct {
-	shards [cacheShards]struct {
-		mu sync.Mutex
-		m  map[model.StateSig]struct{}
-	}
-	n atomic.Int64
-}
-
-func newSigSet() *sigSet {
-	s := &sigSet{}
-	for i := range s.shards {
-		s.shards[i].m = map[model.StateSig]struct{}{}
-	}
-	return s
-}
-
-func (s *sigSet) add(sig model.StateSig) bool {
-	sh := &s.shards[sig[0]%cacheShards]
-	sh.mu.Lock()
-	_, dup := sh.m[sig]
-	if !dup {
-		sh.m[sig] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if !dup {
+	fresh := addKey(st.m, k)
+	st.mu.Unlock()
+	if fresh {
 		s.n.Add(1)
 	}
-	return !dup
+	return fresh
 }
 
-func (s *sigSet) len() int { return int(s.n.Load()) }
+func (s *stripedSet[K]) len() int { return int(s.n.Load()) }
 
-// stringSet is one lock-striped set of state keys, used only for the
-// diagnostic Options.RecordStates sets.
-type stringSet struct {
-	shards [cacheShards]struct {
-		mu sync.Mutex
-		m  map[string]struct{}
-	}
-	n atomic.Int64
-}
-
-func newStringSet() *stringSet {
-	s := &stringSet{}
-	for i := range s.shards {
-		s.shards[i].m = map[string]struct{}{}
-	}
-	return s
-}
-
-func (s *stringSet) add(key string) bool {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	sh := &s.shards[h%cacheShards]
-	sh.mu.Lock()
-	_, dup := sh.m[key]
-	if !dup {
-		sh.m[key] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if !dup {
-		s.n.Add(1)
-	}
-	return !dup
-}
-
-func (s *stringSet) len() int { return int(s.n.Load()) }
-
-func (s *stringSet) sorted() []string {
-	var out []string
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		for k := range s.shards[i].m {
+func (s *stripedSet[K]) keys() []K {
+	var out []K
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for k := range st.m {
 			out = append(out, k)
 		}
-		s.shards[i].mu.Unlock()
+		st.mu.Unlock()
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -206,52 +104,53 @@ func (d *localDedup) SortedStates() []string {
 	return out
 }
 
-// fpSet is one lock-striped set of fingerprints with exact cardinality.
-type fpSet struct{ c ShardedCache }
-
 // Dedup holds the distinctness sets behind a Result's #HBRs,
 // #lazy HBRs and #states counters. A Dedup shared between concurrently
 // running engine instances (via Options.Dedup) makes the merged counts
 // exact: each terminal execution is attributed to exactly one worker,
 // and the sets deduplicate globally. States deduplicate on 128-bit
 // binary digests; the human-readable key set is populated only under
-// Options.RecordStates.
+// Options.RecordStates. Fingerprints and digests are already uniformly
+// distributed hashes, so their low word picks the stripe directly.
 type Dedup struct {
-	hbrs   fpSet
-	lazies fpSet
-	states *sigSet
-	keys   *stringSet
+	hbrs, lazies stripedSet[hb.Fingerprint]
+	states       stripedSet[model.StateSig]
+	keys         stripedSet[string]
 }
 
 // NewDedup returns an empty shared distinctness tracker.
-func NewDedup() *Dedup {
-	d := &Dedup{states: newSigSet(), keys: newStringSet()}
-	for i := range d.hbrs.c.shards {
-		d.hbrs.c.shards[i].m = map[hb.Fingerprint]struct{}{}
-		d.lazies.c.shards[i].m = map[hb.Fingerprint]struct{}{}
-	}
-	return d
-}
+func NewDedup() *Dedup { return &Dedup{} }
 
 // AddHBR, AddLazy and AddState insert into the respective set and
 // report freshness.
-func (d *Dedup) AddHBR(fp hb.Fingerprint) bool    { return d.hbrs.c.Add(fp) }
-func (d *Dedup) AddLazy(fp hb.Fingerprint) bool   { return d.lazies.c.Add(fp) }
-func (d *Dedup) AddState(sig model.StateSig) bool { return d.states.add(sig) }
+func (d *Dedup) AddHBR(fp hb.Fingerprint) bool    { return d.hbrs.add(fp, fp[0]) }
+func (d *Dedup) AddLazy(fp hb.Fingerprint) bool   { return d.lazies.add(fp, fp[0]) }
+func (d *Dedup) AddState(sig model.StateSig) bool { return d.states.add(sig, sig[0]) }
 
 // RecordStateKey stores the rendered key of a state whose digest was
-// fresh; exactly one worker records each distinct state.
-func (d *Dedup) RecordStateKey(key string) { d.keys.add(key) }
+// fresh; exactly one worker records each distinct state. The key's
+// FNV-1a hash picks its stripe.
+func (d *Dedup) RecordStateKey(key string) {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	d.keys.add(key, h)
+}
 
 // Counts returns the exact current cardinalities (hbrs, lazies,
 // states).
 func (d *Dedup) Counts() (int, int, int) {
-	return d.hbrs.c.Len(), d.lazies.c.Len(), d.states.len()
+	return d.hbrs.len(), d.lazies.len(), d.states.len()
 }
 
 // SortedStates returns the distinct terminal state keys recorded under
 // RecordStates, sorted.
-func (d *Dedup) SortedStates() []string { return d.keys.sorted() }
+func (d *Dedup) SortedStates() []string {
+	out := d.keys.keys()
+	sort.Strings(out)
+	return out
+}
 
 // Budget is a schedule budget shared between concurrently running
 // engine instances: the parallel analogue of Options.ScheduleLimit.

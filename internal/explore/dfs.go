@@ -61,12 +61,9 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 
-	var cache Cache
+	var cache map[hb.Fingerprint]struct{}
 	if e.mode != cacheNone {
-		cache = opt.Cache
-		if cache == nil {
-			cache = mapCache{}
-		}
+		cache = map[hb.Fingerprint]struct{}{}
 	}
 	prefixFP := func() hb.Fingerprint {
 		if e.mode == cacheLazy {
@@ -99,7 +96,7 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 			}
 			stack = append(stack, dfsNode{enabled: pool.copyOf(en), next: 1})
 			c.step(en[0])
-			if cache != nil && !cache.Add(prefixFP()) {
+			if cache != nil && !addKey(cache, prefixFP()) {
 				// The continuation from here revisits an
 				// already-covered equivalence class
 				// (Thm 2.1 / Thm 2.2): prune.
@@ -124,7 +121,7 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 		n.next++
 		c.resetTo(base + d)
 		c.step(t)
-		if cache != nil && !cache.Add(prefixFP()) {
+		if cache != nil && !addKey(cache, prefixFP()) {
 			rec.res.Pruned++
 			if rec.schedule() {
 				break

@@ -72,15 +72,9 @@ type Options struct {
 	// Prefix pins the first len(Prefix) scheduling choices: the
 	// engine replays them and explores only the subtree beneath.
 	// Partitioning a schedule space into disjoint prefixes and
-	// exploring each under a shared Dedup/Cache is how the campaign
+	// exploring each under a shared Dedup is how the campaign
 	// package parallelises a single search.
 	Prefix []event.ThreadID
-
-	// Cache overrides the caching engines' fingerprint set. A
-	// ShardedCache shared between engine instances lets concurrent
-	// subtree searches prune against each other's coverage. Nil uses
-	// an engine-local map.
-	Cache Cache
 
 	// Dedup overrides the recorder's distinctness sets. Sharing one
 	// Dedup across concurrent subtree searches keeps the merged

@@ -75,12 +75,9 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 
-	var cache Cache
+	var cache map[hb.Fingerprint]struct{}
 	if e.mode != cacheNone {
-		cache = opt.Cache
-		if cache == nil {
-			cache = mapCache{}
-		}
+		cache = map[hb.Fingerprint]struct{}{}
 	}
 	prefixFP := func() hb.Fingerprint {
 		if e.mode == cacheLazy {
@@ -176,7 +173,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 			stack = append(stack, n)
 			n.next = 1
 			c.step(n.choices[0])
-			if cache != nil && !cache.Add(prefixFP()) {
+			if cache != nil && !addKey(cache, prefixFP()) {
 				rec.res.Pruned++
 				return !rec.schedule()
 			}
@@ -198,7 +195,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 		n.next++
 		c.resetTo(base + d)
 		c.step(t)
-		if cache != nil && !cache.Add(prefixFP()) {
+		if cache != nil && !addKey(cache, prefixFP()) {
 			rec.res.Pruned++
 			if rec.schedule() {
 				break

@@ -60,7 +60,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/exec"
 	"repro/internal/explore"
@@ -121,7 +120,19 @@ type Report struct {
 // found: its Kind ("deadlock", "assertion failure", "lock misuse",
 // "data race"), the violating Schedule (the thread chosen at each
 // step) and the replayed Outcome with full trace, failures and races.
-type Violation = core.Violation
+type Violation struct {
+	Kind string
+	// Schedule replays the violation: the thread chosen at each
+	// step.
+	Schedule []ThreadID
+	// Outcome is the replayed execution, with full trace.
+	Outcome Outcome
+}
+
+// String summarises the violation.
+func (v *Violation) String() string {
+	return fmt.Sprintf("%s after %d steps", v.Kind, len(v.Schedule))
+}
 
 // Run explores src's schedule space with the named engine. The
 // options compile down to the engine-level [Options]; invalid
@@ -134,9 +145,8 @@ func Run(ctx context.Context, src Source, engine string, opts ...Option) (*Repor
 	if src == nil {
 		return nil, errors.New("sct: Run with nil program")
 	}
-	// Resolve the spec up front for the facade's own diagnostic (it
-	// lists every registered name on a miss).
-	if _, err := NewEngine(engine); err != nil {
+	eng, err := NewEngine(engine)
+	if err != nil {
 		return nil, err
 	}
 	cfg, err := newConfig(opts)
@@ -162,15 +172,23 @@ func Run(ctx context.Context, src Source, engine string, opts ...Option) (*Repor
 	if err := eopt.Validate(); err != nil {
 		return nil, fmt.Errorf("sct: %w", err)
 	}
-	// core.Check is the single implementation of explore + invariant
-	// check + violation replay; the facade adds spec resolution,
-	// option compilation and the counterexample binding. The engine
-	// was already resolved above, so Check's own lookup (which also
-	// accepts core's historical engine spellings) cannot miss.
-	crep, err := core.Check(src, core.EngineName(engine), eopt)
-	rep := &Report{Result: crep.Result, Violation: crep.Violation, src: src, maxSteps: cfg.maxSteps}
-	if err != nil {
-		return rep, fmt.Errorf("sct: %w", err)
+	res := eng.Explore(src, eopt)
+	rep := &Report{Result: res, src: src, maxSteps: cfg.maxSteps}
+	if err := res.CheckInvariant(); err != nil {
+		// A broken inequality chain indicates a framework bug,
+		// never a program-under-test bug.
+		return rep, fmt.Errorf("sct: %s on %s: %w", engine, src.Name(), err)
+	}
+	if res.FirstViolation != nil {
+		// StallTimeout carries over as insurance: a recorded witness
+		// never schedules into a diverging branch, but a buggy or
+		// nondeterministic program could still stall the replay.
+		rep.Violation = &Violation{
+			Kind:     res.ViolationKind,
+			Schedule: res.FirstViolation,
+			Outcome: exec.Replay(src, res.FirstViolation, exec.Options{
+				MaxSteps: eopt.MaxSteps, RecordClocks: true, StallTimeout: eopt.StallTimeout}),
+		}
 	}
 	return rep, nil
 }

@@ -2,10 +2,12 @@ package sct_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/progdsl"
 	"repro/sct"
 )
@@ -31,16 +33,22 @@ func deadlocker() *progdsl.Program {
 	return b.Build()
 }
 
+// builtinEngines is the canonical built-in engine catalogue, in
+// registration order. Tests iterate it rather than sct.Engines():
+// other tests register custom engines into the process-global
+// registry, and test order must not matter.
+var builtinEngines = []string{
+	"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching",
+	"lazy-hbr-caching", "pb", "db", "chess-pb", "chess-db", "random",
+	"pct", "pos", "chaos", "pdpor",
+}
+
 // TestRegistryComplete pins the canonical engine catalogue: every
 // built-in engine is registered under its canonical name, the default
 // grid is derived from the same table, and every registered engine is
 // buildable and Run-able with default arguments.
 func TestRegistryComplete(t *testing.T) {
-	wantNames := []string{
-		"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching",
-		"lazy-hbr-caching", "pb", "db", "chess-pb", "chess-db", "random",
-		"pct", "pos", "chaos", "pdpor",
-	}
+	wantNames := builtinEngines
 	if got := sct.EngineNames(); !reflect.DeepEqual(got[:len(wantNames)], wantNames) {
 		t.Fatalf("canonical engine names = %v, want prefix %v", got, wantNames)
 	}
@@ -53,9 +61,6 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("DefaultGrid() = %v, want %v", got, wantGrid)
 	}
 
-	// Iterate the pinned built-in names, not sct.Engines(): other
-	// tests may have registered custom engines into the process-global
-	// registry, and test order must not matter.
 	src := racyCounter()
 	for _, name := range wantNames {
 		eng, err := sct.NewEngine(name)
@@ -121,6 +126,41 @@ func TestRegisterCustomEngine(t *testing.T) {
 	}
 	if _, err := sct.Grid([]string{"counter-racy-2x2"}, []string{"custom-null"}); err != nil {
 		t.Fatalf("custom engine rejected as a grid spec: %v", err)
+	}
+}
+
+// brokenInvariantEngine reports more distinct states than lazy HBR
+// classes, which no sound exploration can produce.
+type brokenInvariantEngine struct{}
+
+func (brokenInvariantEngine) Name() string { return "custom-broken-invariant" }
+func (brokenInvariantEngine) Explore(src sct.Source, opt sct.Options) sct.Result {
+	return sct.Result{Program: src.Name(), Engine: "custom-broken-invariant",
+		Schedules: 2, DistinctHBRs: 2, DistinctLazyHBRs: 1, DistinctStates: 2}
+}
+
+// TestRunReportsBrokenInvariant: a Result breaking the inequality
+// chain states ≤ lazy HBRs ≤ HBRs ≤ schedules is a framework bug; Run
+// still returns the report, with an error naming engine and program.
+func TestRunReportsBrokenInvariant(t *testing.T) {
+	registerOnce(sct.EngineInfo{
+		Name:    "custom-broken-invariant",
+		Summary: "breaks the Section 3 inequality chain (invariant test)",
+		Build: func(args []string) (sct.Engine, error) {
+			return brokenInvariantEngine{}, nil
+		},
+	})
+	rep, err := sct.Run(context.Background(), racyCounter(), "custom-broken-invariant")
+	if err == nil {
+		t.Fatal("broken inequality chain not reported")
+	}
+	if rep == nil || rep.DistinctStates != 2 {
+		t.Fatalf("report withheld on invariant failure: %+v", rep)
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sct:") || !strings.Contains(msg, "custom-broken-invariant") ||
+		!strings.Contains(msg, "racy-counter") {
+		t.Errorf("error %q should start with sct: and name the engine and program", msg)
 	}
 }
 
@@ -227,6 +267,14 @@ func TestRunFindsViolationAndCounterexample(t *testing.T) {
 	if len(rep.Violation.Outcome.Trace) == 0 {
 		t.Error("violation outcome has no trace")
 	}
+	if want := fmt.Sprintf("deadlock after %d steps", len(rep.Violation.Schedule)); rep.Violation.String() != want {
+		t.Errorf("Violation.String() = %q, want %q", rep.Violation.String(), want)
+	}
+	// The witness replay records clocks: one per traced event.
+	if len(rep.Violation.Outcome.HBClocks) != len(rep.Violation.Outcome.Trace) {
+		t.Errorf("replay recorded %d clocks for %d events",
+			len(rep.Violation.Outcome.HBClocks), len(rep.Violation.Outcome.Trace))
+	}
 
 	cx, err := rep.Counterexample()
 	if err != nil {
@@ -287,5 +335,80 @@ func TestCounterexampleNeedsViolation(t *testing.T) {
 	}
 	if _, err := rep.Counterexample(); err == nil {
 		t.Error("Counterexample on a clean run must error")
+	}
+}
+
+// TestRunFindsAndReplaysViolation: Run replays the first violation
+// into Report.Violation, and its schedule reproduces the failure on
+// an independent replay.
+func TestRunFindsAndReplaysViolation(t *testing.T) {
+	rep, err := sct.Run(context.Background(), racyCounter(), "dpor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation == nil {
+		t.Fatal("racy counter must yield a violation")
+	}
+	if rep.Violation.Kind == "" || len(rep.Violation.Schedule) == 0 {
+		t.Fatalf("violation incomplete: %+v", rep.Violation)
+	}
+	if len(rep.Violation.Outcome.Trace) != len(rep.Violation.Schedule) {
+		t.Error("replayed trace must match the schedule length")
+	}
+	if !rep.Violation.Outcome.Failed() {
+		t.Error("replaying the violation schedule must reproduce the failure")
+	}
+	if !strings.Contains(rep.Violation.String(), "after") {
+		t.Errorf("violation String = %q", rep.Violation.String())
+	}
+	again := exec.Replay(racyCounter(), rep.Violation.Schedule, exec.Options{})
+	if !again.Failed() {
+		t.Error("independent replay must also fail")
+	}
+}
+
+// TestRunCleanProgram: two writes to distinct variables commute, so
+// DFS sees one terminal state and no violation.
+func TestRunCleanProgram(t *testing.T) {
+	b := progdsl.New("clean").AutoStart()
+	x, y := b.Var("x"), b.Var("y")
+	b.Thread().WriteConst(x, 1)
+	b.Thread().WriteConst(y, 1)
+	rep, err := sct.Run(context.Background(), b.Build(), "dfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("clean program produced a violation: %v", rep.Violation)
+	}
+	if rep.DistinctStates != 1 || rep.HitLimit {
+		t.Errorf("unexpected result: %v", rep.Result.String())
+	}
+}
+
+// TestRunUnknownEngine: an unregistered spec errors before any
+// exploration and yields no report.
+func TestRunUnknownEngine(t *testing.T) {
+	rep, err := sct.Run(context.Background(), racyCounter(), "nope")
+	if err == nil {
+		t.Fatal("Run with unknown engine must error")
+	}
+	if rep != nil {
+		t.Errorf("unknown engine returned a report: %+v", rep)
+	}
+}
+
+// TestRunAllEnginesOnOneProgram runs every built-in engine, with
+// default arguments and step bound, on the racy counter.
+func TestRunAllEnginesOnOneProgram(t *testing.T) {
+	for _, name := range builtinEngines {
+		rep, err := sct.Run(context.Background(), racyCounter(), name, sct.WithScheduleLimit(2000))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if rep.Schedules == 0 {
+			t.Errorf("%s made no progress", name)
+		}
 	}
 }
