@@ -120,21 +120,28 @@ obs-smoke:
 # The BENCHMARK.json workloads, in CI and benchmark order.
 PERF_WORKLOADS := fig2-dpor fig3-caching firstbug-grid harness-twins
 
-# The perf trajectory artifact: one traced seed-1 run of every
-# BENCHMARK.json workload (end-to-end and per-layer metrics), written as
-# one JSON object keyed by workload name. Set PR to the current PR
-# number: make bench-json PR=18 writes BENCH_PR18.json. BENCH_SECONDS
-# passes --seconds to every run (perfbench's default when empty; 0 is
-# the shortest run). A failed run fails the target and writes no file.
+# The perf trajectory artifact: two seed-1 runs of every BENCHMARK.json
+# workload, one traced (per-layer metrics) and one untraced (end-to-end
+# metrics: wall_s, peak_heap_mb, ...), merged into one report per
+# workload whose metrics hold both sets and which is correct only if
+# both runs were. The reports are written as one JSON object keyed by
+# workload name. Set PR to the current PR number: make bench-json PR=18
+# writes BENCH_PR18.json. BENCH_SECONDS passes --seconds to every run
+# (perfbench's default when empty; 0 is the shortest run). A failed run
+# fails the target and writes no file.
 BENCH_SECONDS ?=
 bench-json:
 	@if [ -z "$(PR)" ]; then echo "bench-json: set PR, e.g. make bench-json PR=18" >&2; exit 1; fi
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	for w in $(PERF_WORKLOADS); do \
-		echo "== perfbench $$w ==" >&2; \
-		bash perfbench/run.sh --workload $$w --seed 1 --trace 1 \
-			$(if $(BENCH_SECONDS),--seconds $(BENCH_SECONDS)) > "$$tmp/$$w.out" || exit 1; \
-		tail -n 1 "$$tmp/$$w.out" | jq -c --arg w "$$w" '{($$w): .}' >> "$$tmp/all" || exit 1; \
+		for trace in 1 0; do \
+			echo "== perfbench $$w --trace $$trace ==" >&2; \
+			bash perfbench/run.sh --workload $$w --seed 1 --trace $$trace \
+				$(if $(BENCH_SECONDS),--seconds $(BENCH_SECONDS)) > "$$tmp/$$w.$$trace" || exit 1; \
+			tail -n 1 "$$tmp/$$w.$$trace" > "$$tmp/$$w.$$trace.json"; \
+		done; \
+		jq -c -s --arg w "$$w" '.[0] as $$t | .[1] as $$e | {($$w): ($$t + {correct: ($$t.correct and $$e.correct), metrics: ($$t.metrics + $$e.metrics)})}' \
+			"$$tmp/$$w.1.json" "$$tmp/$$w.0.json" >> "$$tmp/all" || exit 1; \
 	done; \
 	jq -s add "$$tmp/all" > "$$tmp/bench.json" || exit 1; \
 	mv "$$tmp/bench.json" BENCH_PR$(PR).json

@@ -10,19 +10,22 @@ import (
 // a walk resets its machine and tracker in place, so what remains is
 // the walk's fresh coroutines and race log amortized over the walk
 // (rebuilding both per walk measured ≈1.3). The stack engines' undo-backend paths sit
-// at 1.1–1.4: the machine's undo log copies each step's coroutine into
-// a recycled spare, so a forward step allocates nothing of its own; a
-// fresh coroutine snapshot per undo-logged step adds ~1 per event, and
-// any per-step tracker snapshot work — the tr.Clone() the undo backend
-// used to pay on every retained step — is ≥3 slab copies per event
-// (a deep machine snapshot plus tracker Clone per depth costs ~20
-// allocs/event).
+// at 0.07–0.16 on coarse-tail-3x3: the machine's undo log copies each
+// step's coroutine into a recycled spare (finished threads' coroutines
+// included) and the tracker's arena rewinds into its newest chunk, so
+// a warm backtrack allocates nothing and what remains is per-search
+// setup and engine bookkeeping. Leaving finished threads' coroutines
+// unrecycled, so every redo of a thread's last step takes a fresh
+// snapshot, measures 1.0–1.4; any per-step tracker snapshot work — the
+// tr.Clone() the undo backend used to pay on every retained step — is
+// ≥3 slab copies per event (a deep machine snapshot plus tracker Clone
+// per depth costs ~20 allocs/event).
 // lazyDPORAllocsPerEvent bounds lazy-dpor on a lock-heavy program,
 // where every deferred lock race summarises two critical sections
 // (measured ≈2.0; summaries built from fresh maps measure 7.2).
 const (
 	samplerAllocsPerEvent  = 1.0
-	stackAllocsPerEvent    = 1.75
+	stackAllocsPerEvent    = 0.3
 	lazyDPORAllocsPerEvent = 2.5
 )
 
@@ -61,19 +64,22 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 }
 
 // TestBacktrackAllocsO1 pins the tentpole: with the undo backend the
-// whole (machine, tracker) pair backtracks in O(1), so the stack
-// engines' allocations per explored event stay constant — no
-// tr.Clone() per retained step and no fresh coroutine snapshot per
-// undo-logged step. Deep per-depth snapshots cost ~10× this bound
-// per event, so a per-step-Clone code path cannot silently return. The samplers backtrack to the initial state after
-// every walk; their row pins that this resets the machine and tracker
-// in place instead of rebuilding them.
+// whole (machine, tracker) pair backtracks in O(1) and, once warm,
+// without allocating — no tr.Clone() per retained step, no fresh
+// coroutine snapshot when a finished thread's last step is redone, and
+// no fresh arena chunk after an undo across a chunk boundary (rare
+// but 16 KiB each; internal/hb's TestUndoAcrossChunkAllocatesNothing
+// pins it, since it barely moves this count). Deep
+// per-depth snapshots cost ~60× this bound per event. The samplers
+// backtrack to the initial state after every walk; their row pins
+// that this resets the machine and tracker in place instead of
+// rebuilding them.
 func TestBacktrackAllocsO1(t *testing.T) {
 	opt := Options{ScheduleLimit: 500, MaxSteps: 2000, Backend: BackendUndo}
 	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true), NewLazyDPOR(), NewHBRCache()} {
 		got := allocsPerEvent(t, eng, opt, "coarse-tail-3x3")
 		if got > stackAllocsPerEvent {
-			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.2f (per-step snapshot or tracker Clone is back?)",
+			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.2f (unrecycled coroutine snapshots, or a per-step tracker Clone?)",
 				eng.Name(), got, stackAllocsPerEvent)
 		}
 	}

@@ -115,9 +115,10 @@ type Clocks struct {
 // clockArena bump-allocates fixed-width clocks from chunks. A
 // published clock stays immutable, so arena storage is handed out
 // again only when nothing can still reference it: an undo rewind
-// reuses the storage allocated since its mark, and a Reset reuses the
-// current chunk from its start — each only above the tracker's arena
-// floor (see Tracker.arenaFloor). Older chunks are left to the GC.
+// reuses the storage allocated since its mark (from the newest chunk's
+// start when it crossed back into an older chunk), and a Reset reuses
+// the current chunk from its start — each only above the tracker's
+// arena floor (see Tracker.arenaFloor). Older chunks are left to the GC.
 // Chunk sizes double from a small start, so short-lived tracker clones
 // (one per exploration backtrack) stay cheap and a reset tracker's
 // retained chunk grows only to what one execution used.
@@ -131,7 +132,8 @@ type clockArena struct {
 	// tracker (reusable) or published into a clone (must leak to GC).
 	allocated int64
 	// base is the most recently made chunk, whole, and baseAt the
-	// watermark at which it started: Reset rewinds to them.
+	// watermark at which it started: Reset rewinds to them, and an
+	// undo that crosses back below baseAt restarts base there.
 	base   []int32
 	baseAt int64
 }
@@ -485,7 +487,8 @@ func (tr *Tracker) apply(ev event.Event) (hbc, lazyc vclock.VC) {
 	tr.lazyT[t] = lazy
 	tr.syncT[t] = sync
 
-	hh, lh := eventHash(ev, hb), eventHash(ev, lazy)
+	lbl := labelHash(ev)
+	hh, lh := lbl^mix64(hb.Hash()), lbl^mix64(lazy.Hash())
 	tr.hbFP.Add(hh)
 	tr.lazyFP.Add(lh)
 	tr.events++
@@ -499,10 +502,12 @@ func (tr *Tracker) apply(ev event.Event) (hbc, lazyc vclock.VC) {
 	return hb, lazy
 }
 
-// eventHash hashes an HBR node: its schedule-independent label
-// (thread, per-thread index, kind, object, written/asserted value) and
-// its incoming edges, which the vector clock captures exactly.
-func eventHash(ev event.Event, vc vclock.VC) uint64 {
+// labelHash hashes an HBR node's schedule-independent label (thread,
+// per-thread index, kind, object, written/asserted value). A node's
+// hash in a relation is labelHash(ev) ^ mix64(vc.Hash()), where vc,
+// the event's clock in that relation, captures its incoming edges
+// exactly; mix64 decorrelates the clock from the label.
+func labelHash(ev event.Event) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	mixByte := func(b byte) {
@@ -527,8 +532,7 @@ func eventHash(ev event.Event, vc vclock.VC) uint64 {
 		mix32(uint32(uint64(ev.Val)))
 		mix32(uint32(uint64(ev.Val) >> 32))
 	}
-	// Fold in the clock; mix64 decorrelates from the label hash.
-	return h ^ mix64(vc.Hash())
+	return h
 }
 
 // Clone returns an independent copy of the tracker, enabling
@@ -576,7 +580,7 @@ func (tr *Tracker) Reset() {
 	tr.hbFP, tr.lazyFP = Fingerprint{}, Fingerprint{}
 	tr.races = nil
 	tr.events = 0
-	clear(tr.undo) // release the clock and chunk references
+	clear(tr.undo) // release the references; record relies on the zeroing
 	tr.undo = tr.undo[:0]
 	if a := &tr.arena; a.base != nil && tr.arenaFloor <= a.baseAt {
 		a.chunk, a.allocated = a.base, a.baseAt

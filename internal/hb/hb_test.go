@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/event"
-	"repro/internal/vclock"
 )
 
 func ev(t event.ThreadID, idx int32, op event.Op) event.Event {
@@ -457,15 +456,14 @@ func TestMutexTotalOrder(t *testing.T) {
 // TestEventHashValueSensitivity: written values are part of the node
 // label; read results are not (they are determined by the order).
 func TestEventHashValueSensitivity(t *testing.T) {
-	vc := vclock.VC{1}
-	a := eventHash(ev(0, 0, wr(0, 1)), vc)
-	b := eventHash(ev(0, 0, wr(0, 2)), vc)
+	a := labelHash(ev(0, 0, wr(0, 1)))
+	b := labelHash(ev(0, 0, wr(0, 2)))
 	if a == b {
 		t.Error("different written values must hash differently")
 	}
 	r1 := event.Event{Thread: 0, Index: 0, Op: rd(0), Seen: 1}
 	r2 := event.Event{Thread: 0, Index: 0, Op: rd(0), Seen: 2}
-	if eventHash(r1, vc) != eventHash(r2, vc) {
+	if labelHash(r1) != labelHash(r2) {
 		t.Error("read results are not node labels and must not affect the hash")
 	}
 }

@@ -2,6 +2,7 @@ package hb
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/vclock"
@@ -65,21 +66,18 @@ type undoRec struct {
 // record appends the reversal record for ev, capturing tracker state
 // before apply mutates it. The returned pointer stays valid until the
 // next append; apply fills the fingerprint hashes through it once the
-// event's clocks are final.
+// event's clocks are final. The record is built in place rather than
+// copied in: UndoTo and Reset zero every record they pop, so a slot
+// regained by growing the log holds only zero fields.
 func (tr *Tracker) record(ev event.Event) *undoRec {
 	t := int(ev.Thread)
-	tr.undo = append(tr.undo, undoRec{
-		thread:     ev.Thread,
-		kind:       ev.Kind,
-		obj:        ev.Obj,
-		hbT:        tr.hbT[t],
-		lazyT:      tr.lazyT[t],
-		syncT:      tr.syncT[t],
-		racesLen:   int32(len(tr.races)),
-		arenaChunk: tr.arena.chunk,
-		arenaPos:   tr.arena.allocated,
-	})
-	rec := &tr.undo[len(tr.undo)-1]
+	n := len(tr.undo)
+	tr.undo = slices.Grow(tr.undo, 1)[:n+1]
+	rec := &tr.undo[n]
+	rec.thread, rec.kind, rec.obj = ev.Thread, ev.Kind, ev.Obj
+	rec.hbT, rec.lazyT, rec.syncT = tr.hbT[t], tr.lazyT[t], tr.syncT[t]
+	rec.racesLen = int32(len(tr.races))
+	rec.arenaChunk, rec.arenaPos = tr.arena.chunk, tr.arena.allocated
 	switch ev.Kind {
 	case event.KindRead:
 		v := ev.Obj
@@ -187,8 +185,17 @@ func (tr *Tracker) UndoTo(mark int) {
 			tr.arena.chunk = r.arenaChunk
 			tr.arena.allocated = r.arenaPos
 		}
-		*r = undoRec{} // release the clock and chunk references
+		*r = undoRec{} // release the references; record relies on the zeroing
 		tr.undo = tr.undo[:len(tr.undo)-1]
+	}
+	// An undo across a chunk boundary lands in an older chunk's nearly
+	// full tail. Continue from the newest chunk's start instead, so the
+	// next forward crossing does not make another chunk. That chunk is
+	// private: a position is restored only at or above the floor, so
+	// every clock in the chunk was handed out after the last Clone or
+	// Apply, and after the event the restored position belongs to.
+	if a := &tr.arena; a.allocated < a.baseAt {
+		a.chunk, a.baseAt = a.base, a.allocated
 	}
 }
 

@@ -2,9 +2,11 @@ package hb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/vclock"
 )
 
 func sp(c int32) event.Op { return event.Op{Kind: event.KindSpawn, Obj: c} }
@@ -162,5 +164,113 @@ func TestUndoRandomWalk(t *testing.T) {
 		if len(tr.Races()) != len(ref.Races()) {
 			t.Fatalf("iter %d: %d races, want %d", iter, len(tr.Races()), len(ref.Races()))
 		}
+	}
+}
+
+// writeRun returns n writes to variable 0 by alternating threads,
+// numbered from idx (which it advances): three fresh 3-int clocks per
+// event and no other arena use.
+func writeRun(idx []int32, n int) []event.Event {
+	out := make([]event.Event, 0, n)
+	for i := 0; i < n; i++ {
+		th := event.ThreadID(i % 2)
+		out = append(out, ev(th, idx[th], wr(0, int64(i))))
+		idx[th]++
+	}
+	return out
+}
+
+// TestUndoAcrossChunkAllocatesNothing pins the arena's chunk rewind: a
+// warm apply/undo cycle whose events overflow the current chunk
+// allocates nothing. Without the rewind, every undo returns to the old
+// chunk's nearly full tail and the next cycle makes another chunk.
+func TestUndoAcrossChunkAllocatesNothing(t *testing.T) {
+	tr := NewTracker(3, 2, 1)
+	tr.EnableUndo()
+	idx := make([]int32, 3)
+	// Grow the chunks to full size and leave the current one with
+	// less room than one cycle needs.
+	var prefix []event.Event
+	for len(tr.arena.base) < maxChunkInts || len(tr.arena.chunk) >= 1000 {
+		prefix = append(prefix, writeRun(idx, 2)...)
+		tr.ApplyFast(prefix[len(prefix)-2])
+		tr.ApplyFast(prefix[len(prefix)-1])
+	}
+	mark := tr.UndoMark()
+	evs := writeRun(idx, 200) // 1,800 ints: crosses into a new chunk
+	cycle := func() {
+		for _, e := range evs {
+			tr.ApplyFast(e)
+		}
+		tr.UndoTo(mark)
+	}
+	before := &tr.arena.base[0]
+	cycle()
+	if &tr.arena.base[0] == before {
+		t.Fatal("setup: the first cycle did not cross a chunk boundary")
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("apply/undo cycle across a chunk boundary allocates %.1f times, want 0", allocs)
+	}
+	sameState(t, "after cycles", tr, trackerAt(prefix, mark))
+}
+
+// TestChunkRewindRespectsArenaFloor: a Clone and an Apply result taken
+// after an undo rewound the arena into its newest chunk share that
+// chunk; applying, undoing and resetting the tracker afterwards must
+// not reuse their storage, and the tracker itself must still equal a
+// fresh replay.
+func TestChunkRewindRespectsArenaFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tr := NewTrackerChans(rsThreads, rsVars, rsMutexes, rsChans)
+	tr.EnableUndo()
+	rewinds := 0
+	for iter := 0; iter < 300; iter++ {
+		evs := randomEvents(rng, 300)
+		for _, e := range evs {
+			tr.ApplyFast(e)
+		}
+		mark := rng.Intn(len(evs))
+		base, pos := &tr.arena.base[0], tr.undo[mark].arenaPos
+		if pos < tr.arenaFloor || pos >= tr.arena.baseAt {
+			tr.Reset()
+			continue // this undo would not cross back below the newest chunk
+		}
+		tr.UndoTo(mark)
+		if &tr.arena.chunk[0] != base || len(tr.arena.chunk) != len(tr.arena.base) {
+			t.Fatalf("iter %d: an undo below the newest chunk did not continue from its start", iter)
+		}
+		rewinds++
+		ref := NewTrackerChans(rsThreads, rsVars, rsMutexes, rsChans)
+		for _, e := range evs[:mark] {
+			ref.ApplyFast(e)
+		}
+		sameTracker(t, "after a chunk rewind", tr, ref)
+
+		kept := tr.Clone()
+		want := copyClocks(kept.slab)
+		applied := tr.Apply(evs[mark%len(evs)])
+		wantApplied := copyClocks([]vclock.VC{applied.HB, applied.Lazy})
+		for _, e := range randomEvents(rng, 300) {
+			tr.ApplyFast(e)
+		}
+		tr.UndoTo(rng.Intn(tr.UndoMark() + 1))
+		for _, e := range randomEvents(rng, 300) {
+			tr.ApplyFast(e)
+		}
+		tr.Reset()
+		for _, e := range randomEvents(rng, 300) {
+			tr.ApplyFast(e)
+		}
+		if !reflect.DeepEqual(copyClocks(kept.slab), want) {
+			t.Fatalf("iter %d: a clone's clocks changed after a chunk rewind", iter)
+		}
+		if got := copyClocks([]vclock.VC{applied.HB, applied.Lazy}); !reflect.DeepEqual(got, wantApplied) {
+			t.Fatalf("iter %d: Apply's clocks changed after a chunk rewind: %v, want %v", iter, got, wantApplied)
+		}
+		tr.Reset()
+	}
+	if rewinds == 0 {
+		t.Fatal("setup: no undo rewound the arena into its newest chunk")
 	}
 }

@@ -290,10 +290,11 @@ type Machine struct {
 	undo        []undoRec
 	undoEnabled bool
 	// spare holds the live coroutines UndoTo replaced by their logged
-	// checkpoints; the next undo-logged Step copies into one of them
-	// instead of allocating. Only SnapshotReusers are kept, so every
-	// entry is consumed by a later Step and the list never outgrows
-	// the undo depth.
+	// checkpoints and those of threads that finished in an undo-logged
+	// step; the next undo-logged Step copies into one of them instead
+	// of allocating. Only SnapshotReusers are kept, so every entry is
+	// consumed by a later Step and the list never outgrows the undo
+	// depth.
 	spare []Coroutine
 }
 
@@ -507,6 +508,7 @@ func (m *Machine) refresh(t event.ThreadID) {
 	if !ok {
 		m.status[t] = Done
 		m.havePend[t] = false
+		m.recycle(m.cor[t])
 		m.cor[t] = nil
 		return
 	}
@@ -1055,6 +1057,18 @@ func (m *Machine) checkpoint(c Coroutine) Coroutine {
 		panic("model: undo-logged Step on a non-snapshottable coroutine")
 	}
 	return s.Snapshot()
+}
+
+// recycle puts a finished thread's coroutine on the spare list, so the
+// redo after undoing its last step copies into it instead of taking a
+// fresh Snapshot. The coroutine is private: the log holds copies,
+// never a live coroutine. Only undo-logged steps recycle, and never
+// beyond the log's depth, so the spare list stays bounded by it even
+// for threads that finish without a step.
+func (m *Machine) recycle(c Coroutine) {
+	if _, ok := c.(SnapshotReuser); ok && m.undoEnabled && len(m.spare) < len(m.undo) {
+		m.spare = append(m.spare, c)
+	}
 }
 
 // sortedFailures returns the failures in a canonical order — by

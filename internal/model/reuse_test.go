@@ -144,3 +144,30 @@ func TestUndoStepAllocatesNothing(t *testing.T) {
 		t.Errorf("step/undo cycle allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestUndoFinishedThreadAllocatesNothing pins the recycling of
+// finished threads' coroutines: a cycle that runs a thread to
+// completion and then undoes its steps allocates nothing once warm.
+// Without recycling, the redo of the thread's last step finds one
+// spare too few and takes a fresh Snapshot every cycle.
+func TestUndoFinishedThreadAllocatesNothing(t *testing.T) {
+	m := model.NewMachine(regsProgram())
+	if !m.EnableUndo() {
+		t.Fatal("undo must enable")
+	}
+	m.Step(1)
+	mark := m.UndoMark()
+	cycle := func() {
+		for m.Status(0) == model.Running {
+			m.Step(0)
+		}
+		m.UndoTo(mark)
+	}
+	cycle() // warm the spare list and the undo log's capacity
+	if m.Status(0) != model.Running {
+		t.Fatal("undo must restart thread 0")
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("run-to-completion/undo cycle allocates %.1f times, want 0", allocs)
+	}
+}
