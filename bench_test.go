@@ -319,17 +319,20 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 // a bench-smoke gate: with the undo backend a warm backtrack allocates
 // nothing, so the stack engines' allocations per explored event are
 // only per-search setup amortized over the search (measured 0.02 for
-// dfs and 0.03 for dpor; a fresh coroutine snapshot at every redone
-// last step of a thread costs ≈1.1, a reintroduced per-step tracker
-// Clone ≥3 slab copies per event, and a deep machine snapshot plus
-// tracker Clone per depth ~20). The benchmark fails — not just
+// dfs, 0.03 for dpor and 0.03 for both caching engines, whose digest
+// sets add only their doublings; Go-map caches measured 0.04. A fresh
+// coroutine snapshot at every redone last step of a thread costs ≈1.1,
+// a reintroduced per-step tracker Clone ≥3 slab copies per event, and
+// a deep machine snapshot plus tracker Clone per depth ~20). The benchmark fails — not just
 // reports — when the bound is exceeded, so the regression cannot
 // silently return. Runs in one iteration under `make bench-smoke`.
 func BenchmarkBacktrackAllocs(b *testing.B) {
 	const maxAllocsPerEvent = 0.25
 	bm := mustBench(b, "coarse-tail-3x3")
 	opt := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000, Backend: explore.BackendUndo}
-	for _, eng := range []explore.Engine{explore.NewDFS(), explore.NewDPOR(false)} {
+	engines := []explore.Engine{explore.NewDFS(), explore.NewDPOR(false),
+		explore.NewHBRCache(), explore.NewLazyHBRCache()}
+	for _, eng := range engines {
 		eng := eng
 		b.Run(eng.Name(), func(b *testing.B) {
 			b.ReportAllocs()

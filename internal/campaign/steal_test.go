@@ -3,6 +3,7 @@ package campaign
 import (
 	"math/bits"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -329,7 +330,9 @@ func TestNodeTableClaims(t *testing.T) {
 
 // TestDedupRaceStress hammers the lock-striped explore.Dedup with
 // overlapping digests from GOMAXPROCS goroutines and checks the final
-// distinct counts against a single-threaded reference.
+// distinct counts against a single-threaded reference. Each worker
+// records a state's key when its digest was fresh, as the recorder
+// does, so the key list must hold every state exactly once.
 func TestDedupRaceStress(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -361,6 +364,7 @@ func TestDedupRaceStress(t *testing.T) {
 				}
 				if d.AddState(mkSig(i)) {
 					fresh.add(1)
+					d.RecordStateKey(strconv.Itoa(i))
 				}
 			}
 		}(w)
@@ -372,6 +376,15 @@ func TestDedupRaceStress(t *testing.T) {
 	}
 	if fresh.load() != 3*distinct {
 		t.Fatalf("freshness attributed %d times, want %d (each key exactly once)", fresh.load(), 3*distinct)
+	}
+	keys := d.SortedStates()
+	if len(keys) != distinct {
+		t.Fatalf("%d state keys recorded, want %d", len(keys), distinct)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			t.Fatalf("state key %s recorded twice", keys[i])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,31 +10,105 @@ import (
 	"repro/internal/model"
 )
 
+// digestSet is an insert-only set of 128-bit digests (HBR fingerprints
+// and state digests): linear probing over a flat power-of-two table,
+// one probe sequence per add. The digests are already uniform hashes,
+// so the home slot is the top bits of k[0] times the 64-bit golden
+// ratio (Fibonacci hashing; the multiply also spreads FNV-1a's weak
+// low bits). The table doubles before an insert would take it past
+// 7/8 load, from a minimum of 8 slots. An all-zero slot is empty, so
+// the all-zero digest is kept in its own flag.
+type digestSet struct {
+	slots [][2]uint64
+	shift uint // 64 - log2(len(slots))
+	n     int  // non-zero digests in slots
+	zero  bool
+}
+
+const minDigestSlots = 8 // the smallest digestSet table
+
+// home is k's first probe slot.
+func (s *digestSet) home(k [2]uint64) int { return int((k[0] * 0x9e3779b97f4a7c15) >> s.shift) }
+
+// add inserts k and reports whether it was absent.
+func (s *digestSet) add(k [2]uint64) bool {
+	if k == ([2]uint64{}) {
+		fresh := !s.zero
+		s.zero = true
+		return fresh
+	}
+	if s.slots == nil {
+		s.resize(minDigestSlots)
+	}
+	mask := len(s.slots) - 1
+	for i := s.home(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case [2]uint64{}:
+			if s.n+1 > len(s.slots)-len(s.slots)/8 {
+				s.resize(2 * len(s.slots))
+				s.insert(k)
+			} else {
+				s.slots[i] = k
+			}
+			s.n++
+			return true
+		}
+	}
+}
+
+// insert places a non-zero k known to be absent.
+func (s *digestSet) insert(k [2]uint64) {
+	mask := len(s.slots) - 1
+	i := s.home(k)
+	for s.slots[i] != ([2]uint64{}) {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = k
+}
+
+// resize rehashes the set into a table of size slots (a power of two).
+func (s *digestSet) resize(size int) {
+	old := s.slots
+	s.slots = make([][2]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, k := range old {
+		if k != ([2]uint64{}) {
+			s.insert(k)
+		}
+	}
+}
+
+// len returns the number of distinct digests added.
+func (s *digestSet) len() int {
+	if s.zero {
+		return s.n + 1
+	}
+	return s.n
+}
+
 // numStripes is the stripe count of stripedSet. Power of two so the
 // modulo compiles to a mask; 64 stripes keep contention negligible at
 // any realistic worker count.
 const numStripes = 64
 
-// stripedSet is a lock-striped set with exact cardinality, safe for
-// concurrent use by many exploration workers. The caller picks the
-// stripe from a uniformly distributed hash of the key.
-type stripedSet[K comparable] struct {
+// stripedSet is a lock-striped digestSet with exact cardinality, safe
+// for concurrent use by many exploration workers. The low bits of k[0]
+// pick the stripe; the stripe's table hashes the product's top bits.
+type stripedSet struct {
 	stripes [numStripes]struct {
-		mu sync.Mutex
-		m  map[K]struct{}
+		mu  sync.Mutex
+		set digestSet
 	}
 	n atomic.Int64
 }
 
-// add inserts k into the stripe shard selects and reports whether it
-// was absent.
-func (s *stripedSet[K]) add(k K, shard uint64) bool {
-	st := &s.stripes[shard%numStripes]
+// add inserts k and reports whether it was absent.
+func (s *stripedSet) add(k [2]uint64) bool {
+	st := &s.stripes[k[0]%numStripes]
 	st.mu.Lock()
-	if st.m == nil {
-		st.m = map[K]struct{}{}
-	}
-	fresh := addKey(st.m, k)
+	fresh := st.set.add(k)
 	st.mu.Unlock()
 	if fresh {
 		s.n.Add(1)
@@ -41,20 +116,7 @@ func (s *stripedSet[K]) add(k K, shard uint64) bool {
 	return fresh
 }
 
-func (s *stripedSet[K]) len() int { return int(s.n.Load()) }
-
-func (s *stripedSet[K]) keys() []K {
-	var out []K
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k := range st.m {
-			out = append(out, k)
-		}
-		st.mu.Unlock()
-	}
-	return out
-}
+func (s *stripedSet) len() int { return int(s.n.Load()) }
 
 // dedupSink abstracts the recorder's distinctness sets: localDedup
 // for engine-local runs, the lock-striped Dedup when shared between
@@ -69,33 +131,17 @@ type dedupSink interface {
 	SortedStates() []string
 }
 
-// localDedup is the plain, single-goroutine sink — three map inserts
-// per terminal, no striping or atomics on the sequential hot path.
+// localDedup is the plain, single-goroutine sink — three digestSet
+// inserts per terminal, no striping or atomics on the sequential hot
+// path.
 type localDedup struct {
-	hbrs, lazies map[hb.Fingerprint]struct{}
-	states       map[model.StateSig]struct{}
-	stateKeys    []string
+	hbrs, lazies, states digestSet
+	stateKeys            []string
 }
 
-func newLocalDedup() *localDedup {
-	return &localDedup{
-		hbrs:   map[hb.Fingerprint]struct{}{},
-		lazies: map[hb.Fingerprint]struct{}{},
-		states: map[model.StateSig]struct{}{},
-	}
-}
-
-func addKey[K comparable](m map[K]struct{}, k K) bool {
-	if _, dup := m[k]; dup {
-		return false
-	}
-	m[k] = struct{}{}
-	return true
-}
-
-func (d *localDedup) AddHBR(fp hb.Fingerprint) bool    { return addKey(d.hbrs, fp) }
-func (d *localDedup) AddLazy(fp hb.Fingerprint) bool   { return addKey(d.lazies, fp) }
-func (d *localDedup) AddState(sig model.StateSig) bool { return addKey(d.states, sig) }
+func (d *localDedup) AddHBR(fp hb.Fingerprint) bool    { return d.hbrs.add(fp) }
+func (d *localDedup) AddLazy(fp hb.Fingerprint) bool   { return d.lazies.add(fp) }
+func (d *localDedup) AddState(sig model.StateSig) bool { return d.states.add(sig) }
 func (d *localDedup) RecordStateKey(key string)        { d.stateKeys = append(d.stateKeys, key) }
 
 func (d *localDedup) SortedStates() []string {
@@ -110,12 +156,12 @@ func (d *localDedup) SortedStates() []string {
 // exact: each terminal execution is attributed to exactly one worker,
 // and the sets deduplicate globally. States deduplicate on 128-bit
 // binary digests; the human-readable key set is populated only under
-// Options.RecordStates. Fingerprints and digests are already uniformly
-// distributed hashes, so their low word picks the stripe directly.
+// Options.RecordStates.
 type Dedup struct {
-	hbrs, lazies stripedSet[hb.Fingerprint]
-	states       stripedSet[model.StateSig]
-	keys         stripedSet[string]
+	hbrs, lazies, states stripedSet
+
+	keysMu sync.Mutex
+	keys   []string
 }
 
 // NewDedup returns an empty shared distinctness tracker.
@@ -123,19 +169,17 @@ func NewDedup() *Dedup { return &Dedup{} }
 
 // AddHBR, AddLazy and AddState insert into the respective set and
 // report freshness.
-func (d *Dedup) AddHBR(fp hb.Fingerprint) bool    { return d.hbrs.add(fp, fp[0]) }
-func (d *Dedup) AddLazy(fp hb.Fingerprint) bool   { return d.lazies.add(fp, fp[0]) }
-func (d *Dedup) AddState(sig model.StateSig) bool { return d.states.add(sig, sig[0]) }
+func (d *Dedup) AddHBR(fp hb.Fingerprint) bool    { return d.hbrs.add(fp) }
+func (d *Dedup) AddLazy(fp hb.Fingerprint) bool   { return d.lazies.add(fp) }
+func (d *Dedup) AddState(sig model.StateSig) bool { return d.states.add(sig) }
 
 // RecordStateKey stores the rendered key of a state whose digest was
-// fresh; exactly one worker records each distinct state. The key's
-// FNV-1a hash picks its stripe.
+// fresh. AddState reports each digest fresh exactly once, so exactly
+// one worker records each distinct state.
 func (d *Dedup) RecordStateKey(key string) {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	d.keys.add(key, h)
+	d.keysMu.Lock()
+	d.keys = append(d.keys, key)
+	d.keysMu.Unlock()
 }
 
 // Counts returns the exact current cardinalities (hbrs, lazies,
@@ -147,7 +191,9 @@ func (d *Dedup) Counts() (int, int, int) {
 // SortedStates returns the distinct terminal state keys recorded under
 // RecordStates, sorted.
 func (d *Dedup) SortedStates() []string {
-	out := d.keys.keys()
+	d.keysMu.Lock()
+	out := append([]string(nil), d.keys...)
+	d.keysMu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -61,9 +61,9 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 
-	var cache map[hb.Fingerprint]struct{}
+	var cache *digestSet
 	if e.mode != cacheNone {
-		cache = map[hb.Fingerprint]struct{}{}
+		cache = &digestSet{}
 	}
 	prefixFP := func() hb.Fingerprint {
 		if e.mode == cacheLazy {
@@ -96,7 +96,7 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 			}
 			stack = append(stack, dfsNode{enabled: pool.copyOf(en), next: 1})
 			c.step(en[0])
-			if cache != nil && !addKey(cache, prefixFP()) {
+			if cache != nil && !cache.add(prefixFP()) {
 				// The continuation from here revisits an
 				// already-covered equivalence class
 				// (Thm 2.1 / Thm 2.2): prune.
@@ -121,7 +121,7 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 		n.next++
 		c.resetTo(base + d)
 		c.step(t)
-		if cache != nil && !addKey(cache, prefixFP()) {
+		if cache != nil && !cache.add(prefixFP()) {
 			rec.res.Pruned++
 			if rec.schedule() {
 				break

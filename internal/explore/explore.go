@@ -396,7 +396,7 @@ type recorder struct {
 func newRecorder(src model.Source, engine string, opt Options, c *cursor) *recorder {
 	var dd dedupSink = opt.Dedup
 	if opt.Dedup == nil {
-		dd = newLocalDedup()
+		dd = &localDedup{}
 	}
 	return &recorder{
 		res:   Result{Program: src.Name(), Engine: engine},

@@ -75,9 +75,9 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 
-	var cache map[hb.Fingerprint]struct{}
+	var cache *digestSet
 	if e.mode != cacheNone {
-		cache = map[hb.Fingerprint]struct{}{}
+		cache = &digestSet{}
 	}
 	prefixFP := func() hb.Fingerprint {
 		if e.mode == cacheLazy {
@@ -173,7 +173,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 			stack = append(stack, n)
 			n.next = 1
 			c.step(n.choices[0])
-			if cache != nil && !addKey(cache, prefixFP()) {
+			if cache != nil && !cache.add(prefixFP()) {
 				rec.res.Pruned++
 				return !rec.schedule()
 			}
@@ -195,7 +195,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 		n.next++
 		c.resetTo(base + d)
 		c.step(t)
-		if cache != nil && !addKey(cache, prefixFP()) {
+		if cache != nil && !cache.add(prefixFP()) {
 			rec.res.Pruned++
 			if rec.schedule() {
 				break

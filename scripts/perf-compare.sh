@@ -7,11 +7,16 @@
 # Each side is built by its own perfbench/run.sh into its own
 # .bench_build. Pair i runs both sides with --seed i --seconds 6
 # --trace 0, the parent first in even pairs and the change first in odd
-# ones. The script prints every run's JSON report, then per pair and
-# for wall_s and peak_heap_mb both sides' values, then both medians,
+# ones. The metrics compared are BENCHMARK.json's end_to_end list, with
+# each metric's better direction and bound read from it (needs jq).
+# The script prints every run's JSON report, then per pair and metric
+# both sides' values, then per metric both medians, the change in %,
 # the parent's interquartile range and how many pairs the change won
-# (lower is better; ties count for neither side). It exits 1 if any run
-# is not correct or reports a failed cell.
+# in the metric's better direction (ties count for neither side). A
+# metric whose change median is worse than the parent's by more than
+# its bound (a fraction of the parent median) is marked REGRESSION.
+# The script exits 1 if any run is not correct or reports a failed
+# cell.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -22,7 +27,9 @@ parent=$(cd "$1" && pwd)
 change=$(pwd)
 workload=$2
 pairs=${3:-10}
-metrics="wall_s peak_heap_mb"
+# "name better bound" per end-to-end metric.
+specs=$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$change/BENCHMARK.json")
+metrics=$(printf '%s\n' "$specs" | cut -d' ' -f1)
 
 # build runs a side's run.sh with -h: it builds the binary, then the
 # binary prints its usage and exits 2. The old binary is removed first,
@@ -46,18 +53,13 @@ measure() {
 	local side=$1 dir=$2 pair=$3 line
 	line=$(cd "$dir" && .bench_build/perfbench --workload "$workload" --seed "$pair" \
 		--seconds 6 --trace 0 | tail -n 1) || true
-	case $line in
-	*'"correct":true'*'"failed":0,'*) ;;
-	*)
+	if ! printf '%s\n' "$line" | jq -e '.correct == true and .failed == 0' >/dev/null 2>&1; then
 		echo "perf-compare: $side pair $pair is not correct: $line" >&2
 		exit 1
-		;;
-	esac
+	fi
 	echo "$side pair $pair: $line"
-	for m in $metrics; do
-		v=$(printf '%s\n' "$line" | grep -o "\"$m\":{\"value\":[^,}]*" | sed 's/.*://')
-		echo "$side $pair $m $v" >>"$results"
-	done
+	printf '%s\n' "$line" | jq -r --arg side "$side" --arg pair "$pair" --arg names "$metrics" \
+		'.metrics as $m | $names | split("\n")[] | "\($side) \($pair) \(.) \($m[.].value // "nan")"' >>"$results"
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -74,8 +76,8 @@ for ((i = 0; i < pairs; i++)); do
 	done
 done
 
-for m in $metrics; do
-	awk -v m="$m" '
+printf '%s\n' "$specs" | while read -r m better bound; do
+	awk -v m="$m" -v better="$better" -v bound="$bound" '
 		function sorted(a, n, s,   i, j, t) {
 			for (i = 1; i <= n; i++) s[i] = a[i]
 			for (i = 2; i <= n; i++)
@@ -87,15 +89,25 @@ for m in $metrics; do
 			if (lo + 1 > n - 1) return s[lo+1]
 			return s[lo+1] + (s[lo+2] - s[lo+1]) * (pos - lo)
 		}
-		$3 == m { v[$1, $2] = $4; if ($2 + 1 > n) n = $2 + 1 }
+		# worse is how much worse c is than p in the better direction.
+		function worse(c, p) { return better == "higher" ? p - c : c - p }
+		$3 == m { v[$1, $2] = $4 + 0; if ($2 + 1 > n) n = $2 + 1 }
 		END {
 			for (i = 0; i < n; i++) {
 				p[i+1] = v["parent", i]; c[i+1] = v["change", i]
-				if (c[i+1] < p[i+1]) wins++
+				if (worse(c[i+1], p[i+1]) < 0) wins++
 			}
 			sorted(p, n, ps); sorted(c, n, cs)
 			pm = pct(ps, n, 50); cm = pct(cs, n, 50)
-			printf "%s: parent median %.4g, change median %.4g (%+.1f%%), parent IQR %.4g, change won %d/%d\n",
-				m, pm, cm, (cm - pm) / pm * 100, pct(ps, n, 75) - pct(ps, n, 25), wins, n
+			if (pm != 0) {
+				change = sprintf("%+.1f%%", (cm - pm) / (pm < 0 ? -pm : pm) * 100)
+				regressed = worse(cm, pm) / (pm < 0 ? -pm : pm) > bound
+			} else {
+				change = "n/a"
+				regressed = worse(cm, pm) > 0
+			}
+			printf "%s (%s is better, bound %g): parent median %.4g, change median %.4g (%s), parent IQR %.4g, change won %d/%d%s\n",
+				m, better, bound, pm, cm, change, pct(ps, n, 75) - pct(ps, n, 25), wins, n,
+				regressed ? "  REGRESSION" : ""
 		}' "$results"
 done
