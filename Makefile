@@ -176,8 +176,9 @@ perf-compare:
 # (no repro/internal imports at all), the cmd tools must not reach
 # into the explore/campaign/repro internals, the godoc examples
 # (sct.ExampleRun is the embedding quickstart) must run, the
-# docs/ENGINES.md engine catalogue must match the registry, and the
-# docs/OBSERVABILITY.md counter catalogue must match Progress.
+# docs/ENGINES.md engine catalogue and Options contract must match the
+# registry and explore.Options, and the docs/OBSERVABILITY.md counter
+# catalogue must match Progress.
 api-check:
 	$(GO) build ./examples/... ./cmd/... ./sct/...
 	@bad="$$(grep -rn 'repro/internal' examples/ || true)"; \
@@ -189,7 +190,7 @@ api-check:
 		echo "cmd/ must not import explore/campaign/repro internals:"; echo "$$bad"; exit 1; \
 	fi
 	$(GO) test -run '^Example' -count=1 ./sct/ ./internal/...
-	$(GO) test -run '^TestEnginesDocInSync$$|^TestObservabilityDocInSync$$|^TestChannelDocInSync$$' -count=1 ./sct/
+	$(GO) test -run '^TestEnginesDocInSync$$|^TestOptionsDocInSync$$|^TestObservabilityDocInSync$$|^TestChannelDocInSync$$' -count=1 ./sct/
 	@echo "api-check: facade clean"
 
 # Regenerate the paper figures at the full budget (slow; see -help for

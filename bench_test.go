@@ -305,7 +305,7 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 		b.Run(fmt.Sprintf("pdpor-workers=%d", workers), func(b *testing.B) {
 			var last explore.Result
 			for i := 0; i < b.N; i++ {
-				last = campaign.ParallelDPOR(bm.Program, opt, workers)
+				last = campaign.ParallelDPOR(bm.Program, opt, workers, false)
 			}
 			b.ReportMetric(float64(last.Schedules), "schedules")
 			if last.Steal != nil {

@@ -391,7 +391,7 @@ func runFirstBug(ctx context.Context, selected []bench.Benchmark, engineList str
 		}
 		emit = func(r sct.CellResult) {
 			bug := "no bug"
-			if r.Result.FirstViolation != nil {
+			if r.Result.ViolationKind != "" {
 				bug = fmt.Sprintf("%s at schedule %d", r.Result.ViolationKind, r.Result.FirstBugSchedule)
 			} else if r.Result.HitLimit {
 				bug = "no bug within limit"
@@ -462,7 +462,7 @@ func writeArtifacts(results []sct.CellResult, cfg firstBugConfig, stdout, stderr
 	sanitize := strings.NewReplacer(":", "-", "/", "-", "[", "", "]", "")
 	wrote := 0
 	for _, r := range results {
-		if r.Result.FirstViolation == nil {
+		if r.Result.ViolationKind == "" {
 			continue
 		}
 		bm, ok := bench.ByName(r.Cell.Bench)

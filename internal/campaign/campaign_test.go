@@ -241,12 +241,12 @@ func TestCellStopAtFirstBug(t *testing.T) {
 func TestParallelFirstBugDeterministicMerge(t *testing.T) {
 	bm := mustProgram(t, "philosophers-3")
 	opt := explore.Options{MaxSteps: 2000}
-	base := ParallelDPOR(bm.Program, opt, 4)
+	base := ParallelDPOR(bm.Program, opt, 4, false)
 	if base.FirstViolation == nil || base.FirstBugSchedule < 1 || base.FirstBugSchedule > base.Schedules {
 		t.Fatalf("merged first-bug fields invalid: idx=%d of %d", base.FirstBugSchedule, base.Schedules)
 	}
 	for rep := 0; rep < 3; rep++ {
-		again := ParallelDPOR(bm.Program, opt, 4)
+		again := ParallelDPOR(bm.Program, opt, 4, false)
 		if again.FirstBugSchedule != base.FirstBugSchedule ||
 			!reflect.DeepEqual(again.FirstViolation, base.FirstViolation) {
 			t.Fatalf("merged witness not deterministic: idx %d vs %d", again.FirstBugSchedule, base.FirstBugSchedule)
@@ -256,7 +256,7 @@ func TestParallelFirstBugDeterministicMerge(t *testing.T) {
 	// than the exhaustive run, and a witness is still captured.
 	stop := opt
 	stop.StopAtFirstBug = true
-	early := ParallelDPOR(bm.Program, stop, 4)
+	early := ParallelDPOR(bm.Program, stop, 4, false)
 	if early.FirstViolation == nil {
 		t.Fatal("StopAtFirstBug run lost the witness")
 	}

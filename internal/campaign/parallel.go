@@ -56,7 +56,7 @@ func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explo
 		}
 		merged.HitLimit = merged.HitLimit || u.HitLimit
 		merged.Interrupted = merged.Interrupted || u.Interrupted
-		if merged.FirstViolation == nil && u.FirstViolation != nil {
+		if merged.ViolationKind == "" && u.ViolationKind != "" {
 			merged.FirstViolation = u.FirstViolation
 			merged.ViolationKind = u.ViolationKind
 			// Schedules-to-first-bug in the deterministic unit order:
@@ -72,20 +72,20 @@ func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explo
 	return merged
 }
 
-// ParallelDPOR explores src with work-stealing DPOR: one DPOR search
-// spans all workers, exchanging frontier units (donated pending
-// backtrack branches, and backtrack points escaping a unit's prefix)
-// over a striped steal deque with a shared claim table, so the
-// partial-order reduction survives the fan-out. On exhausted spaces
-// with SleepSets off, every counter except Events — including
-// #schedules — is byte-identical to sequential explore.NewDPOR for
-// every backend and worker count. With SleepSets the coverage counters
-// (#HBRs/#lazy HBRs/#states) remain exact while #schedules and
-// #sleep-blocked depend on unit boundaries. Result.Steal carries the
-// worker/unit statistics.
-func ParallelDPOR(src model.Source, opt explore.Options, workers int) explore.Result {
+// ParallelDPOR explores src with work-stealing DPOR (with sleep sets
+// when sleep is set): one DPOR search spans all workers, exchanging
+// frontier units (donated pending backtrack branches, and backtrack
+// points escaping a unit's prefix) over a striped steal deque with a
+// shared claim table, so the partial-order reduction survives the
+// fan-out. On exhausted spaces without sleep sets, every counter
+// except Events — including #schedules — is byte-identical to
+// sequential explore.NewDPOR for every backend and worker count. With
+// sleep sets the coverage counters (#HBRs/#lazy HBRs/#states) remain
+// exact while #schedules and #sleep-blocked depend on unit
+// boundaries. Result.Steal carries the worker/unit statistics.
+func ParallelDPOR(src model.Source, opt explore.Options, workers int, sleep bool) explore.Result {
 	workers = normWorkers(workers)
-	outcomes, dedup, stats := workStealDPOR(src, opt, workers)
+	outcomes, dedup, stats := workStealDPOR(src, opt, workers, sleep)
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].key < outcomes[j].key })
 	units := make([]explore.Result, len(outcomes))
 	for i, o := range outcomes {
@@ -115,5 +115,5 @@ func (e *parallelEngine) Name() string {
 
 // Explore implements explore.Engine.
 func (e *parallelEngine) Explore(src model.Source, opt explore.Options) explore.Result {
-	return ParallelDPOR(src, opt, e.workers)
+	return ParallelDPOR(src, opt, e.workers, false)
 }

@@ -4,14 +4,15 @@
 // enumerating that frontier exhaustively would forfeit the
 // partial-order reduction across the partition layer; instead the
 // work-stealing scheme lets one DPOR search span all workers. Work is
-// exchanged as *units* (a pinned choice prefix plus an optional
-// happens-before tracker seed) on a striped deque: busy engines donate
-// pending backtrack branches when workers starve, and race reversals
-// that escape a unit's prefix are claimed against a shared node table
-// and become new units instead of being re-enumerated. Every branch of
-// the DPOR tree is claimed exactly once, so the merged counters equal
-// sequential DPOR's (see explore.Steal for the argument, and
-// parallel_test.go/steal_test.go for the pinned exactness).
+// exchanged as *units* (explore.Unit: a pinned choice prefix plus an
+// optional happens-before tracker seed and root sleep set) on a
+// striped deque: busy engines donate pending backtrack branches when
+// workers starve, and race reversals that escape a unit's prefix are
+// claimed against a shared node table and become new units instead of
+// being re-enumerated. Every branch of the DPOR tree is claimed exactly
+// once, so the merged counters equal sequential DPOR's (see
+// explore.Steal for the argument, and parallel_test.go/steal_test.go
+// for the pinned exactness).
 package campaign
 
 import (
@@ -27,24 +28,10 @@ import (
 	"repro/internal/model"
 )
 
-// wsUnit is one frontier unit: explore the subtree beneath prefix. The
-// seed, when non-nil, is a private tracker clone covering the first
-// len(prefix)-1 events, so the unit's prefix replay advances only the
-// machine. sleep is the sleep set of the unit's root state (the
-// explore.Options.SleepSeed the unit engine starts from); always zero
-// when the search runs without sleep sets.
-type wsUnit struct {
-	prefix []event.ThreadID
-	seed   *hb.Tracker
-	sleep  uint64
-}
-
-// key renders the unit's prefix as a map key (one byte per choice;
+// prefixKey renders a unit prefix as a map key (one byte per choice;
 // explore.MaxThreads bounds thread IDs well below 256). Lexicographic
 // order on keys equals lexicographic order on prefixes, which is what
 // makes the merged result deterministic.
-func (u *wsUnit) key() string { return prefixKey(u.prefix) }
-
 func prefixKey(prefix []event.ThreadID) string {
 	b := make([]byte, len(prefix))
 	for i, t := range prefix {
@@ -58,7 +45,7 @@ func prefixKey(prefix []event.ThreadID) string {
 // adjacent stripes never share a cache line.
 type stealStripe struct {
 	mu    sync.Mutex
-	units []*wsUnit
+	units []*explore.Unit
 	_     [32]byte
 }
 
@@ -96,7 +83,7 @@ func newStealQueue(workers int) *stealQueue {
 
 // push makes u available, crediting it to worker w's stripe. The
 // outstanding increment happens before the unit is visible.
-func (q *stealQueue) push(w int, u *wsUnit) {
+func (q *stealQueue) push(w int, u *explore.Unit) {
 	q.outstanding.Add(1)
 	q.pushed.Add(1)
 	q.queued.Add(1)
@@ -109,7 +96,7 @@ func (q *stealQueue) push(w int, u *wsUnit) {
 // tryPop returns a unit for worker w, or nil when every stripe is
 // empty: w's own stripe LIFO first, then a FIFO steal sweep over the
 // other stripes.
-func (q *stealQueue) tryPop(w int) *wsUnit {
+func (q *stealQueue) tryPop(w int) *explore.Unit {
 	own := &q.stripes[w]
 	own.mu.Lock()
 	if n := len(own.units); n > 0 {
@@ -142,7 +129,7 @@ func (q *stealQueue) tryPop(w int) *wsUnit {
 // next blocks until a unit is available for worker w or the search has
 // terminated (outstanding hit zero), spinning with escalating
 // politeness while other workers still hold units.
-func (q *stealQueue) next(w int) *wsUnit {
+func (q *stealQueue) next(w int) *explore.Unit {
 	if u := q.tryPop(w); u != nil {
 		return u
 	}
@@ -333,15 +320,15 @@ func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEn
 	for fresh != 0 {
 		t := event.ThreadID(bits.TrailingZeros64(fresh))
 		fresh &= fresh - 1
-		u := &wsUnit{
-			prefix: append(append([]event.ThreadID(nil), prefix...), t),
-			sleep:  unitSleep(e, done, t),
+		u := &explore.Unit{
+			Prefix:    append(append([]event.ThreadID(nil), prefix...), t),
+			SleepSeed: unitSleep(e, done, t),
 		}
 		done |= 1 << uint(t)
 		// A seed pays off only when it covers at least one event: the
 		// engine ignores TrackerSeed on single-choice prefixes.
 		if seed != nil && len(prefix) > 0 {
-			u.seed = seed()
+			u.TrackerSeed = seed()
 			h.seeded.Add(1)
 		}
 		if donated {
@@ -386,17 +373,16 @@ type unitOutcome struct {
 	res explore.Result
 }
 
-// workStealDPOR runs one work-stealing DPOR search across workers
-// (already normalised) and returns the per-unit outcomes (unsorted),
-// the shared dedup and the execution stats.
-func workStealDPOR(src model.Source, opt explore.Options, workers int) ([]unitOutcome, *explore.Dedup, explore.StealStats) {
+// workStealDPOR runs one work-stealing DPOR search (with sleep sets
+// when sleep is set) across workers (already normalised) and returns
+// the per-unit outcomes (unsorted), the shared dedup and the execution
+// stats.
+func workStealDPOR(src model.Source, opt explore.Options, workers int, sleep bool) ([]unitOutcome, *explore.Dedup, explore.StealStats) {
 	dedup := explore.NewDedup()
 	budget := explore.NewBudget(opt.ScheduleLimit)
 
 	unitOpt := opt
 	unitOpt.ScheduleLimit = 0
-	unitOpt.Dedup = dedup
-	unitOpt.SharedBudget = budget
 
 	q := newStealQueue(workers)
 	shared := &sharedHooks{q: q, table: newNodeTable(), ctr: opt.Counters}
@@ -406,7 +392,7 @@ func workStealDPOR(src model.Source, opt explore.Options, workers int) ([]unitOu
 
 	// The root unit: the whole tree. Its worker donates branches as
 	// soon as the other workers report starvation.
-	q.push(0, &wsUnit{})
+	q.push(0, &explore.Unit{})
 
 	// bugFound flips once any worker's unit captured a violation under
 	// StopAtFirstBug: units already running stop at their own first
@@ -433,22 +419,19 @@ func workStealDPOR(src model.Source, opt explore.Options, workers int) ([]unitOu
 				case unitOpt.Ctx != nil && unitOpt.Ctx.Err() != nil:
 					res = explore.Result{Interrupted: true}
 				default:
-					if shared.ctr != nil && len(u.prefix) > 0 {
+					if shared.ctr != nil && len(u.Prefix) > 0 {
 						// Shipped (non-root) units a worker picks up.
 						shared.ctr.StealReceived.Add(1)
 					}
-					o := unitOpt
-					o.Prefix = u.prefix
-					o.TrackerSeed = u.seed
-					o.SleepSeed = u.sleep
-					o.Steal = hooks
-					res = explore.NewDPOR(opt.SleepSets).Explore(src, o)
-					if opt.StopAtFirstBug && res.FirstViolation != nil {
+					unit := *u
+					unit.Steal, unit.Dedup, unit.Budget = hooks, dedup, budget
+					res = explore.ExploreDPORUnit(src, unitOpt, sleep, unit)
+					if opt.StopAtFirstBug && res.ViolationKind != "" {
 						bugFound.Store(true)
 					}
 				}
 				mu.Lock()
-				outcomes = append(outcomes, unitOutcome{key: u.key(), res: res})
+				outcomes = append(outcomes, unitOutcome{key: prefixKey(u.Prefix), res: res})
 				mu.Unlock()
 				q.complete()
 			}

@@ -38,7 +38,7 @@ func TestWorkStealDPORExact(t *testing.T) {
 					t.Fatalf("sequential DPOR unexpectedly hit a limit")
 				}
 				for _, workers := range stealWorkerCounts {
-					par := ParallelDPOR(bm.Program, opt, workers)
+					par := ParallelDPOR(bm.Program, opt, workers, false)
 					assertExact(t, workers, seq, par, true)
 					if par.Steal == nil || par.Steal.Workers != workers {
 						t.Errorf("backend=%v workers=%d: missing or wrong steal stats: %+v",
@@ -58,10 +58,10 @@ func TestWorkStealDPORSleepCoverage(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			bm := mustProgram(t, name)
-			opt := explore.Options{MaxSteps: 2000, RecordStates: true, SleepSets: true}
+			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
 			seq := explore.NewDPOR(true).Explore(bm.Program, opt)
 			for _, workers := range []int{2, 4} {
-				par := ParallelDPOR(bm.Program, opt, workers)
+				par := ParallelDPOR(bm.Program, opt, workers, true)
 				if err := par.CheckInvariant(); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -95,11 +95,11 @@ func TestWorkStealDPORShippedSleepExact(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			bm := mustProgram(t, name)
-			opt := explore.Options{MaxSteps: 2000, RecordStates: true, SleepSets: true}
+			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
 			seq := explore.NewDPOR(true).Explore(bm.Program, opt)
 			noSleep := explore.NewDPOR(false).Explore(bm.Program, explore.Options{MaxSteps: 2000})
 
-			solo := ParallelDPOR(bm.Program, opt, 1)
+			solo := ParallelDPOR(bm.Program, opt, 1, true)
 			assertExact(t, 1, seq, solo, true)
 			if solo.SleepBlocked != seq.SleepBlocked {
 				t.Errorf("workers=1: sleep-blocked %d, sequential %d", solo.SleepBlocked, seq.SleepBlocked)
@@ -110,7 +110,7 @@ func TestWorkStealDPORShippedSleepExact(t *testing.T) {
 			}
 
 			for _, workers := range []int{2, 4} {
-				par := ParallelDPOR(bm.Program, opt, workers)
+				par := ParallelDPOR(bm.Program, opt, workers, true)
 				if par.DistinctHBRs != seq.DistinctHBRs ||
 					par.DistinctLazyHBRs != seq.DistinctLazyHBRs ||
 					par.DistinctStates != seq.DistinctStates {
@@ -141,7 +141,7 @@ func TestWorkStealDPORForcedDonationExact(t *testing.T) {
 			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
 			seq := explore.NewDPOR(false).Explore(bm.Program, opt)
 			for _, workers := range stealWorkerCounts {
-				par := ParallelDPOR(bm.Program, opt, workers)
+				par := ParallelDPOR(bm.Program, opt, workers, false)
 				assertExact(t, workers, seq, par, true)
 			}
 		})
@@ -154,14 +154,14 @@ func TestWorkStealDPORForcedDonationExact(t *testing.T) {
 func TestWorkStealDPORBudget(t *testing.T) {
 	bm := mustProgram(t, "synth-03") // 299 DPOR schedules: comfortably above the limit
 	const limit, workers = 100, 4
-	res := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, workers)
+	res := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, workers, false)
 	if !res.HitLimit {
 		t.Fatalf("expected HitLimit on a %d-schedule budget", limit)
 	}
 	if res.Schedules < limit/2 || res.Schedules > limit+workers-1 {
 		t.Fatalf("budgeted run executed %d schedules, want ≈%d (≤ limit+workers−1)", res.Schedules, limit)
 	}
-	solo := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, 1)
+	solo := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, 1, false)
 	if solo.Schedules != limit || !solo.HitLimit {
 		t.Fatalf("workers=1 budgeted run executed %d schedules (hitLimit=%v), want exactly %d",
 			solo.Schedules, solo.HitLimit, limit)
@@ -195,7 +195,7 @@ func TestWorkStealDPORFuzzCorpus(t *testing.T) {
 		}
 		compared++
 		for _, workers := range workerCounts {
-			par := ParallelDPOR(src, opt, workers)
+			par := ParallelDPOR(src, opt, workers, false)
 			assertExact(t, workers, seq, par, true)
 			if t.Failed() {
 				t.Fatalf("first divergence on corpus entry %d (bytes %v)", i, data)
@@ -216,25 +216,25 @@ func TestWorkStealDPORFuzzCorpus(t *testing.T) {
 // every pushed unit to be completed.
 func TestStealQueueOrder(t *testing.T) {
 	q := newStealQueue(2)
-	mk := func(ts ...event.ThreadID) *wsUnit { return &wsUnit{prefix: ts} }
+	mk := func(ts ...event.ThreadID) *explore.Unit { return &explore.Unit{Prefix: ts} }
 	q.push(0, mk(0))
 	q.push(0, mk(1))
 	q.push(0, mk(2))
 
-	if u := q.tryPop(0); len(u.prefix) != 1 || u.prefix[0] != 2 {
-		t.Fatalf("own-stripe pop is not LIFO: got %v", u.prefix)
+	if u := q.tryPop(0); len(u.Prefix) != 1 || u.Prefix[0] != 2 {
+		t.Fatalf("own-stripe pop is not LIFO: got %v", u.Prefix)
 	}
-	if u := q.tryPop(1); len(u.prefix) != 1 || u.prefix[0] != 0 {
-		t.Fatalf("steal is not FIFO: got %v", u.prefix)
+	if u := q.tryPop(1); len(u.Prefix) != 1 || u.Prefix[0] != 0 {
+		t.Fatalf("steal is not FIFO: got %v", u.Prefix)
 	}
 	if got := q.stolen.Load(); got != 1 {
 		t.Fatalf("stolen counter = %d, want 1", got)
 	}
-	if u := q.tryPop(1); u.prefix[0] != 1 {
-		t.Fatalf("second steal got %v", u.prefix)
+	if u := q.tryPop(1); u.Prefix[0] != 1 {
+		t.Fatalf("second steal got %v", u.Prefix)
 	}
 	if u := q.tryPop(0); u != nil {
-		t.Fatalf("empty queue popped %v", u.prefix)
+		t.Fatalf("empty queue popped %v", u.Prefix)
 	}
 	q.complete()
 	q.complete()
@@ -244,7 +244,7 @@ func TestStealQueueOrder(t *testing.T) {
 	}
 	// With outstanding at zero, next must terminate instead of spinning.
 	if u := q.next(0); u != nil {
-		t.Fatalf("next returned %v after termination", u.prefix)
+		t.Fatalf("next returned %v after termination", u.Prefix)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestStealQueueRaceStress(t *testing.T) {
 	// Seed one unit per worker; each popped unit spawns children until
 	// its ID space is exhausted, mimicking donation.
 	for w := 0; w < workers; w++ {
-		q.push(w, &wsUnit{prefix: []event.ThreadID{event.ThreadID(w)}})
+		q.push(w, &explore.Unit{Prefix: []event.ThreadID{event.ThreadID(w)}})
 	}
 	var popped atomic64
 	var wg sync.WaitGroup
@@ -276,9 +276,9 @@ func TestStealQueueRaceStress(t *testing.T) {
 					return
 				}
 				popped.add(1)
-				if len(u.prefix) < perWorker/50 {
-					q.push(w, &wsUnit{prefix: append(append([]event.ThreadID(nil), u.prefix...), 0)})
-					q.push(w, &wsUnit{prefix: append(append([]event.ThreadID(nil), u.prefix...), 1)})
+				if len(u.Prefix) < perWorker/50 {
+					q.push(w, &explore.Unit{Prefix: append(append([]event.ThreadID(nil), u.Prefix...), 0)})
+					q.push(w, &explore.Unit{Prefix: append(append([]event.ThreadID(nil), u.Prefix...), 1)})
 				}
 				q.complete()
 			}

@@ -119,16 +119,16 @@ func (s *stripedSet) add(k [2]uint64) bool {
 func (s *stripedSet) len() int { return int(s.n.Load()) }
 
 // dedupSink abstracts the recorder's distinctness sets: localDedup
-// for engine-local runs, the lock-striped Dedup when shared between
-// workers. States deduplicate on binary digests; the string key of a
-// state is rendered and recorded (RecordStateKey) only for fresh
-// digests and only under Options.RecordStates.
+// for engine-local runs, the lock-striped Dedup a work-stealing unit
+// shares with its siblings (Unit.Dedup). States deduplicate on binary
+// digests; the string key of a state is rendered and recorded
+// (RecordStateKey) only for fresh digests and only under
+// Options.RecordStates.
 type dedupSink interface {
 	AddHBR(fp hb.Fingerprint) bool
 	AddLazy(fp hb.Fingerprint) bool
 	AddState(sig model.StateSig) bool
 	RecordStateKey(key string)
-	SortedStates() []string
 }
 
 // localDedup is the plain, single-goroutine sink — three digestSet
@@ -152,7 +152,7 @@ func (d *localDedup) SortedStates() []string {
 
 // Dedup holds the distinctness sets behind a Result's #HBRs,
 // #lazy HBRs and #states counters. A Dedup shared between concurrently
-// running engine instances (via Options.Dedup) makes the merged counts
+// running work-stealing units (via Unit.Dedup) makes the merged counts
 // exact: each terminal execution is attributed to exactly one worker,
 // and the sets deduplicate globally. States deduplicate on 128-bit
 // binary digests; the human-readable key set is populated only under
@@ -199,12 +199,12 @@ func (d *Dedup) SortedStates() []string {
 }
 
 // Budget is a schedule budget shared between concurrently running
-// engine instances: the parallel analogue of Options.ScheduleLimit.
-// Each completed execution consumes one token; the execution that
-// drains the last token stops its engine with HitLimit set, matching
-// the sequential `schedules >= limit` exit. Because the token is
-// taken after the execution ran, concurrent workers can overrun the
-// limit by at most workers−1 schedules.
+// work-stealing units (via Unit.Budget): the parallel analogue of
+// Options.ScheduleLimit. Each completed execution consumes one token;
+// the execution that drains the last token stops its engine with
+// HitLimit set, matching the sequential `schedules >= limit` exit.
+// Because the token is taken after the execution ran, concurrent
+// workers can overrun the limit by at most workers−1 schedules.
 type Budget struct {
 	remaining atomic.Int64
 }

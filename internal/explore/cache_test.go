@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/hb"
 	"repro/internal/model"
 	"repro/internal/progdsl"
 )
@@ -140,11 +141,24 @@ func TestCoarseTailFigure3Regime(t *testing.T) {
 	}
 }
 
-// TestCachingAcrossPrefixPartitions: the shared-handle API the
-// campaign package builds on — a caching engine split across disjoint
-// root prefixes, each partition pruning through its own cache and all
-// deduplicating through one shared Dedup — must still cover every
-// terminal state and lazy HBR class of the exhaustive space.
+// dropEscapes is a Steal coordinator that never donates and drops
+// every escaped backtrack point: a search split into one unit per root
+// choice explores every sibling prefix anyway, so a reversal into the
+// shared root is covered by another unit.
+type dropEscapes struct{}
+
+func (dropEscapes) Starving() bool { return false }
+func (dropEscapes) Publish([]event.ThreadID, uint64, uint64, func() *hb.Tracker, *NodeInfo) uint64 {
+	return 0
+}
+func (dropEscapes) Escape([]event.ThreadID, uint64, func() *hb.Tracker) {}
+func (dropEscapes) Claim([]event.ThreadID, uint64) uint64               { return 0 }
+
+// TestCachingAcrossPrefixPartitions: the shared distinctness caches
+// the campaign package builds on — DPOR units pinned to disjoint root
+// prefixes, each pruning its own subtree and all deduplicating through
+// one shared Dedup — must still cover every terminal state, lazy HBR
+// class and HBR class of the exhaustive space.
 func TestCachingAcrossPrefixPartitions(t *testing.T) {
 	for _, src := range soundnessZoo()[:8] {
 		src := src
@@ -161,10 +175,10 @@ func TestCachingAcrossPrefixPartitions(t *testing.T) {
 			dedup := NewDedup()
 			var totalTerminals int
 			for _, root := range roots {
-				res := NewLazyHBRCache().Explore(src, Options{
-					MaxSteps: 2000,
-					Prefix:   []event.ThreadID{root},
-					Dedup:    dedup,
+				res := ExploreDPORUnit(src, Options{MaxSteps: 2000}, false, Unit{
+					Prefix: []event.ThreadID{root},
+					Steal:  dropEscapes{},
+					Dedup:  dedup,
 				})
 				if res.HitLimit {
 					t.Fatalf("partition %d unexpectedly hit a limit", root)
@@ -178,8 +192,8 @@ func TestCachingAcrossPrefixPartitions(t *testing.T) {
 			if lazies != want.DistinctLazyHBRs {
 				t.Errorf("partitions covered %d lazy classes, exhaustive %d", lazies, want.DistinctLazyHBRs)
 			}
-			if hbrs > want.DistinctHBRs {
-				t.Errorf("partitions found %d HBRs, more than the exhaustive %d", hbrs, want.DistinctHBRs)
+			if hbrs != want.DistinctHBRs {
+				t.Errorf("partitions covered %d HBRs, exhaustive %d", hbrs, want.DistinctHBRs)
 			}
 			if totalTerminals < lazies {
 				t.Errorf("partitions completed %d schedules, fewer than their %d lazy classes", totalTerminals, lazies)

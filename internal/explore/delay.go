@@ -41,10 +41,6 @@ func (e *delayEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 
-	// A pinned prefix is replayed delay-free: the bound applies to
-	// the explored suffix.
-	base := c.replayPrefix(opt.Prefix, nil)
-
 	var tids tidPool
 	var nodes nodePool[dbNode]
 
@@ -104,7 +100,7 @@ func (e *delayEngine) Explore(src model.Source, opt Options) Result {
 		}
 		t := n.choices[n.next]
 		n.next++
-		c.resetTo(base + d)
+		c.resetTo(d)
 		c.step(t)
 		if !descend() {
 			break
@@ -190,7 +186,7 @@ func (e *iterEngine) Explore(src model.Source, opt Options) Result {
 		merged.Panics = max(merged.Panics, res.Panics)
 		merged.LockErrors = max(merged.LockErrors, res.LockErrors)
 		merged.Races = max(merged.Races, res.Races)
-		if merged.FirstViolation == nil && res.FirstViolation != nil {
+		if merged.ViolationKind == "" && res.ViolationKind != "" {
 			merged.FirstViolation = res.FirstViolation
 			merged.ViolationKind = res.ViolationKind
 			// merged.Schedules already includes this round's, so the
@@ -200,7 +196,7 @@ func (e *iterEngine) Explore(src model.Source, opt Options) Result {
 		if opt.RecordStates && len(res.States) >= len(merged.States) {
 			merged.States = res.States
 		}
-		if opt.StopAtFirstBug && merged.FirstViolation != nil {
+		if opt.StopAtFirstBug && merged.ViolationKind != "" {
 			break
 		}
 		if budget > 0 {

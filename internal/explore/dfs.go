@@ -72,11 +72,6 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 		return c.tr.HBFingerprint()
 	}
 
-	// The pinned prefix is replayed outside the caching discipline:
-	// its choices are mandated by the subtree partition, so a cache
-	// hit there must not abandon the whole unit.
-	base := c.replayPrefix(opt.Prefix, nil)
-
 	var stack []dfsNode
 	var pool tidPool
 
@@ -119,7 +114,7 @@ func (e *dfsEngine) Explore(src model.Source, opt Options) Result {
 		}
 		t := n.enabled[n.next]
 		n.next++
-		c.resetTo(base + d)
+		c.resetTo(d)
 		c.step(t)
 		if cache != nil && !cache.add(prefixFP()) {
 			rec.res.Pruned++

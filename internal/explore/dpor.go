@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"fmt"
+
 	"repro/internal/event"
 	"repro/internal/hb"
 	"repro/internal/model"
@@ -29,6 +31,15 @@ type dporEngine struct {
 // NewDPOR returns the classic DPOR engine; sleepSets enables sleep
 // sets.
 func NewDPOR(sleepSets bool) Engine { return &dporEngine{sleep: sleepSets} }
+
+// ExploreDPORUnit runs DPOR (with sleep sets when sleep is set) over
+// one work-stealing unit: the subtree beneath u.Prefix, coordinated
+// through u.Steal and counted into u.Dedup and u.Budget. The zero Unit
+// is the whole tree, exactly NewDPOR(sleep).Explore. It panics on a
+// unit that fails validation (a coordinator bug).
+func ExploreDPORUnit(src model.Source, opt Options, sleep bool, u Unit) Result {
+	return (&dporEngine{sleep: sleep}).explore(src, opt, u)
+}
 
 // NewLazyDPOR returns the experimental lazy DPOR engine (the paper's
 // Section 4 future work): DPOR whose lock-lock backtrack points are
@@ -242,9 +253,12 @@ func newDPORState(src model.Source, opt Options) *dporState {
 }
 
 // step executes thread t and indexes the produced event.
-func (s *dporState) step(t event.ThreadID) {
-	idx := int32(s.c.depth())
-	ev := s.c.step(t)
+func (s *dporState) step(t event.ThreadID) { s.index(s.c.step(t)) }
+
+// index appends ev, the event just executed, to its objects' access
+// logs.
+func (s *dporState) index(ev event.Event) {
+	idx := int32(s.c.depth() - 1)
 	switch ev.Kind {
 	case event.KindWrite:
 		s.varWrites[ev.Obj] = append(s.varWrites[ev.Obj], idx)
@@ -264,6 +278,56 @@ func (s *dporState) step(t event.ThreadID) {
 			mask >>= 1
 		}
 	}
+}
+
+// replayPrefix executes a unit's pinned choices through the access-log
+// indexer, so lastDep sees them, and returns each prefix state's pnode
+// for the escape computation. Choices covered by the unit's tracker
+// seed advance only the machine, and the seed is installed once they
+// are replayed. The coordinator builds prefixes from live executions,
+// so a choice that is not enabled is a coordinator bug.
+func (s *dporState) replayPrefix(u Unit) []pnode {
+	c := s.c
+	seedDepth := 0
+	if u.TrackerSeed != nil && len(u.Prefix) > 1 {
+		seedDepth = len(u.Prefix) - 1
+	}
+	pnodes := make([]pnode, 0, len(u.Prefix))
+	for i, t := range u.Prefix {
+		pn := pnode{
+			enabled: append([]event.ThreadID(nil), c.enabled()...),
+			steps:   make([]int32, c.src.NumThreads()),
+		}
+		for _, q := range pn.enabled {
+			pn.enabledSet.add(q)
+		}
+		if !pn.enabledSet.has(t) {
+			panic(fmt.Sprintf("explore: prefix choice t%d not enabled at depth %d", t, i))
+		}
+		for q := range pn.steps {
+			pn.steps[q] = c.m.Steps(event.ThreadID(q))
+		}
+		pnodes = append(pnodes, pn)
+		if i >= seedDepth {
+			s.step(t)
+			continue
+		}
+		ev := c.m.Step(t)
+		c.trace = append(c.trace, ev)
+		c.choices = append(c.choices, t)
+		c.events++
+		s.index(ev)
+		if i+1 == seedDepth {
+			c.tr = u.TrackerSeed
+			if c.backend == BackendUndo {
+				// The seed's undo log starts here: the pinned prefix
+				// below it is never rewound.
+				c.tr.EnableUndo()
+				c.trBase = seedDepth
+			}
+		}
+	}
+	return pnodes
 }
 
 // resetTo truncates the execution and the access logs to depth d.
@@ -348,46 +412,32 @@ func (s *dporState) lastDep(p event.ThreadID, op event.Op) int {
 	return -1
 }
 
-// Explore implements Engine.
+// Explore implements Engine: the whole tree, nothing shared.
 func (e *dporEngine) Explore(src model.Source, opt Options) Result {
+	return e.explore(src, opt, Unit{})
+}
+
+func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
+	if err := u.validate(src, opt); err != nil {
+		panic(err)
+	}
 	st := newDPORState(src, opt)
 	c := st.c
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
-	nthreads := src.NumThreads()
-
-	steal := opt.Steal
-
-	// A pinned prefix is replayed through st.step so the access logs
-	// cover it, but owns no stack nodes. Without a Steal coordinator,
-	// race reversals that would seed a backtrack point inside the
-	// prefix are dropped: the static campaign partitioner enumerates
-	// every sibling prefix exhaustively, so the reversed schedule
-	// lives in (and is found by) another partition's subtree. In
-	// work-stealing mode those reversals escape instead (see below),
-	// which is what recovers the reduction across the partition
-	// layer; pnodes retain the per-depth prefix state the escape
-	// computation needs.
-	var pnodes []pnode
-	replayStep := st.step
-	if steal != nil {
-		pnodes = make([]pnode, 0, len(opt.Prefix))
-		replayStep = func(t event.ThreadID) {
-			pn := pnode{
-				enabled: append([]event.ThreadID(nil), c.enabled()...),
-				steps:   make([]int32, nthreads),
-			}
-			for _, q := range pn.enabled {
-				pn.enabledSet.add(q)
-			}
-			for q := 0; q < nthreads; q++ {
-				pn.steps[q] = c.m.Steps(event.ThreadID(q))
-			}
-			pnodes = append(pnodes, pn)
-			st.step(t)
-		}
+	if u.Dedup != nil {
+		rec.dedup = u.Dedup
 	}
-	base := c.replayPrefix(opt.Prefix, replayStep)
+	rec.budget = u.Budget
+	nthreads := src.NumThreads()
+	steal := u.Steal
+
+	// The unit's pinned prefix owns no stack nodes: race reversals
+	// that would seed a backtrack point inside it escape to the Steal
+	// coordinator instead (see escape), which is what carries the
+	// reduction across unit boundaries.
+	pnodes := st.replayPrefix(u)
+	base := len(u.Prefix)
 
 	var nodes []*dnode
 
@@ -514,12 +564,8 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 	addBacktrack := func(i int, p event.ThreadID) {
 		if i < base+pubLocal {
 			// Reversal beneath the pinned prefix or a published
-			// node: globally claimed in work-stealing mode; without
-			// a coordinator the search covers only the subtree
-			// beneath its prefix.
-			if steal != nil {
-				escape(i, p)
-			}
+			// node: globally claimed through the coordinator.
+			escape(i, p)
 			return
 		}
 		n := nodes[i-base]
@@ -639,8 +685,8 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 			// The subtree root: a work-stealing coordinator shipped the
 			// sleep set this node would carry in the sequential search
 			// (already filtered by dependence against the prefix's last
-			// event); a standalone search starts with nothing asleep.
-			n.sleep = tset(opt.SleepSeed)
+			// event); a whole-tree search starts with nothing asleep.
+			n.sleep = tset(u.SleepSeed)
 		}
 		if e.sleep && len(nodes) > 0 {
 			parent := nodes[len(nodes)-1]

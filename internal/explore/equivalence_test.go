@@ -378,7 +378,7 @@ func TestBackendAblationExact(t *testing.T) {
 
 // TestBackendResolution pins the backend-selection rules: the zero
 // value is the undo log (for snapshottable programs), and explicit
-// requests are honoured, with or without a pinned prefix.
+// requests are honoured.
 func TestBackendResolution(t *testing.T) {
 	src := curatedFigure1()
 	for _, tc := range []struct {
@@ -387,7 +387,6 @@ func TestBackendResolution(t *testing.T) {
 	}{
 		{Options{}, BackendUndo},
 		{Options{Backend: BackendReplay}, BackendReplay},
-		{Options{Prefix: []event.ThreadID{0}}, BackendUndo},
 	} {
 		c := newCursor(src, tc.opt)
 		if c.backend != tc.want {

@@ -47,8 +47,6 @@ type Options struct {
 	// ablation tests assert byte-identical Result counters — so the
 	// zero value (the undo log) is right outside ablations.
 	Backend BackendKind
-	// SleepSets enables sleep sets in the DPOR engine.
-	SleepSets bool
 	// RecordStates retains the sorted set of distinct terminal state
 	// keys in Result.States — a diagnostic for cross-engine
 	// agreement checks; costly on large spaces.
@@ -68,46 +66,6 @@ type Options struct {
 	// cancellation: the engine stops at the next schedule boundary
 	// with Result.Interrupted set.
 	Ctx context.Context
-
-	// Prefix pins the first len(Prefix) scheduling choices: the
-	// engine replays them and explores only the subtree beneath.
-	// Partitioning a schedule space into disjoint prefixes and
-	// exploring each under a shared Dedup is how the campaign
-	// package parallelises a single search.
-	Prefix []event.ThreadID
-
-	// Dedup overrides the recorder's distinctness sets. Sharing one
-	// Dedup across concurrent subtree searches keeps the merged
-	// #HBRs/#lazy HBRs/#states exact. Nil uses engine-local sets.
-	Dedup *Dedup
-
-	// SharedBudget is the parallel analogue of ScheduleLimit: a
-	// token pool shared by concurrently running engine instances.
-	// Nil means no shared budget.
-	SharedBudget *Budget
-
-	// TrackerSeed, when non-nil, is a private happens-before tracker
-	// clone covering the first len(Prefix)-1 events of Prefix: the
-	// prefix replay then advances only the machine (and the engines'
-	// access logs) and installs the seed instead of re-deriving the
-	// clocks from the root. The seed's universe must match the
-	// explored program. Ignored unless len(Prefix) > 1.
-	TrackerSeed *hb.Tracker
-
-	// Steal, when non-nil, puts the DPOR engine in work-stealing
-	// mode: backtrack points that escape the pinned prefix are handed
-	// over instead of dropped, and pending local branches can be
-	// donated to starving workers. See the Steal interface.
-	Steal Steal
-
-	// SleepSeed is the sleep set (a thread bitmask) of the state
-	// reached after replaying Prefix — the root of the explored
-	// subtree. Work-stealing coordinators compute it when shipping a
-	// unit so DPOR with sleep sets prunes beneath a pinned prefix
-	// exactly as the sequential engine would at that node. Zero (the
-	// default) means no thread sleeps at the root. Ignored by engines
-	// without sleep sets.
-	SleepSeed uint64
 
 	// StopAtFirstBug stops the search the moment a terminal execution
 	// exhibits a safety violation: the violating execution is counted,
@@ -149,8 +107,9 @@ type Witness struct {
 	// found the witness.
 	Program, Engine string
 	// Choices is the complete schedule — the thread scheduled at every
-	// step, including any pinned Options.Prefix. Replaying it through
-	// an exec.Prefix chooser reproduces the violation.
+	// step, including a work-stealing unit's pinned Unit.Prefix.
+	// Replaying it through an exec.Prefix chooser reproduces the
+	// violation.
 	Choices []event.ThreadID
 	// Kind names the violation class ("panic", "deadlock",
 	// "assertion failure", "lock misuse", "data race").
@@ -180,13 +139,6 @@ func (o Options) Validate() error {
 	if o.StallTimeout < 0 {
 		return fmt.Errorf("explore: negative StallTimeout %v", o.StallTimeout)
 	}
-	if ms := o.maxSteps(); len(o.Prefix) > ms {
-		return fmt.Errorf("explore: prefix length %d exceeds step bound %d", len(o.Prefix), ms)
-	}
-	if o.TrackerSeed != nil && len(o.Prefix) > 1 && o.TrackerSeed.Events() != len(o.Prefix)-1 {
-		return fmt.Errorf("explore: tracker seed covers %d events, prefix wants %d",
-			o.TrackerSeed.Events(), len(o.Prefix)-1)
-	}
 	return o.validateObservability()
 }
 
@@ -198,9 +150,9 @@ const (
 	// O(1)-per-step undo logs — the only per-step copy is the stepping
 	// thread's coroutine, recycled where the frontend allows. Requires
 	// snapshottable coroutines; falls back to replay otherwise.
-	// Straight-line samplers with no pinned prefix use replay outright
-	// (see newWalkCursor). The backends are observationally identical,
-	// so the choice never changes a Result.
+	// Straight-line samplers use replay outright (see newWalkCursor).
+	// The backends are observationally identical, so the choice never
+	// changes a Result.
 	BackendUndo BackendKind = iota
 	// BackendReplay re-executes the retained prefix from the initial
 	// state on every backtrack. Works for every program, including
@@ -306,7 +258,9 @@ type Result struct {
 	Events   int64
 
 	// FirstViolation replays the first safety violation found
-	// (thread choice per step); ViolationKind names it.
+	// (thread choice per step); ViolationKind names it. A violation
+	// in the initial state has an empty FirstViolation, so a non-empty
+	// ViolationKind, not a non-nil FirstViolation, says one was found.
 	// FirstBugSchedule is the 1-based index of the violating execution
 	// — the schedules-to-first-bug metric of the paper's evaluation; 0
 	// when no violation was seen. For deterministic merges of parallel
@@ -378,13 +332,16 @@ func checkThreadCount(src model.Source) {
 }
 
 // recorder accumulates a Result plus the distinctness sets behind its
-// counters. With a shared Options.Dedup the per-recorder Distinct*
-// counters report only this instance's fresh discoveries; the merged
-// totals come from Dedup.Counts.
+// counters. In a work-stealing unit sharing a Dedup the per-recorder
+// Distinct* counters report only this instance's fresh discoveries;
+// the merged totals come from Dedup.Counts.
 type recorder struct {
 	res   Result
 	opt   Options
 	dedup dedupSink
+	// budget is a work-stealing unit's shared schedule budget (see
+	// Unit.Budget); nil everywhere else.
+	budget *Budget
 	// cur is the engine's cursor, read by telemetry flushes (events,
 	// backtracks, choices, resolved backend); tel is nil unless
 	// Options armed Counters, an Observer or a FlightRecorder — that
@@ -394,14 +351,10 @@ type recorder struct {
 }
 
 func newRecorder(src model.Source, engine string, opt Options, c *cursor) *recorder {
-	var dd dedupSink = opt.Dedup
-	if opt.Dedup == nil {
-		dd = &localDedup{}
-	}
 	return &recorder{
 		res:   Result{Program: src.Name(), Engine: engine},
 		opt:   opt,
-		dedup: dd,
+		dedup: &localDedup{},
 		cur:   c,
 		tel:   newTelemetry(opt, src.Name(), engine),
 	}
@@ -415,7 +368,7 @@ func (r *recorder) schedule() bool {
 	if r.tel != nil {
 		r.tel.boundary(r, r.cur, false)
 	}
-	if r.opt.StopAtFirstBug && r.res.FirstViolation != nil {
+	if r.opt.StopAtFirstBug && r.res.ViolationKind != "" {
 		// The witness is captured; the bug-finding run is over. This
 		// is a successful stop, not a budget stop: HitLimit stays
 		// unset.
@@ -425,7 +378,7 @@ func (r *recorder) schedule() bool {
 		r.res.HitLimit = true
 		return true
 	}
-	if b := r.opt.SharedBudget; b != nil && !b.take() {
+	if r.budget != nil && !r.budget.take() {
 		r.res.HitLimit = true
 		return true
 	}
@@ -502,7 +455,9 @@ func (r *recorder) terminal(c *cursor) {
 			// coming schedule boundary.
 			r.tel.violation = violation
 		}
-		if r.res.FirstViolation == nil {
+		if r.res.ViolationKind == "" {
+			// Keyed on the kind: a violation in the initial state has
+			// the empty (nil) schedule as its witness.
 			r.res.FirstViolation = append([]event.ThreadID(nil), c.choices...)
 			r.res.ViolationKind = violation
 			// terminal runs before schedule counts this execution, so
@@ -555,10 +510,10 @@ func (r *recorder) finish(c *cursor) Result {
 		// shared Counters after the search sees the exact totals.
 		r.tel.boundary(r, c, true)
 	}
-	if r.opt.RecordStates && r.opt.Dedup == nil {
+	if d, ok := r.dedup.(*localDedup); ok && r.opt.RecordStates {
 		// With a shared Dedup the caller assembles States from
 		// Dedup.SortedStates after every worker has finished.
-		r.res.States = r.dedup.SortedStates()
+		r.res.States = d.SortedStates()
 	}
 	return r.res
 }
@@ -587,16 +542,11 @@ type cursor struct {
 
 	// trBase is the depth the live tracker's undo log starts at (undo
 	// backend): the tracker undo mark for depth d is d−trBase. It is 0
-	// unless a shipped tracker seed was installed, in which case the
-	// seed's log starts at seedDepth. Engines never reset below their
-	// pinned prefix, so marks never go negative.
+	// unless a work-stealing unit installed its shipped tracker seed
+	// (see dporState.replayPrefix), whose log starts at the seed's
+	// depth. DPOR never resets below a unit's pinned prefix, so marks
+	// never go negative.
 	trBase int
-
-	// seed is the shipped tracker installed once the replayed prefix
-	// reaches seedDepth events; until then step skips all
-	// happens-before work (see Options.TrackerSeed).
-	seed      *hb.Tracker
-	seedDepth int
 
 	enabledBuf []event.ThreadID
 	events     int64
@@ -627,38 +577,20 @@ func newCursor(src model.Source, opt Options) *cursor {
 			c.backend = BackendReplay
 		}
 	}
-	if seed := opt.TrackerSeed; seed != nil && len(opt.Prefix) > 1 {
-		nt, nv, nm := seed.Universe()
-		if nt != src.NumThreads() || nv != src.NumVars() || nm != src.NumMutexes() || seed.Channels() != model.NumChannels(src) {
-			panic(fmt.Sprintf("explore: tracker seed universe (%d,%d,%d,%d chans) does not match program %q (%d,%d,%d,%d chans)",
-				nt, nv, nm, seed.Channels(), src.Name(), src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src)))
-		}
-		if seed.Events() != len(opt.Prefix)-1 {
-			panic(fmt.Sprintf("explore: tracker seed covers %d events, prefix wants %d",
-				seed.Events(), len(opt.Prefix)-1))
-		}
-		c.seed = seed
-		c.seedDepth = len(opt.Prefix) - 1
-	}
 	return c
 }
 
 // newWalkCursor builds the cursor for the sampling engines (random,
 // pct, pos), whose walks never backtrack mid-execution: every walk
-// runs straight to its end and resets to the replay base. With no
-// pinned prefix that base is the initial state, so the replay backend
-// is strictly cheaper there — a reset returns the machine and tracker
-// to their initial state in place, reusing their storage, instead of
-// paying per-step undo logging (a coroutine snapshot per event) on
-// the way forward — and the requested backend is overridden. The
-// backends are observationally identical, so Results are unchanged
-// (pinned by TestBackendAblationExact). A pinned prefix keeps the
-// requested backend: rewinding to the base then beats re-executing
-// the prefix on every walk.
+// runs straight to its end and resets to the initial state. The
+// replay backend is strictly cheaper there — a reset returns the
+// machine and tracker to their initial state in place, reusing their
+// storage, instead of paying per-step undo logging (a coroutine
+// snapshot per event) on the way forward — so the requested backend
+// is overridden. The backends are observationally identical, so
+// Results are unchanged (pinned by TestBackendAblationExact).
 func newWalkCursor(src model.Source, opt Options) *cursor {
-	if len(opt.Prefix) == 0 {
-		opt.Backend = BackendReplay
-	}
+	opt.Backend = BackendReplay
 	return newCursor(src, opt)
 }
 
@@ -685,26 +617,6 @@ func (c *cursor) diverged() bool { return c.m.HasDiverged() }
 
 // step executes thread t and folds the event into the trackers.
 func (c *cursor) step(t event.ThreadID) event.Event {
-	if len(c.trace) < c.seedDepth {
-		// The shipped tracker seed covers this prefix event: advance
-		// the machine only, and install the seed when the covered
-		// prefix is fully replayed.
-		ev := c.m.Step(t)
-		c.trace = append(c.trace, ev)
-		c.choices = append(c.choices, t)
-		c.events++
-		if len(c.trace) == c.seedDepth {
-			c.tr = c.seed
-			c.seed = nil
-			if c.backend == BackendUndo {
-				// The seed's undo log starts here: events below
-				// seedDepth are pinned prefix and never rewound.
-				c.tr.EnableUndo()
-				c.trBase = c.seedDepth
-			}
-		}
-		return ev
-	}
 	ev := c.m.Step(t)
 	c.tr.ApplyFast(ev)
 	c.trace = append(c.trace, ev)
@@ -713,33 +625,6 @@ func (c *cursor) step(t event.ThreadID) event.Event {
 	// The undo backend needs no per-step work here: the machine and
 	// tracker undo logs each recorded this step's reversal already.
 	return ev
-}
-
-// replayPrefix executes the pinned scheduling choices of a subtree
-// search (Options.Prefix) and returns the resulting base depth. The
-// engine must never resetTo below it. step overrides how each choice
-// executes (the DPOR engine routes through its access-log indexer);
-// nil uses c.step. Prefixes are produced by partitioning a live
-// schedule tree, so a choice that is not enabled indicates a
-// coordinator bug.
-func (c *cursor) replayPrefix(prefix []event.ThreadID, step func(event.ThreadID)) int {
-	if step == nil {
-		step = func(t event.ThreadID) { c.step(t) }
-	}
-	for _, t := range prefix {
-		ok := false
-		for _, e := range c.enabled() {
-			if e == t {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			panic(fmt.Sprintf("explore: prefix choice t%d not enabled at depth %d", t, c.depth()))
-		}
-		step(t)
-	}
-	return len(prefix)
 }
 
 // resetTo truncates the execution back to depth d (0 ≤ d ≤ depth()).
@@ -754,8 +639,8 @@ func (c *cursor) resetTo(d int) {
 	switch c.backend {
 	case BackendUndo:
 		// Both undo logs rewind in place: O(1) per popped step, no
-		// copies. The tracker log starts at trBase (0, or the seed
-		// install depth).
+		// copies. The tracker log starts at trBase (0, or a unit's
+		// seed install depth).
 		c.m.UndoTo(d)
 		c.tr.UndoTo(d - c.trBase)
 	default:

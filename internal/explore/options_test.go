@@ -7,29 +7,38 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/hb"
+	"repro/internal/model"
 )
 
 // TestOptionsValidate pins the structural validation batch drivers run
-// before exploring a grid.
+// before exploring a grid, and the work-stealing unit checks DPOR runs
+// on top of it (a zero unit is the plain search).
 func TestOptionsValidate(t *testing.T) {
-	seed := hb.NewTracker(2, 1, 1)
+	src := curatedFigure1()
+	seed := hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
 	cases := []struct {
 		name    string
 		opt     Options
+		unit    Unit
 		wantErr string
 	}{
-		{"zero value", Options{}, ""},
-		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendReplay}, ""},
-		{"negative limit", Options{ScheduleLimit: -1}, "negative ScheduleLimit"},
-		{"negative max steps", Options{MaxSteps: -3}, "negative MaxSteps"},
-		{"unknown backend", Options{Backend: BackendReplay + 1}, "unknown backend"},
-		{"prefix beyond bound", Options{MaxSteps: 2, Prefix: []event.ThreadID{0, 1, 0}}, "exceeds step bound"},
-		{"seed/prefix mismatch", Options{TrackerSeed: seed, Prefix: []event.ThreadID{0, 1, 0}}, "tracker seed covers"},
-		{"seed ignored on short prefix", Options{TrackerSeed: seed, Prefix: []event.ThreadID{0}}, ""},
+		{"zero value", Options{}, Unit{}, ""},
+		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendReplay}, Unit{}, ""},
+		{"negative limit", Options{ScheduleLimit: -1}, Unit{}, "negative ScheduleLimit"},
+		{"negative max steps", Options{MaxSteps: -3}, Unit{}, "negative MaxSteps"},
+		{"unknown backend", Options{Backend: BackendReplay + 1}, Unit{}, "unknown backend"},
+		{"prefix beyond bound", Options{MaxSteps: 2}, Unit{Prefix: []event.ThreadID{0, 1, 0}, Steal: dropEscapes{}}, "exceeds step bound"},
+		{"seed/prefix mismatch", Options{}, Unit{TrackerSeed: seed, Prefix: []event.ThreadID{0, 1, 0}, Steal: dropEscapes{}}, "tracker seed covers"},
+		{"seed ignored on short prefix", Options{}, Unit{TrackerSeed: seed, Prefix: []event.ThreadID{0}, Steal: dropEscapes{}}, ""},
+		{"seed universe mismatch", Options{}, Unit{TrackerSeed: hb.NewTracker(1, 1, 1), Prefix: []event.ThreadID{0, 1}, Steal: dropEscapes{}}, "universe"},
+		{"prefix without steal", Options{}, Unit{Prefix: []event.ThreadID{0}}, "needs a Steal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.opt.Validate()
+			if err == nil {
+				err = tc.unit.validate(src, tc.opt)
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -60,7 +69,8 @@ func TestNilSourcePanics(t *testing.T) {
 }
 
 // TestZeroBudgetMeansUnlimited: a non-positive shared budget is "no
-// budget" (nil), mirroring ScheduleLimit <= 0.
+// budget" (nil), mirroring ScheduleLimit <= 0, and a DPOR unit given
+// it explores the whole space.
 func TestZeroBudgetMeansUnlimited(t *testing.T) {
 	if b := NewBudget(0); b != nil {
 		t.Errorf("NewBudget(0) = %v, want nil", b)
@@ -69,8 +79,8 @@ func TestZeroBudgetMeansUnlimited(t *testing.T) {
 		t.Errorf("NewBudget(-5) = %v, want nil", b)
 	}
 	src := curatedSharedCounter()
-	full := NewDFS().Explore(src, Options{MaxSteps: 2000})
-	unlimited := NewDFS().Explore(src, Options{MaxSteps: 2000, SharedBudget: NewBudget(0)})
+	full := NewDPOR(false).Explore(src, Options{MaxSteps: 2000})
+	unlimited := ExploreDPORUnit(src, Options{MaxSteps: 2000}, false, Unit{Budget: NewBudget(0)})
 	if unlimited.Schedules != full.Schedules || unlimited.HitLimit {
 		t.Errorf("zero budget limited the search: %+v vs %+v", unlimited, full)
 	}

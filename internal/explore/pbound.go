@@ -86,15 +86,6 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 		return c.tr.HBFingerprint()
 	}
 
-	// A pinned prefix is replayed outside both the caching and the
-	// preemption-budget disciplines: the bound then applies to the
-	// explored suffix.
-	base := c.replayPrefix(opt.Prefix, nil)
-	baseThread := event.ThreadID(-1)
-	if base > 0 {
-		baseThread = opt.Prefix[base-1]
-	}
-
 	var tids tidPool
 	var ints slicePool[int]
 	var nodes nodePool[pbNode]
@@ -150,7 +141,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 				rec.cutShort(c)
 				return !rec.schedule()
 			}
-			prev := baseThread
+			prev := event.ThreadID(-1)
 			used := 0
 			if len(stack) > 0 {
 				parent := stack[len(stack)-1]
@@ -193,7 +184,7 @@ func (e *pboundEngine) Explore(src model.Source, opt Options) Result {
 		}
 		t := n.choices[n.next]
 		n.next++
-		c.resetTo(base + d)
+		c.resetTo(d)
 		c.step(t)
 		if cache != nil && !cache.add(prefixFP()) {
 			rec.res.Pruned++

@@ -122,7 +122,6 @@ func (e *pctEngine) Explore(src model.Source, opt Options) Result {
 	k := estimateEvents(opt.Ctx, src, c.mcfg, opt.maxSteps())
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
-	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]int, src.NumThreads())
 	rng := rand.New(&walkSource{})
@@ -168,12 +167,12 @@ func (e *pctEngine) Explore(src model.Source, opt Options) Result {
 		if rec.schedule() {
 			break
 		}
-		c.resetTo(base)
+		c.resetTo(0)
 	}
 	// Exhausting the walk budget is the normal exit and counts as
 	// hitting the limit, exactly like the random-walk baseline —
 	// unless a cancellation or first-bug stop cut the run short.
-	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.FirstViolation != nil) {
+	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.ViolationKind != "") {
 		rec.res.HitLimit = true
 	}
 	return rec.finish(c)

@@ -50,7 +50,6 @@ func (e *posEngine) Explore(src model.Source, opt Options) Result {
 	c := newWalkCursor(src, opt)
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
-	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]float64, src.NumThreads())
 	rng := rand.New(&walkSource{})
@@ -92,12 +91,12 @@ func (e *posEngine) Explore(src model.Source, opt Options) Result {
 		if rec.schedule() {
 			break
 		}
-		c.resetTo(base)
+		c.resetTo(0)
 	}
 	// Exhausting the walk budget is the normal exit and counts as
 	// hitting the limit, exactly like the random-walk baseline —
 	// unless a cancellation or first-bug stop cut the run short.
-	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.FirstViolation != nil) {
+	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.ViolationKind != "") {
 		rec.res.HitLimit = true
 	}
 	return rec.finish(c)

@@ -48,7 +48,6 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 	c := newWalkCursor(src, opt)
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
-	base := c.replayPrefix(opt.Prefix, nil)
 	rng := rand.New(&walkSource{})
 	for i := 0; i < walks; i++ {
 		rng.Seed(mixWalkSeed(e.seed, i))
@@ -63,14 +62,14 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 		if rec.schedule() {
 			break
 		}
-		c.resetTo(base)
+		c.resetTo(0)
 	}
 	// Random walks revisit schedules, so the invariant chain over
 	// *distinct* quantities still holds; exhausting the walk budget
 	// is the normal exit and counts as hitting the limit — unless a
 	// context cancellation or a first-bug stop cut the run short
 	// instead.
-	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.FirstViolation != nil) {
+	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.ViolationKind != "") {
 		rec.res.HitLimit = true
 	}
 	return rec.finish(c)

@@ -1,13 +1,88 @@
 package explore
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/event"
 	"repro/internal/hb"
+	"repro/internal/model"
 )
+
+// Unit is one work-stealing DPOR unit: the subtree beneath a pinned
+// choice prefix, explored by ExploreDPORUnit, plus the coordinator's
+// shared handles. It is the only way to pin a prefix: the other
+// engines always search from the initial state. The zero Unit is the
+// whole schedule tree with nothing shared, which is what
+// NewDPOR(...).Explore runs.
+type Unit struct {
+	// Prefix pins the first len(Prefix) scheduling choices: the engine
+	// replays them and explores only the subtree beneath. A non-empty
+	// Prefix requires Steal, which receives the backtrack points that
+	// land inside it.
+	Prefix []event.ThreadID
+
+	// TrackerSeed, when non-nil, is a private happens-before tracker
+	// clone covering the first len(Prefix)-1 events of Prefix: the
+	// prefix replay then advances only the machine (and DPOR's access
+	// logs) and installs the seed instead of re-deriving the clocks
+	// from the root. The seed's universe must match the explored
+	// program. Ignored unless len(Prefix) > 1.
+	TrackerSeed *hb.Tracker
+
+	// SleepSeed is the sleep set (a thread bitmask) of the state
+	// reached after replaying Prefix — the root of the explored
+	// subtree — computed by the coordinator so DPOR with sleep sets
+	// prunes beneath a pinned prefix exactly as the sequential engine
+	// would at that node. Zero means no thread sleeps at the root.
+	// Ignored without sleep sets.
+	SleepSeed uint64
+
+	// Steal, when non-nil, puts the DPOR engine in work-stealing mode:
+	// backtrack points that escape the pinned prefix are handed over,
+	// and pending local branches can be donated to starving workers.
+	// See the Steal interface.
+	Steal Steal
+
+	// Dedup, when non-nil, replaces the engine's own distinctness
+	// sets. Sharing one Dedup across a search's units keeps the merged
+	// #HBRs/#lazy HBRs/#states exact; the unit's Result then counts
+	// only its own fresh discoveries and carries no States.
+	Dedup *Dedup
+
+	// Budget, when non-nil, is the search-wide schedule budget shared
+	// by every unit; the unit stops with HitLimit set when it drains.
+	Budget *Budget
+}
+
+// validate reports a unit the engine cannot explore for src under
+// opt. Units come from the work-stealing coordinator, so a failure is
+// a coordinator bug.
+func (u Unit) validate(src model.Source, opt Options) error {
+	if len(u.Prefix) > 0 && u.Steal == nil {
+		return errors.New("explore: a unit with a pinned prefix needs a Steal coordinator")
+	}
+	if ms := opt.maxSteps(); len(u.Prefix) > ms {
+		return fmt.Errorf("explore: prefix length %d exceeds step bound %d", len(u.Prefix), ms)
+	}
+	seed := u.TrackerSeed
+	if seed == nil || len(u.Prefix) < 2 {
+		return nil
+	}
+	if nt, nv, nm := seed.Universe(); nt != src.NumThreads() || nv != src.NumVars() || nm != src.NumMutexes() || seed.Channels() != model.NumChannels(src) {
+		return fmt.Errorf("explore: tracker seed universe (%d,%d,%d,%d chans) does not match program %q (%d,%d,%d,%d chans)",
+			nt, nv, nm, seed.Channels(), src.Name(), src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
+	}
+	if seed.Events() != len(u.Prefix)-1 {
+		return fmt.Errorf("explore: tracker seed covers %d events, prefix wants %d",
+			seed.Events(), len(u.Prefix)-1)
+	}
+	return nil
+}
 
 // Steal is the coordination surface of work-stealing parallel DPOR
 // (implemented by the campaign package, consumed by the DPOR engine
-// through Options.Steal).
+// through Unit.Steal).
 //
 // The scheme: every concurrently explored subtree is a *unit* — a
 // pinned choice prefix plus, optionally, a shipped happens-before
@@ -40,7 +115,7 @@ import (
 // sleep sets disabled the merged Result counters are therefore
 // byte-identical to sequential DPOR's (see the campaign package's
 // exactness tests). Sleep sets make the *schedule list* (not the
-// coverage) order-dependent, so under SleepSets the merged coverage
+// coverage) order-dependent, so with sleep sets the merged coverage
 // counters remain exact while #schedules/#sleep-blocked may differ
 // from the sequential engine's.
 type Steal interface {
@@ -93,7 +168,7 @@ type Steal interface {
 // NodeInfo is the sleep-set context of a published node, captured by
 // the owning engine at publish time. A coordinator that ships a unit
 // for branch t of the node derives the unit's root sleep set
-// (Options.SleepSeed) exactly as the sequential engine's child-node
+// (Unit.SleepSeed) exactly as the sequential engine's child-node
 // rule: every thread in sleep ∪ (done-before-t ∖ {t}) stays asleep iff
 // its pending operation at the node is independent of the operation t
 // executes there.

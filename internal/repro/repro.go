@@ -84,12 +84,13 @@ func sigHex(s model.StateSig) string { return fmt.Sprintf("%016x%016x", s[0], s[
 
 // FromResult reconstructs the first-bug witness of a finished
 // exploration Result (its FirstViolation fields). The second return is
-// false when the result saw no violation. Parallel engines merge
-// FirstViolation deterministically, so the witness works for them too
-// — the winning worker's pinned prefix and local choices are already
-// concatenated in the recorded sequence.
+// false when the result saw no violation (no ViolationKind: a
+// violation in the initial state has an empty FirstViolation).
+// Parallel engines merge FirstViolation deterministically, so the
+// witness works for them too — the winning worker's pinned prefix and
+// local choices are already concatenated in the recorded sequence.
 func FromResult(res explore.Result) (explore.Witness, bool) {
-	if res.FirstViolation == nil {
+	if res.ViolationKind == "" {
 		return explore.Witness{}, false
 	}
 	return explore.Witness{

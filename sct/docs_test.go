@@ -105,6 +105,59 @@ func TestObservabilityDocInSync(t *testing.T) {
 	}
 }
 
+// optionsDocBullet matches one bold field name, **`Field`**, in a
+// bullet of docs/ENGINES.md's Options contract.
+var optionsDocBullet = regexp.MustCompile("\\*\\*`([A-Za-z]+)`\\*\\*")
+
+// TestOptionsDocInSync pins docs/ENGINES.md's Options contract to
+// sct.Options (explore.Options), in both directions: every exported
+// field must have a **`Field`** bullet, and every bullet must name a
+// field. Runs under make api-check, so adding an option without
+// documenting its contract (or removing one the doc still promises)
+// fails CI.
+func TestOptionsDocInSync(t *testing.T) {
+	raw, err := os.ReadFile("../docs/ENGINES.md")
+	if err != nil {
+		t.Fatalf("engine-author guide missing: %v", err)
+	}
+	text := string(raw)
+	start := strings.Index(text, "## The Engine interface and the Options contract")
+	if start < 0 {
+		t.Fatal("docs/ENGINES.md has no Options contract section")
+	}
+	section := text[start:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "- ") {
+			continue
+		}
+		for _, m := range optionsDocBullet.FindAllStringSubmatch(line, -1) {
+			documented[m[1]] = true
+		}
+	}
+
+	fields := map[string]bool{}
+	ot := reflect.TypeOf(sct.Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if f := ot.Field(i); f.IsExported() {
+			fields[f.Name] = true
+		}
+	}
+	for name := range documented {
+		if !fields[name] {
+			t.Errorf("docs/ENGINES.md documents option %q, which is not an Options field", name)
+		}
+	}
+	for name := range fields {
+		if !documented[name] {
+			t.Errorf("Options field %q has no **`%s`** bullet in the docs/ENGINES.md Options contract", name, name)
+		}
+	}
+}
+
 // TestChannelDocInSync pins the channel documentation to the facade
 // API: docs/ENGINES.md must keep its "Channel dependence rules"
 // section naming every channel event kind, the README must keep the

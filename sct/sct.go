@@ -179,7 +179,7 @@ func Run(ctx context.Context, src Source, engine string, opts ...Option) (*Repor
 		// never a program-under-test bug.
 		return rep, fmt.Errorf("sct: %s on %s: %w", engine, src.Name(), err)
 	}
-	if res.FirstViolation != nil {
+	if res.ViolationKind != "" {
 		// StallTimeout carries over as insurance: a recorded witness
 		// never schedules into a diverging branch, but a buggy or
 		// nondeterministic program could still stall the replay.

@@ -367,6 +367,37 @@ func TestRunFindsAndReplaysViolation(t *testing.T) {
 	}
 }
 
+// TestZeroStepDeadlockKeepsWitness: a program deadlocked in its
+// initial state has the empty schedule as its witness. Every engine,
+// the pdpor merge included, must report the violation, replay it into
+// Report.Violation and capture it as a counterexample.
+func TestZeroStepDeadlockKeepsWitness(t *testing.T) {
+	p := sct.NewProgram("zero-step-deadlock")
+	c := p.Chan("c", 0)
+	p.Thread(func(g *sct.G) { g.Recv(c) })
+	for _, engine := range []string{"dfs", "dpor", "random", "pdpor:2"} {
+		rep, err := sct.Run(context.Background(), p, engine, sct.WithBounds(10, 100))
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if rep.Deadlocks < 1 || rep.ViolationKind != "deadlock" || rep.FirstBugSchedule != 1 {
+			t.Errorf("%s: deadlocks=%d kind=%q first bug at %d, want ≥1, deadlock, 1",
+				engine, rep.Deadlocks, rep.ViolationKind, rep.FirstBugSchedule)
+		}
+		if rep.Violation == nil {
+			t.Errorf("%s: the zero-step deadlock lost its witness", engine)
+		} else if len(rep.Violation.Schedule) != 0 || !rep.Violation.Outcome.Deadlock {
+			t.Errorf("%s: violation %+v, want the empty schedule replaying to a deadlock", engine, rep.Violation)
+		}
+		cx, err := rep.Counterexample()
+		if err != nil {
+			t.Errorf("%s: %v", engine, err)
+		} else if cx.Kind() != "deadlock" || len(cx.Choices()) != 0 {
+			t.Errorf("%s: counterexample %v, want an empty deadlock witness", engine, cx)
+		}
+	}
+}
+
 // TestRunCleanProgram: two writes to distinct variables commute, so
 // DFS sees one terminal state and no violation.
 func TestRunCleanProgram(t *testing.T) {
