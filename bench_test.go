@@ -331,7 +331,8 @@ func BenchmarkBacktrackAllocs(b *testing.B) {
 	bm := mustBench(b, "coarse-tail-3x3")
 	opt := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000, Backend: explore.BackendUndo}
 	engines := []explore.Engine{explore.NewDFS(), explore.NewDPOR(false),
-		explore.NewHBRCache(), explore.NewLazyHBRCache()}
+		explore.NewHBRCache(), explore.NewLazyHBRCache(),
+		explore.NewPreemptionBounded(2), explore.NewDelayBounded(4)}
 	for _, eng := range engines {
 		eng := eng
 		b.Run(eng.Name(), func(b *testing.B) {

@@ -51,7 +51,7 @@ func init() {
 		Name: "db", Usage: "db:N", Summary: "delay-bounded DFS",
 		Grid: []string{"db:2"},
 		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := IntArg(argv, 0, 2)
+			bound, err := boundArg(argv, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +62,7 @@ func init() {
 		Name: "chess-pb", Usage: "chess-pb:N",
 		Summary: "iterative preemption-bound deepening (CHESS)",
 		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := IntArg(argv, 0, 3)
+			bound, err := boundArg(argv, 3)
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +73,7 @@ func init() {
 		Name: "chess-db", Usage: "chess-db:N",
 		Summary: "iterative delay-bound deepening",
 		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := IntArg(argv, 0, 3)
+			bound, err := boundArg(argv, 3)
 			if err != nil {
 				return nil, err
 			}
@@ -140,8 +140,18 @@ func init() {
 	})
 }
 
+// boundArg parses a bounded search's bound, the first argument,
+// rejecting a negative one.
+func boundArg(argv []string, dflt int) (int, error) {
+	bound, err := IntArg(argv, 0, dflt)
+	if err == nil && bound < 0 {
+		err = fmt.Errorf("bound %d (want >= 0)", bound)
+	}
+	return bound, err
+}
+
 func buildPB(argv []string) (explore.Engine, error) {
-	bound, err := IntArg(argv, 0, 2)
+	bound, err := boundArg(argv, 2)
 	if err != nil {
 		return nil, err
 	}

@@ -3,111 +3,8 @@ package explore
 import (
 	"fmt"
 
-	"repro/internal/event"
 	"repro/internal/model"
 )
-
-// delayEngine implements delay bounding (Emmi, Qadeer & Rakamarić's
-// scheduling discipline, popularised by CHESS-family testers): the
-// scheduler is deterministic — always the lowest-numbered enabled
-// thread — except for at most `bound` "delays", each of which skips the
-// thread the deterministic scheduler would have run. With bound 0 the
-// search is a single schedule; each extra delay multiplies the space
-// only linearly in the points where it can be spent, which makes delay
-// bounding an even more aggressive (and even less complete) prioriti-
-// sation than preemption bounding.
-type delayEngine struct {
-	bound int
-}
-
-// NewDelayBounded returns a delay-bounded enumeration engine.
-func NewDelayBounded(bound int) Engine { return &delayEngine{bound: bound} }
-
-// Name implements Engine.
-func (e *delayEngine) Name() string { return fmt.Sprintf("db%d-dfs", e.bound) }
-
-// dbNode is one depth of the delay-bounded enumeration: choices[0] is
-// the deterministic pick (cost 0); choices[i] skips i enabled threads
-// (cost i).
-type dbNode struct {
-	choices []event.ThreadID
-	next    int
-	used    int
-}
-
-// Explore implements Engine.
-func (e *delayEngine) Explore(src model.Source, opt Options) Result {
-	c := newCursor(src, opt)
-	defer c.close()
-	rec := newRecorder(src, e.Name(), opt, c)
-
-	var tids tidPool
-	var nodes nodePool[dbNode]
-
-	// freeNode returns a popped node's buffers to the pools.
-	freeNode := func(n *dbNode) {
-		tids.put(n.choices)
-		nodes.put(n)
-	}
-
-	makeNode := func(used int) *dbNode {
-		en := c.enabled()
-		n := nodes.get()
-		*n = dbNode{used: used, choices: tids.get()}
-		for i, t := range en {
-			if used+i > e.bound {
-				break
-			}
-			n.choices = append(n.choices, t)
-		}
-		return n
-	}
-
-	var stack []*dbNode
-
-	descend := func() bool {
-		for {
-			if c.truncated() {
-				rec.cutShort(c)
-				return !rec.schedule()
-			}
-			if c.terminal() {
-				rec.terminal(c)
-				return !rec.schedule()
-			}
-			used := 0
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				used = parent.used + parent.next - 1
-			}
-			n := makeNode(used)
-			stack = append(stack, n)
-			n.next = 1
-			c.step(n.choices[0])
-		}
-	}
-
-	if !descend() {
-		return rec.finish(c)
-	}
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		n := stack[d]
-		if n.next >= len(n.choices) {
-			freeNode(n)
-			stack = stack[:d]
-			continue
-		}
-		t := n.choices[n.next]
-		n.next++
-		c.resetTo(d)
-		c.step(t)
-		if !descend() {
-			break
-		}
-	}
-	return rec.finish(c)
-}
 
 // iterEngine is iterative bound deepening: run the bounded engine with
 // bound 0, 1, 2, ... until either the schedule budget is exhausted or

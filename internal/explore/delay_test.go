@@ -135,3 +135,20 @@ func TestBoundedEngineNames(t *testing.T) {
 		t.Error("chess-db name wrong")
 	}
 }
+
+// TestNegativeBoundClampsToZero: the bounded constructors read a
+// negative bound as 0, as NewPCT reads a depth below 1 as 1, so a
+// negative bound can neither crash the search nor abandon paths.
+func TestNegativeBoundClampsToZero(t *testing.T) {
+	src := curatedSharedCounter()
+	for _, pair := range [][2]Engine{
+		{NewPreemptionBounded(-1), NewPreemptionBounded(0)},
+		{NewPreemptionBoundedCache(-1, true), NewPreemptionBoundedCache(0, true)},
+		{NewDelayBounded(-1), NewDelayBounded(0)},
+	} {
+		got, want := pair[0].Explore(src, Options{}), pair[1].Explore(src, Options{})
+		if got.Engine != want.Engine || countersOf(got) != countersOf(want) {
+			t.Errorf("%s explored %+v, want %s's %+v", got.Engine, countersOf(got), want.Engine, countersOf(want))
+		}
+	}
+}

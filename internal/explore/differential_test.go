@@ -17,6 +17,8 @@ import (
 //     space;
 //   - the caching engines' lazy-class coverage is ordered
 //     (lazy ≥ regular) under any shared budget.
+//
+// The programs are independent, so they run in parallel.
 func TestDifferentialEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow in -short mode")
@@ -37,6 +39,7 @@ func TestDifferentialEngines(t *testing.T) {
 	for seed := int64(500); seed < 560; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			src := genRandomProgram(seed)
 			dfs := NewDFS().Explore(src, Options{ScheduleLimit: probeLimit, MaxSteps: 2000, RecordStates: true})
 			if err := dfs.CheckInvariant(); err != nil {

@@ -3,8 +3,10 @@ package explore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/progdsl"
 )
@@ -222,20 +224,20 @@ func TestRandomWalkFindsViolationsEventually(t *testing.T) {
 }
 
 // TestViolationScheduleReplays: the recorded FirstViolation schedule
-// reproduces the violation via exec.Replay (through the core facade it
-// is the user-facing repro artifact).
+// reproduces the violation through exec.Replay, the independent
+// single-execution loop every counterexample artifact is replayed
+// through, which shares no code with the engines' cursor.
 func TestViolationScheduleReplays(t *testing.T) {
 	res := NewDFS().Explore(curatedDeadlockable(), Options{MaxSteps: 2000})
-	if res.FirstViolation == nil {
-		t.Fatal("DFS must find the deadlock")
+	if res.ViolationKind != "deadlock" {
+		t.Fatalf("DFS must find the deadlock, got %q", res.ViolationKind)
 	}
-	c := newCursor(curatedDeadlockable(), Options{MaxSteps: 2000})
-	defer c.close()
-	for _, tid := range res.FirstViolation {
-		c.step(tid)
+	out := exec.Replay(curatedDeadlockable(), res.FirstViolation, exec.Options{MaxSteps: 2000})
+	if !out.Deadlock || out.ViolationKind() != res.ViolationKind {
+		t.Errorf("replaying the recorded schedule must reproduce the deadlock, got %q", out.ViolationKind())
 	}
-	if !c.m.Deadlocked() {
-		t.Error("replaying the recorded schedule must reproduce the deadlock")
+	if !slices.Equal(out.Choices, res.FirstViolation) {
+		t.Errorf("replay took schedule %v, want the recorded %v", out.Choices, res.FirstViolation)
 	}
 }
 

@@ -40,7 +40,7 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 		})
 		return count < cap
 	}
-	var stack []dfsNode
+	var stack []treeNode
 	descend := func() bool {
 		for {
 			en := c.enabled()
@@ -50,7 +50,7 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 			if c.truncated() {
 				t.Fatalf("%s: truncated during exhaustive enumeration", src.Name())
 			}
-			stack = append(stack, dfsNode{enabled: append([]event.ThreadID(nil), en...), next: 1})
+			stack = append(stack, treeNode{choices: append([]event.ThreadID(nil), en...), next: 1})
 			c.step(en[0])
 		}
 	}
@@ -60,11 +60,11 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 	for len(stack) > 0 {
 		d := len(stack) - 1
 		n := &stack[d]
-		if n.next >= len(n.enabled) {
+		if n.next >= len(n.choices) {
 			stack = stack[:d]
 			continue
 		}
-		tid := n.enabled[n.next]
+		tid := n.choices[n.next]
 		n.next++
 		c.resetTo(d)
 		c.step(tid)
@@ -298,7 +298,8 @@ func genRandomProgram(seed int64) *progdsl.Program {
 
 // TestTheoremsOnRandomPrograms is the property-based validation: 60
 // seeded random programs, exhaustively enumerated, must satisfy
-// Theorems 2.1 and 2.2 and the counting chain.
+// Theorems 2.1 and 2.2 and the counting chain. The programs are
+// independent, so they run in parallel.
 func TestTheoremsOnRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive enumeration is slow in -short mode")
@@ -306,6 +307,7 @@ func TestTheoremsOnRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			checkTheorems(t, genRandomProgram(seed), 20000)
 		})
 	}

@@ -23,7 +23,8 @@ const fuzzProbeLimit = 3000
 //   - when exhaustive DFS exhausts the space, every complete engine
 //     (DPOR ± sleep sets, lazy DPOR, HBR/lazy-HBR caching) agrees with
 //     it on the distinct-state/HBR/lazy-HBR counts and on the state
-//     set itself.
+//     set itself, and preemption and delay bounding under a bound that
+//     cannot bind run exactly its schedules.
 func checkEngineEquivalence(t *testing.T, data []byte) {
 	src := progdsl.FromBytes("fuzz", data)
 	if src == nil {
@@ -47,13 +48,19 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 		// deliberately stop exploring an equivalence class early, so
 		// only their state coverage is complete.
 		fullCoverage bool
+		// partial engines' bound binds, so they search part of the
+		// space by design: only the counting chain and the backend
+		// identity apply.
+		partial bool
 	}{
-		{NewDFS(), true},
-		{NewDPOR(false), true},
-		{NewDPOR(true), true},
-		{NewLazyDPOR(), false},
-		{NewHBRCache(), false},
-		{NewLazyHBRCache(), false},
+		{NewDFS(), true, false},
+		{NewDPOR(false), true, false},
+		{NewDPOR(true), true, false},
+		{NewLazyDPOR(), false, false},
+		{NewHBRCache(), false, false},
+		{NewLazyHBRCache(), false, false},
+		{NewPreemptionBounded(1), false, true},
+		{NewDelayBounded(1), false, true},
 	}
 	for _, e := range engines {
 		eng := e.eng
@@ -65,7 +72,7 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 		if got, want := countersOf(undo), countersOf(repl); got != want {
 			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
 		}
-		if exhausted && !undo.HitLimit {
+		if exhausted && !undo.HitLimit && !e.partial {
 			if e.fullCoverage &&
 				(undo.DistinctHBRs != dfs.DistinctHBRs || undo.DistinctLazyHBRs != dfs.DistinctLazyHBRs) {
 				t.Errorf("%s HBR coverage disagrees with exhaustive DFS:\n %s=%+v\n dfs=%+v",
@@ -79,6 +86,27 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 				(undo.Deadlocks > 0) != (dfs.Deadlocks > 0) ||
 				(undo.Races > 0) != (dfs.Races > 0) {
 				t.Errorf("%s safety verdicts disagree with exhaustive DFS", eng.Name())
+			}
+		}
+	}
+
+	// Preemption and delay bounding under a bound no execution can
+	// reach (a step spends at most one preemption, or one delay per
+	// other thread) prune nothing: when DFS exhausts the space they
+	// must run exactly its schedules, so every schedule-set counter —
+	// HBRs, lazy HBRs, states, the state set, the verdict counts —
+	// matches DFS's. Only the order differs, and with it the first
+	// violation found.
+	if exhausted {
+		const unbound = 500 * MaxThreads
+		want := countersOf(dfs)
+		want.ViolationKind, want.FirstViolation = "", ""
+		for _, eng := range []Engine{NewPreemptionBounded(unbound), NewDelayBounded(unbound)} {
+			res := eng.Explore(src, mkOpt(BackendUndo))
+			got := countersOf(res)
+			got.ViolationKind, got.FirstViolation = "", ""
+			if got != want || !reflect.DeepEqual(res.States, dfs.States) {
+				t.Errorf("%s disagrees with exhaustive DFS:\n %+v\n dfs=%+v", eng.Name(), got, want)
 			}
 		}
 	}
@@ -147,6 +175,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 // TestEngineEquivalenceCorpus replays a bounded deterministic slice of
 // the fuzz input space in the normal -short suite, so the differential
 // oracle gates every CI run rather than only explicit fuzz sessions.
+// Each input is self-contained, so the inputs run in parallel.
 func TestEngineEquivalenceCorpus(t *testing.T) {
 	n := 120
 	if testing.Short() {
@@ -155,6 +184,7 @@ func TestEngineEquivalenceCorpus(t *testing.T) {
 	for i, data := range progdsl.FuzzCorpus(n, 7) {
 		i, data := i, data
 		t.Run(fmt.Sprintf("corpus-%03d", i), func(t *testing.T) {
+			t.Parallel()
 			checkEngineEquivalence(t, data)
 		})
 	}

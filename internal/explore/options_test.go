@@ -108,38 +108,47 @@ func TestUnknownBackendFailsLoudly(t *testing.T) {
 }
 
 // TestCancelledCtxStopsEveryEngine: a context cancelled before the
-// search starts stops every engine at its first schedule boundary with
-// Interrupted set — the counters cover exactly the one execution that
-// ran.
+// search starts stops every engine with Interrupted set. A systematic
+// engine stops at its first schedule boundary — the counters cover
+// exactly the one execution that ran. A sampler checks the context
+// before each walk, as a single hostile walk can stall for the whole
+// StallTimeout, so it runs none.
 func TestCancelledCtxStopsEveryEngine(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	engines := []Engine{
-		NewDFS(),
-		NewDPOR(false),
-		NewDPOR(true),
-		NewLazyDPOR(),
-		NewHBRCache(),
-		NewLazyHBRCache(),
-		NewPreemptionBounded(2),
-		NewDelayBounded(2),
-		NewRandomWalk(3),
+	groups := []struct {
+		engines   []Engine
+		schedules int
+	}{
+		{[]Engine{
+			NewDFS(),
+			NewDPOR(false),
+			NewDPOR(true),
+			NewLazyDPOR(),
+			NewHBRCache(),
+			NewLazyHBRCache(),
+			NewPreemptionBounded(2),
+			NewDelayBounded(2),
+		}, 1},
+		{[]Engine{NewRandomWalk(3), NewPCT(3, 3), NewPOS(3)}, 0},
 	}
 	src := curatedSharedCounter()
-	for _, eng := range engines {
-		eng := eng
-		t.Run(eng.Name(), func(t *testing.T) {
-			res := eng.Explore(src, Options{MaxSteps: 2000, Ctx: ctx})
-			if !res.Interrupted {
-				t.Fatalf("cancelled context did not interrupt: %+v", res)
-			}
-			if res.Schedules != 1 {
-				t.Errorf("interrupted search ran %d schedules, want 1 (stop at first boundary)", res.Schedules)
-			}
-			if err := res.CheckInvariant(); err != nil {
-				t.Errorf("partial result breaks the invariant chain: %v", err)
-			}
-		})
+	for _, g := range groups {
+		for _, eng := range g.engines {
+			want := g.schedules
+			t.Run(eng.Name(), func(t *testing.T) {
+				res := eng.Explore(src, Options{MaxSteps: 2000, Ctx: ctx})
+				if !res.Interrupted {
+					t.Fatalf("cancelled context did not interrupt: %+v", res)
+				}
+				if res.Schedules != want {
+					t.Errorf("interrupted search ran %d schedules, want %d", res.Schedules, want)
+				}
+				if err := res.CheckInvariant(); err != nil {
+					t.Errorf("partial result breaks the invariant chain: %v", err)
+				}
+			})
+		}
 	}
 }
 

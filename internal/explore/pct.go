@@ -111,69 +111,44 @@ func estimateEvents(ctx context.Context, src model.Source, mcfg model.MachineCon
 
 // Explore implements Engine.
 func (e *pctEngine) Explore(src model.Source, opt Options) Result {
-	walks := opt.ScheduleLimit
-	if walks <= 0 {
-		walks = 1000
-	}
-	// The walk count is the budget; disable the generic limit check so
-	// the budget semantics match the random-walk baseline exactly.
-	opt.ScheduleLimit = 0
-	c := newWalkCursor(src, opt)
-	k := estimateEvents(opt.Ctx, src, c.mcfg, opt.maxSteps())
-	defer c.close()
-	rec := newRecorder(src, e.Name(), opt, c)
+	return sample(src, opt, e.Name(), e.seed, func(c *cursor) walker {
+		return &pctWalk{
+			depth: e.depth,
+			k:     estimateEvents(opt.Ctx, src, c.mcfg, opt.maxSteps()),
+			prio:  make([]int, src.NumThreads()),
+		}
+	})
+}
 
-	prio := make([]int, src.NumThreads())
-	rng := rand.New(&walkSource{})
-	for i := 0; i < walks; i++ {
-		// Check cancellation before the walk, not only after it: a
-		// hostile program can make a single walk pay a wall-clock
-		// stall, which a cancelled exploration must not start.
-		if opt.interrupted() {
-			rec.res.Interrupted = true
-			break
-		}
-		rng.Seed(mixWalkSeed(e.seed, i))
-		// Initial priorities: a random permutation of d..d+n−1, every
-		// one above every change-point value 1..d−1.
-		for t, p := range rng.Perm(len(prio)) {
-			prio[t] = e.depth + p
-		}
-		points := pctChangePoints(rng, e.depth, k)
-		steps := 0
-		for !c.truncated() {
-			en := c.enabled()
-			if len(en) == 0 {
-				break
-			}
-			t := en[0]
-			for _, q := range en[1:] {
-				if prio[q] > prio[t] {
-					t = q
-				}
-			}
-			c.step(t)
-			steps++
-			// Change points may coincide on one step; each still
-			// assigns its own distinct value, the last one winning,
-			// so priorities stay pairwise distinct throughout.
-			for j, at := range points {
-				if at == steps {
-					prio[t] = j + 1
-				}
-			}
-		}
-		rec.classifyWalk(c)
-		if rec.schedule() {
-			break
-		}
-		c.resetTo(0)
+// pctWalk runs the highest-priority enabled thread and lowers the
+// running thread's priority at each change point.
+type pctWalk struct {
+	depth, k int
+	prio     []int
+	points   []int
+	steps    int
+}
+
+func (w *pctWalk) begin(rng *rand.Rand) {
+	// Initial priorities: a random permutation of d..d+n−1, every one
+	// above every change-point value 1..d−1.
+	for t, p := range rng.Perm(len(w.prio)) {
+		w.prio[t] = w.depth + p
 	}
-	// Exhausting the walk budget is the normal exit and counts as
-	// hitting the limit, exactly like the random-walk baseline —
-	// unless a cancellation or first-bug stop cut the run short.
-	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.ViolationKind != "") {
-		rec.res.HitLimit = true
+	w.points = pctChangePoints(rng, w.depth, w.k)
+	w.steps = 0
+}
+
+func (w *pctWalk) step(c *cursor, en []event.ThreadID, _ *rand.Rand) {
+	t := highest(en, w.prio)
+	c.step(t)
+	w.steps++
+	// Change points may coincide on one step; each still assigns its
+	// own distinct value, the last one winning, so priorities stay
+	// pairwise distinct throughout.
+	for j, at := range w.points {
+		if at == w.steps {
+			w.prio[t] = j + 1
+		}
 	}
-	return rec.finish(c)
 }

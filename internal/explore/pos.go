@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/event"
 	"repro/internal/model"
 )
 
@@ -40,64 +41,40 @@ func (e *posEngine) Name() string { return fmt.Sprintf("pos[s%d]", e.seed) }
 
 // Explore implements Engine.
 func (e *posEngine) Explore(src model.Source, opt Options) Result {
-	walks := opt.ScheduleLimit
-	if walks <= 0 {
-		walks = 1000
-	}
-	// The walk count is the budget; disable the generic limit check so
-	// the budget semantics match the random-walk baseline exactly.
-	opt.ScheduleLimit = 0
-	c := newWalkCursor(src, opt)
-	defer c.close()
-	rec := newRecorder(src, e.Name(), opt, c)
+	return sample(src, opt, e.Name(), e.seed, func(*cursor) walker {
+		return &posWalk{prio: make([]float64, src.NumThreads())}
+	})
+}
 
-	prio := make([]float64, src.NumThreads())
-	rng := rand.New(&walkSource{})
-	for i := 0; i < walks; i++ {
-		rng.Seed(mixWalkSeed(e.seed, i))
-		for t := range prio {
-			prio[t] = rng.Float64()
-		}
-		for !c.truncated() {
-			en := c.enabled()
-			if len(en) == 0 {
-				break
-			}
-			t := en[0]
-			for _, q := range en[1:] {
-				if prio[q] > prio[t] {
-					t = q
-				}
-			}
-			ev := c.step(t)
-			// The chosen event is consumed: the thread's next pending
-			// operation is a new event and draws a fresh priority.
-			prio[t] = rng.Float64()
-			// Redraw the priority of every enabled thread whose
-			// pending operation races with the event just executed.
-			// EnabledThreads and Pending are deterministic in machine
-			// state, so the rng consumption order — and with it the
-			// whole walk — is reproducible.
-			for _, q := range c.enabled() {
-				if q == t {
-					continue
-				}
-				if op, ok := c.m.Pending(q); ok && c.tr.RacesWithNext(ev, q, op) {
-					prio[q] = rng.Float64()
-				}
-			}
-		}
-		rec.classifyWalk(c)
-		if rec.schedule() {
-			break
-		}
-		c.resetTo(0)
+// posWalk runs the highest-priority enabled thread and redraws the
+// priorities the executed event's races invalidate.
+type posWalk struct {
+	prio []float64
+}
+
+func (w *posWalk) begin(rng *rand.Rand) {
+	for t := range w.prio {
+		w.prio[t] = rng.Float64()
 	}
-	// Exhausting the walk budget is the normal exit and counts as
-	// hitting the limit, exactly like the random-walk baseline —
-	// unless a cancellation or first-bug stop cut the run short.
-	if !rec.res.Interrupted && !(opt.StopAtFirstBug && rec.res.ViolationKind != "") {
-		rec.res.HitLimit = true
+}
+
+func (w *posWalk) step(c *cursor, en []event.ThreadID, rng *rand.Rand) {
+	t := highest(en, w.prio)
+	ev := c.step(t)
+	// The chosen event is consumed: the thread's next pending
+	// operation is a new event and draws a fresh priority.
+	w.prio[t] = rng.Float64()
+	// Redraw the priority of every enabled thread whose pending
+	// operation races with the event just executed. EnabledThreads and
+	// Pending are deterministic in machine state, so the rng
+	// consumption order — and with it the whole walk — is
+	// reproducible.
+	for _, q := range c.enabled() {
+		if q == t {
+			continue
+		}
+		if op, ok := c.m.Pending(q); ok && c.tr.RacesWithNext(ev, q, op) {
+			w.prio[q] = rng.Float64()
+		}
 	}
-	return rec.finish(c)
 }

@@ -140,24 +140,26 @@ func TestEstimateEventsHostileCorpus(t *testing.T) {
 	}
 }
 
-// TestPCTHostileCancelled: end to end, a cancelled PCT exploration of
-// the hostile program returns promptly with Interrupted set — the
-// probe no longer stalls before the engine can even notice the
-// cancellation.
+// TestPCTHostileCancelled: end to end, a cancelled sampler run on the
+// hostile program returns promptly with Interrupted set — PCT's probe
+// does not stall before the engine can notice the cancellation, and
+// no sampler starts a walk that would pay the stall timeout.
 func TestPCTHostileCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	res := NewPCT(7, 3).Explore(hostileSpinner(), Options{
-		ScheduleLimit: 50,
-		MaxSteps:      200,
-		StallTimeout:  30 * time.Second,
-		Ctx:           ctx,
-	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancelled PCT run took %v — a stall timeout was paid", elapsed)
-	}
-	if !res.Interrupted {
-		t.Errorf("cancelled run not marked Interrupted: %+v", res)
+	for _, eng := range []Engine{NewPCT(7, 3), NewRandomWalk(1), NewPOS(5)} {
+		start := time.Now()
+		res := eng.Explore(hostileSpinner(), Options{
+			ScheduleLimit: 50,
+			MaxSteps:      200,
+			StallTimeout:  30 * time.Second,
+			Ctx:           ctx,
+		})
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("cancelled %s run took %v — a stall timeout was paid", eng.Name(), elapsed)
+		}
+		if !res.Interrupted {
+			t.Errorf("cancelled %s run not marked Interrupted: %+v", eng.Name(), res)
+		}
 	}
 }

@@ -1,0 +1,237 @@
+package explore
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/event"
+	"repro/internal/hb"
+	"repro/internal/model"
+)
+
+// cacheMode selects the pruning relation of a depth-first engine.
+type cacheMode uint8
+
+const (
+	// cacheNone disables pruning: exhaustive enumeration.
+	cacheNone cacheMode = iota
+	// cacheHBR prunes prefixes whose regular HBR has been seen
+	// before (HBR caching, Musuvathi & Qadeer). Sound by Thm 2.1.
+	cacheHBR
+	// cacheLazy prunes prefixes whose lazy HBR has been seen before
+	// (lazy HBR caching). Sound by Thm 2.2 — the paper's immediate
+	// application of the lazy relation.
+	cacheLazy
+)
+
+// treeRule is a depth-first engine's expansion rule: which enabled
+// threads a node may try, in which order, and what trying each one
+// spends of the engine's bound.
+type treeRule uint8
+
+const (
+	// ruleAll tries every enabled thread, lowest first, at no cost:
+	// exhaustive DFS and the HBR-caching engines.
+	ruleAll treeRule = iota
+	// rulePreempt is CHESS-style context bounding (Musuvathi &
+	// Qadeer): the thread that ran the previous event is tried first,
+	// free, and every other enabled thread costs one preemption while
+	// that thread is still enabled. Switches at blocking or
+	// terminating operations are free.
+	rulePreempt
+	// ruleDelay is delay bounding (Emmi, Qadeer & Rakamarić, POPL
+	// 2011): the scheduler is deterministic — always the
+	// lowest-numbered enabled thread — and the i-th enabled thread
+	// costs i delays, one per thread it skips. With bound 0 the search
+	// is a single schedule; each extra delay multiplies the space only
+	// linearly in the points where it can be spent, an even more
+	// aggressive (and even less complete) prioritisation than
+	// preemption bounding.
+	ruleDelay
+)
+
+// treeEngine is the one stateless depth-first search behind dfs, the
+// HBR-caching engines, pb and db: it enumerates schedules depth-first,
+// lets each node try the choices its rule allows within the bound, and
+// optionally prunes prefixes whose happens-before class was seen
+// before. HBR caching was originally proposed in the context-bounded
+// setting (MSR-TR-2007-12), so every rule composes with either caching
+// relation.
+type treeEngine struct {
+	rule  treeRule
+	bound int
+	mode  cacheMode
+}
+
+// NewDFS returns the exhaustive depth-first baseline engine.
+func NewDFS() Engine { return &treeEngine{} }
+
+// NewHBRCache returns the regular HBR caching engine.
+func NewHBRCache() Engine { return &treeEngine{mode: cacheHBR} }
+
+// NewLazyHBRCache returns the lazy HBR caching engine.
+func NewLazyHBRCache() Engine { return &treeEngine{mode: cacheLazy} }
+
+// NewPreemptionBounded returns a DFS engine restricted to schedules
+// with at most bound preemptions; a negative bound means 0.
+func NewPreemptionBounded(bound int) Engine {
+	return &treeEngine{rule: rulePreempt, bound: max(bound, 0)}
+}
+
+// NewPreemptionBoundedCache composes preemption bounding with HBR
+// caching (lazy=false) or lazy HBR caching (lazy=true) — the
+// configuration of the Musuvathi–Qadeer technical report, upgraded
+// with the paper's lazy relation.
+func NewPreemptionBoundedCache(bound int, lazy bool) Engine {
+	mode := cacheHBR
+	if lazy {
+		mode = cacheLazy
+	}
+	return &treeEngine{rule: rulePreempt, bound: max(bound, 0), mode: mode}
+}
+
+// NewDelayBounded returns a delay-bounded enumeration engine; a
+// negative bound means 0.
+func NewDelayBounded(bound int) Engine {
+	return &treeEngine{rule: ruleDelay, bound: max(bound, 0)}
+}
+
+// Name implements Engine.
+func (e *treeEngine) Name() string {
+	search := [...]string{cacheNone: "dfs", cacheHBR: "hbr-caching", cacheLazy: "lazy-hbr-caching"}[e.mode]
+	switch e.rule {
+	case rulePreempt:
+		return fmt.Sprintf("pb%d-%s", e.bound, search)
+	case ruleDelay:
+		return fmt.Sprintf("db%d-%s", e.bound, search)
+	}
+	return search
+}
+
+// treeNode is one depth of the search: the choices the node may try,
+// in order, how many it has taken, and the bound spent on the path up
+// to (not including) this state. Every rule's costs grow with the
+// choice index and level off at maxCost, so trying choices[i] costs
+// min(i, maxCost): maxCost is 0 for ruleAll, 1 for rulePreempt while
+// the previous thread (choice 0) is still enabled and 0 once it is
+// not, and the number of enabled threads for ruleDelay.
+type treeNode struct {
+	choices []event.ThreadID
+	next    int
+	used    int
+	maxCost int
+}
+
+func (n *treeNode) cost(i int) int { return min(i, n.maxCost) }
+
+// expand fills n's choices from the enabled threads en (non-empty),
+// given the thread prev that ran the previous event (-1 at the root),
+// and drops the choices the rest of the bound cannot afford. Choice 0
+// is free and n.used never exceeds the bound, so one always remains.
+func (e *treeEngine) expand(n *treeNode, en []event.ThreadID, prev event.ThreadID, pool *tidPool) {
+	n.choices = pool.get()
+	switch {
+	case e.rule == rulePreempt && slices.Contains(en, prev):
+		n.choices, n.maxCost = append(n.choices, prev), 1
+		for _, t := range en {
+			if t != prev {
+				n.choices = append(n.choices, t)
+			}
+		}
+	case e.rule == ruleDelay:
+		n.choices, n.maxCost = append(n.choices, en...), len(en)
+	default:
+		n.choices = append(n.choices, en...)
+	}
+	k := len(n.choices)
+	for n.used+n.cost(k-1) > e.bound {
+		k--
+	}
+	n.choices = n.choices[:k]
+}
+
+// Explore implements Engine.
+func (e *treeEngine) Explore(src model.Source, opt Options) Result {
+	c := newCursor(src, opt)
+	defer c.close()
+	rec := newRecorder(src, e.Name(), opt, c)
+
+	var cache *digestSet
+	if e.mode != cacheNone {
+		cache = &digestSet{}
+	}
+	// fresh steps thread t and reports whether the new prefix's
+	// happens-before class is unseen. A seen one is counted as a
+	// prune: its continuation revisits an already-covered equivalence
+	// class (Thm 2.1 / Thm 2.2).
+	fresh := func(t event.ThreadID) bool {
+		c.step(t)
+		if cache == nil {
+			return true
+		}
+		var fp hb.Fingerprint
+		if e.mode == cacheLazy {
+			fp = c.tr.LazyFingerprint()
+		} else {
+			fp = c.tr.HBFingerprint()
+		}
+		if cache.add(fp) {
+			return true
+		}
+		rec.res.Pruned++
+		return false
+	}
+
+	var stack []treeNode
+	var pool tidPool
+
+	// descend extends the current execution to a terminal state,
+	// truncation or cache prune, pushing one node per fresh state and
+	// taking its first choice. It returns false when the search must
+	// stop.
+	descend := func() bool {
+		for {
+			if c.truncated() {
+				rec.cutShort(c)
+				return !rec.schedule()
+			}
+			en := c.enabled()
+			if len(en) == 0 {
+				rec.terminal(c)
+				return !rec.schedule()
+			}
+			n := treeNode{next: 1}
+			prev := event.ThreadID(-1)
+			if d := len(stack); d > 0 {
+				p := &stack[d-1]
+				prev = p.choices[p.next-1]
+				n.used = p.used + p.cost(p.next-1)
+			}
+			e.expand(&n, en, prev, &pool)
+			stack = append(stack, n)
+			if !fresh(n.choices[0]) {
+				return !rec.schedule()
+			}
+		}
+	}
+
+	more := descend()
+	for more && len(stack) > 0 {
+		d := len(stack) - 1
+		n := &stack[d]
+		if n.next >= len(n.choices) {
+			pool.put(n.choices)
+			stack = stack[:d]
+			continue
+		}
+		t := n.choices[n.next]
+		n.next++
+		c.resetTo(d)
+		if fresh(t) {
+			more = descend()
+		} else {
+			more = !rec.schedule()
+		}
+	}
+	return rec.finish(c)
+}

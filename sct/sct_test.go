@@ -182,6 +182,38 @@ func TestRegisterRejectsBadInfo(t *testing.T) {
 	mustPanic("duplicate", sct.EngineInfo{Name: "dpor", Build: build})
 }
 
+// TestNewEngineRejectsBadSpecs: a spec whose arguments the engine
+// cannot honour fails at build time with an error naming the spec and
+// the argument, instead of building an engine that crashes or
+// silently explores something else.
+func TestNewEngineRejectsBadSpecs(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"pct:0", "bug depth 0 (want >= 1)"},
+		{"pb:-1", "bound -1 (want >= 0)"},
+		{"pb:-1:hbr", "bound -1 (want >= 0)"},
+		{"db:-1", "bound -1 (want >= 0)"},
+		{"chess-pb:-1", "bound -1 (want >= 0)"},
+		{"chess-db:-1", "bound -1 (want >= 0)"},
+		{"pb:x", "argument 1"},
+		{"pb:1:bogus", `cache mode "bogus"`},
+		{"nope", "unknown engine spec"},
+	} {
+		_, err := sct.NewEngine(tc.spec)
+		if err == nil {
+			t.Errorf("NewEngine(%q) accepted a bad spec", tc.spec)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.spec) || !strings.Contains(msg, tc.want) {
+			t.Errorf("NewEngine(%q) error %q, want it to name the spec and %q", tc.spec, msg, tc.want)
+		}
+	}
+	for _, spec := range []string{"pb:0", "pb:0:lazy", "db:0", "chess-pb:0", "chess-db:0"} {
+		if _, err := sct.NewEngine(spec); err != nil {
+			t.Errorf("NewEngine(%q): %v (a zero bound is a valid search)", spec, err)
+		}
+	}
+}
+
 // TestRunErrors covers the facade's error paths: unknown engines, nil
 // programs, and every option validation failure.
 func TestRunErrors(t *testing.T) {
