@@ -4,12 +4,11 @@
 // enumerating that frontier exhaustively would forfeit the
 // partial-order reduction across the partition layer; instead the
 // work-stealing scheme lets one DPOR search span all workers. Work is
-// exchanged as *units* (explore.Unit: a pinned choice prefix plus an
-// optional happens-before tracker seed and root sleep set) on a
-// striped deque: busy engines donate pending backtrack branches when
-// workers starve, and race reversals that escape a unit's prefix are
-// claimed against a shared node table and become new units instead of
-// being re-enumerated. Every branch of the DPOR tree is claimed exactly
+// exchanged as *units* (explore.Unit: a pinned choice prefix plus its
+// root sleep set) on a striped deque: busy engines donate pending
+// backtrack branches when workers starve, and race reversals that
+// escape a unit's prefix are claimed against a shared node table and
+// become new units instead of being re-enumerated. Every branch of the DPOR tree is claimed exactly
 // once, so the merged counters equal sequential DPOR's (see
 // explore.Steal for the argument, and parallel_test.go/steal_test.go
 // for the pinned exactness).
@@ -24,7 +23,6 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/explore"
-	"repro/internal/hb"
 	"repro/internal/model"
 )
 
@@ -262,7 +260,6 @@ type sharedHooks struct {
 	table       *nodeTable
 	donated     atomic.Int64
 	escaped     atomic.Int64
-	seeded      atomic.Int64
 	localClaims atomic.Int64
 	// ctr mirrors unit shipping into the search's live telemetry
 	// (explore.Counters.StealSent/StealReceived); nil when the caller
@@ -279,8 +276,8 @@ type workerHooks struct {
 
 // forceDonate, set by tests before a search starts, makes every worker
 // report starvation so donation — and with it the unit-shipping paths
-// (tracker seeds, sleep seeds, escapes into foreign prefixes) — fires
-// at every opportunity. With one worker the resulting search is fully
+// (sleep seeds, escapes into foreign prefixes) — fires at every
+// opportunity. With one worker the resulting search is fully
 // deterministic, which is what the shipping exactness tests pin.
 var forceDonate bool
 
@@ -316,7 +313,7 @@ func unitSleep(e *nodeEntry, done uint64, t event.ThreadID) uint64 {
 // node's claim set before the first shipped branch; sleep seeds are
 // derived as if the branches were explored in bit order, mirroring the
 // sequential engine's ascending backtrack pops.
-func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEntry, seed func() *hb.Tracker, donated bool) {
+func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEntry, donated bool) {
 	for fresh != 0 {
 		t := event.ThreadID(bits.TrailingZeros64(fresh))
 		fresh &= fresh - 1
@@ -325,12 +322,6 @@ func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEn
 			SleepSeed: unitSleep(e, done, t),
 		}
 		done |= 1 << uint(t)
-		// A seed pays off only when it covers at least one event: the
-		// engine ignores TrackerSeed on single-choice prefixes.
-		if seed != nil && len(prefix) > 0 {
-			u.TrackerSeed = seed()
-			h.seeded.Add(1)
-		}
 		if donated {
 			h.donated.Add(1)
 		} else {
@@ -344,16 +335,16 @@ func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEn
 }
 
 // Publish implements explore.Steal.
-func (h workerHooks) Publish(prefix []event.ThreadID, claimed, pending uint64, seed func() *hb.Tracker, info *explore.NodeInfo) uint64 {
+func (h workerHooks) Publish(prefix []event.ThreadID, claimed, pending uint64, info *explore.NodeInfo) uint64 {
 	fresh, prior, e := h.table.publish(prefixKey(prefix), claimed, pending, info)
-	h.ship(prefix, fresh, prior|claimed, e, seed, true)
+	h.ship(prefix, fresh, prior|claimed, e, true)
 	return fresh
 }
 
 // Escape implements explore.Steal.
-func (h workerHooks) Escape(prefix []event.ThreadID, cands uint64, seed func() *hb.Tracker) {
+func (h workerHooks) Escape(prefix []event.ThreadID, cands uint64) {
 	fresh, prior, e := h.table.claim(prefixKey(prefix), cands)
-	h.ship(prefix, fresh, prior, e, seed, false)
+	h.ship(prefix, fresh, prior, e, false)
 }
 
 // Claim implements explore.Steal: grant the fresh branches to the
@@ -445,7 +436,6 @@ func workStealDPOR(src model.Source, opt explore.Options, workers int, sleep boo
 		Donated:     int(shared.donated.Load()),
 		Escaped:     int(shared.escaped.Load()),
 		LocalClaims: int(shared.localClaims.Load()),
-		Seeded:      int(shared.seeded.Load()),
 		Steals:      int(q.stolen.Load()),
 	}
 	return outcomes, dedup, stats

@@ -80,8 +80,8 @@ func TestWorkStealDPORSleepCoverage(t *testing.T) {
 // TestWorkStealDPORShippedSleepExact pins the sleep-set shipping
 // contract. Forced donation fragments the search into one unit per
 // branch, so every unit's root sleep set comes from the shipping path
-// (the TrackerSeed route the ROADMAP item calls for) instead of the
-// engine's local inheritance. With one worker the search is fully
+// (Unit.SleepSeed, derived by the coordinator) instead of the engine's
+// local inheritance. With one worker the search is fully
 // deterministic and must be byte-identical to sequential DPOR+sleep —
 // including #schedules and #sleep-blocked, the counters the unshipped
 // scheme inflated. At higher worker counts claim order is timing-

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/event"
-	"repro/internal/hb"
 	"repro/internal/model"
 	"repro/internal/progdsl"
 )
@@ -147,12 +146,10 @@ func TestCoarseTailFigure3Regime(t *testing.T) {
 // shared root is covered by another unit.
 type dropEscapes struct{}
 
-func (dropEscapes) Starving() bool { return false }
-func (dropEscapes) Publish([]event.ThreadID, uint64, uint64, func() *hb.Tracker, *NodeInfo) uint64 {
-	return 0
-}
-func (dropEscapes) Escape([]event.ThreadID, uint64, func() *hb.Tracker) {}
-func (dropEscapes) Claim([]event.ThreadID, uint64) uint64               { return 0 }
+func (dropEscapes) Starving() bool                                             { return false }
+func (dropEscapes) Publish([]event.ThreadID, uint64, uint64, *NodeInfo) uint64 { return 0 }
+func (dropEscapes) Escape([]event.ThreadID, uint64)                            {}
+func (dropEscapes) Claim([]event.ThreadID, uint64) uint64                      { return 0 }
 
 // TestCachingAcrossPrefixPartitions: the shared distinctness caches
 // the campaign package builds on — DPOR units pinned to disjoint root

@@ -18,8 +18,9 @@ type iterEngine struct {
 }
 
 // NewIterativePreemptionBounding returns the CHESS loop over preemption
-// bounds 0..maxBound.
+// bounds 0..maxBound; a negative maxBound means 0.
 func NewIterativePreemptionBounding(maxBound int) Engine {
+	maxBound = max(maxBound, 0)
 	return &iterEngine{
 		mk:       NewPreemptionBounded,
 		name:     fmt.Sprintf("chess-pb%d", maxBound),
@@ -28,8 +29,9 @@ func NewIterativePreemptionBounding(maxBound int) Engine {
 }
 
 // NewIterativeDelayBounding returns the analogous loop over delay
-// bounds 0..maxBound.
+// bounds 0..maxBound; a negative maxBound means 0.
 func NewIterativeDelayBounding(maxBound int) Engine {
+	maxBound = max(maxBound, 0)
 	return &iterEngine{
 		mk:       NewDelayBounded,
 		name:     fmt.Sprintf("chess-db%d", maxBound),

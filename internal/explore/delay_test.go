@@ -145,6 +145,8 @@ func TestNegativeBoundClampsToZero(t *testing.T) {
 		{NewPreemptionBounded(-1), NewPreemptionBounded(0)},
 		{NewPreemptionBoundedCache(-1, true), NewPreemptionBoundedCache(0, true)},
 		{NewDelayBounded(-1), NewDelayBounded(0)},
+		{NewIterativePreemptionBounding(-1), NewIterativePreemptionBounding(0)},
+		{NewIterativeDelayBounding(-1), NewIterativeDelayBounding(0)},
 	} {
 		got, want := pair[0].Explore(src, Options{}), pair[1].Explore(src, Options{})
 		if got.Engine != want.Engine || countersOf(got) != countersOf(want) {

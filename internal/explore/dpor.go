@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/event"
-	"repro/internal/hb"
 	"repro/internal/model"
 )
 
@@ -280,18 +279,13 @@ func (s *dporState) index(ev event.Event) {
 	}
 }
 
-// replayPrefix executes a unit's pinned choices through the access-log
-// indexer, so lastDep sees them, and returns each prefix state's pnode
-// for the escape computation. Choices covered by the unit's tracker
-// seed advance only the machine, and the seed is installed once they
-// are replayed. The coordinator builds prefixes from live executions,
-// so a choice that is not enabled is a coordinator bug.
+// replayPrefix steps a unit's pinned choices through step (machine,
+// tracker and access logs), so lastDep sees them, and returns each
+// prefix state's pnode for the escape computation. The coordinator
+// builds prefixes from live executions, so a choice that is not
+// enabled is a coordinator bug.
 func (s *dporState) replayPrefix(u Unit) []pnode {
 	c := s.c
-	seedDepth := 0
-	if u.TrackerSeed != nil && len(u.Prefix) > 1 {
-		seedDepth = len(u.Prefix) - 1
-	}
 	pnodes := make([]pnode, 0, len(u.Prefix))
 	for i, t := range u.Prefix {
 		pn := pnode{
@@ -308,24 +302,7 @@ func (s *dporState) replayPrefix(u Unit) []pnode {
 			pn.steps[q] = c.m.Steps(event.ThreadID(q))
 		}
 		pnodes = append(pnodes, pn)
-		if i >= seedDepth {
-			s.step(t)
-			continue
-		}
-		ev := c.m.Step(t)
-		c.trace = append(c.trace, ev)
-		c.choices = append(c.choices, t)
-		c.events++
-		s.index(ev)
-		if i+1 == seedDepth {
-			c.tr = u.TrackerSeed
-			if c.backend == BackendUndo {
-				// The seed's undo log starts here: the pinned prefix
-				// below it is never rewound.
-				c.tr.EnableUndo()
-				c.trBase = seedDepth
-			}
-		}
+		s.step(t)
 	}
 	return pnodes
 }
@@ -418,7 +395,7 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 }
 
 func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
-	if err := u.validate(src, opt); err != nil {
+	if err := u.validate(opt); err != nil {
 		panic(err)
 	}
 	st := newDPORState(src, opt)
@@ -446,23 +423,6 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	// additions at depths below base+pubLocal are globally claimed
 	// escapes, not local set updates.
 	pubLocal := 0
-
-	// seedAt returns a maker of private tracker clones for the state
-	// at absolute depth d, or nil when the backend keeps no tracker
-	// state there (replay backend, or a depth covered by this unit's
-	// own shipped seed). Under the undo backend the maker rewinds a
-	// clone of the live tracker through the engine's own undo records
-	// (hb.Tracker.CloneTo); it therefore must be invoked while the
-	// cursor still sits at (or above) depth d — the Steal coordinator
-	// calls makers synchronously inside Escape/Publish, never later.
-	seedAt := func(d int) func() *hb.Tracker {
-		if c.backend == BackendUndo {
-			if m := d - c.trBase; m >= 0 && m <= c.tr.UndoMark() {
-				return func() *hb.Tracker { return c.tr.CloneTo(m) }
-			}
-		}
-		return nil
-	}
 
 	// escape computes the exact Flanagan–Godefroid backtrack addition
 	// for the published node preceding trace event i — p itself if
@@ -501,7 +461,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 		if i < base {
 			pn := &pnodes[i]
 			if mask&^pn.claimed != 0 {
-				steal.Escape(c.choices[:i], uint64(mask), seedAt(i))
+				steal.Escape(c.choices[:i], uint64(mask))
 				pn.claimed |= mask
 			}
 			return
@@ -550,7 +510,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			if e.sleep {
 				info = &NodeInfo{Sleep: uint64(n.sleep), Pend: n.pend, PendSet: uint64(n.pendSet)}
 			}
-			shipped := steal.Publish(c.choices[:base+j], uint64(n.done), uint64(pending), seedAt(base+j), info)
+			shipped := steal.Publish(c.choices[:base+j], uint64(n.done), uint64(pending), info)
 			n.done |= tset(shipped)
 		}
 		pubLocal = dIdx + 1

@@ -540,14 +540,6 @@ type cursor struct {
 	trace   []event.Event
 	choices []event.ThreadID
 
-	// trBase is the depth the live tracker's undo log starts at (undo
-	// backend): the tracker undo mark for depth d is d−trBase. It is 0
-	// unless a work-stealing unit installed its shipped tracker seed
-	// (see dporState.replayPrefix), whose log starts at the seed's
-	// depth. DPOR never resets below a unit's pinned prefix, so marks
-	// never go negative.
-	trBase int
-
 	enabledBuf []event.ThreadID
 	events     int64
 	// backtracks counts resets to an earlier depth — one per branch
@@ -639,10 +631,9 @@ func (c *cursor) resetTo(d int) {
 	switch c.backend {
 	case BackendUndo:
 		// Both undo logs rewind in place: O(1) per popped step, no
-		// copies. The tracker log starts at trBase (0, or a unit's
-		// seed install depth).
+		// copies.
 		c.m.UndoTo(d)
-		c.tr.UndoTo(d - c.trBase)
+		c.tr.UndoTo(d)
 	default:
 		c.m.Reset()
 		c.tr.Reset()

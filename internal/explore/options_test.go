@@ -6,16 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/event"
-	"repro/internal/hb"
-	"repro/internal/model"
 )
 
 // TestOptionsValidate pins the structural validation batch drivers run
 // before exploring a grid, and the work-stealing unit checks DPOR runs
 // on top of it (a zero unit is the plain search).
 func TestOptionsValidate(t *testing.T) {
-	src := curatedFigure1()
-	seed := hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
 	cases := []struct {
 		name    string
 		opt     Options
@@ -28,16 +24,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative max steps", Options{MaxSteps: -3}, Unit{}, "negative MaxSteps"},
 		{"unknown backend", Options{Backend: BackendReplay + 1}, Unit{}, "unknown backend"},
 		{"prefix beyond bound", Options{MaxSteps: 2}, Unit{Prefix: []event.ThreadID{0, 1, 0}, Steal: dropEscapes{}}, "exceeds step bound"},
-		{"seed/prefix mismatch", Options{}, Unit{TrackerSeed: seed, Prefix: []event.ThreadID{0, 1, 0}, Steal: dropEscapes{}}, "tracker seed covers"},
-		{"seed ignored on short prefix", Options{}, Unit{TrackerSeed: seed, Prefix: []event.ThreadID{0}, Steal: dropEscapes{}}, ""},
-		{"seed universe mismatch", Options{}, Unit{TrackerSeed: hb.NewTracker(1, 1, 1), Prefix: []event.ThreadID{0, 1}, Steal: dropEscapes{}}, "universe"},
 		{"prefix without steal", Options{}, Unit{Prefix: []event.ThreadID{0}}, "needs a Steal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.opt.Validate()
 			if err == nil {
-				err = tc.unit.validate(src, tc.opt)
+				err = tc.unit.validate(tc.opt)
 			}
 			if tc.wantErr == "" {
 				if err != nil {

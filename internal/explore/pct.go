@@ -46,20 +46,15 @@ func NewPCT(seed int64, depth int) Engine {
 // the exact reproducible configuration that found the bug.
 func (e *pctEngine) Name() string { return fmt.Sprintf("pct%d[s%d]", e.depth, e.seed) }
 
-// pctChangePoints draws the d−1 priority change points of one walk:
-// step indices distributed uniformly over [1, k], where change point j
-// (0-based) carries priority value j+1. d ≤ 1 plants none — the
-// degenerate priority-random-walk case.
-func pctChangePoints(rng *rand.Rand, depth, k int) []int {
-	if depth <= 1 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	pts := make([]int, depth-1)
-	for i := range pts {
-		pts[i] = 1 + rng.Intn(k)
+// pctChangePoints draws the d−1 priority change points of one walk
+// into pts[:0] and returns it: step indices distributed uniformly over
+// [1, k], where change point j (0-based) carries priority value j+1.
+// d ≤ 1 plants none — the degenerate priority-random-walk case.
+func pctChangePoints(rng *rand.Rand, depth, k int, pts []int) []int {
+	pts = pts[:0]
+	k = max(k, 1)
+	for i := 1; i < depth; i++ {
+		pts = append(pts, 1+rng.Intn(k))
 	}
 	return pts
 }
@@ -131,11 +126,15 @@ type pctWalk struct {
 
 func (w *pctWalk) begin(rng *rand.Rand) {
 	// Initial priorities: a random permutation of d..d+n−1, every one
-	// above every change-point value 1..d−1.
-	for t, p := range rng.Perm(len(w.prio)) {
-		w.prio[t] = w.depth + p
+	// above every change-point value 1..d−1. It is built in place with
+	// rand.Perm's exact draws (one Intn(i+1) per thread, in order), so
+	// the walk's rng stream is the one rng.Perm would leave.
+	for i := range w.prio {
+		j := rng.Intn(i + 1)
+		w.prio[i] = w.prio[j]
+		w.prio[j] = w.depth + i
 	}
-	w.points = pctChangePoints(rng, w.depth, w.k)
+	w.points = pctChangePoints(rng, w.depth, w.k, w.points)
 	w.steps = 0
 }
 

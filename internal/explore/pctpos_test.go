@@ -15,15 +15,15 @@ import (
 // yields valid points.
 func TestPCTChangePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if pts := pctChangePoints(rng, 1, 100); pts != nil {
+	if pts := pctChangePoints(rng, 1, 100, nil); pts != nil {
 		t.Errorf("depth 1 planted change points: %v", pts)
 	}
-	if pts := pctChangePoints(rng, 0, 100); pts != nil {
+	if pts := pctChangePoints(rng, 0, 100, nil); pts != nil {
 		t.Errorf("depth 0 planted change points: %v", pts)
 	}
 	for _, d := range []int{2, 3, 5} {
 		const k = 37
-		pts := pctChangePoints(rng, d, k)
+		pts := pctChangePoints(rng, d, k, nil)
 		if len(pts) != d-1 {
 			t.Fatalf("depth %d planted %d points, want %d", d, len(pts), d-1)
 		}
@@ -34,14 +34,14 @@ func TestPCTChangePoints(t *testing.T) {
 		}
 	}
 	// k < 1 must not panic rand.Intn: the clamp pins every point to 1.
-	for _, p := range pctChangePoints(rng, 3, 0) {
+	for _, p := range pctChangePoints(rng, 3, 0, nil) {
 		if p != 1 {
 			t.Errorf("k=0 change point %d, want 1", p)
 		}
 	}
 	// The draw is deterministic in the rng stream.
-	a := pctChangePoints(rand.New(rand.NewSource(7)), 4, 50)
-	b := pctChangePoints(rand.New(rand.NewSource(7)), 4, 50)
+	a := pctChangePoints(rand.New(rand.NewSource(7)), 4, 50, nil)
+	b := pctChangePoints(rand.New(rand.NewSource(7)), 4, 50, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same rng seed drew different points: %v vs %v", a, b)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/event"
-	"repro/internal/hb"
-	"repro/internal/model"
 )
 
 // Unit is one work-stealing DPOR unit: the subtree beneath a pinned
@@ -21,14 +19,6 @@ type Unit struct {
 	// Prefix requires Steal, which receives the backtrack points that
 	// land inside it.
 	Prefix []event.ThreadID
-
-	// TrackerSeed, when non-nil, is a private happens-before tracker
-	// clone covering the first len(Prefix)-1 events of Prefix: the
-	// prefix replay then advances only the machine (and DPOR's access
-	// logs) and installs the seed instead of re-deriving the clocks
-	// from the root. The seed's universe must match the explored
-	// program. Ignored unless len(Prefix) > 1.
-	TrackerSeed *hb.Tracker
 
 	// SleepSeed is the sleep set (a thread bitmask) of the state
 	// reached after replaying Prefix — the root of the explored
@@ -55,27 +45,15 @@ type Unit struct {
 	Budget *Budget
 }
 
-// validate reports a unit the engine cannot explore for src under
-// opt. Units come from the work-stealing coordinator, so a failure is
-// a coordinator bug.
-func (u Unit) validate(src model.Source, opt Options) error {
+// validate reports a unit the engine cannot explore under opt. Units
+// come from the work-stealing coordinator, so a failure is a
+// coordinator bug.
+func (u Unit) validate(opt Options) error {
 	if len(u.Prefix) > 0 && u.Steal == nil {
 		return errors.New("explore: a unit with a pinned prefix needs a Steal coordinator")
 	}
 	if ms := opt.maxSteps(); len(u.Prefix) > ms {
 		return fmt.Errorf("explore: prefix length %d exceeds step bound %d", len(u.Prefix), ms)
-	}
-	seed := u.TrackerSeed
-	if seed == nil || len(u.Prefix) < 2 {
-		return nil
-	}
-	if nt, nv, nm := seed.Universe(); nt != src.NumThreads() || nv != src.NumVars() || nm != src.NumMutexes() || seed.Channels() != model.NumChannels(src) {
-		return fmt.Errorf("explore: tracker seed universe (%d,%d,%d,%d chans) does not match program %q (%d,%d,%d,%d chans)",
-			nt, nv, nm, seed.Channels(), src.Name(), src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src))
-	}
-	if seed.Events() != len(u.Prefix)-1 {
-		return fmt.Errorf("explore: tracker seed covers %d events, prefix wants %d",
-			seed.Events(), len(u.Prefix)-1)
 	}
 	return nil
 }
@@ -85,11 +63,10 @@ func (u Unit) validate(src model.Source, opt Options) error {
 // through Unit.Steal).
 //
 // The scheme: every concurrently explored subtree is a *unit* — a
-// pinned choice prefix plus, optionally, a shipped happens-before
-// tracker seed covering all but the prefix's last event. Workers run
-// real DPOR beneath their prefix. Two situations cross a unit's
-// boundary and go through this interface instead of the engine's local
-// backtrack sets:
+// pinned choice prefix plus the sleep set at its end, nothing else.
+// Workers replay the prefix and run real DPOR beneath it. Two
+// situations cross a unit's boundary and go through this interface
+// instead of the engine's local backtrack sets:
 //
 //   - A race reversal whose backtrack point lies at a depth the unit
 //     does not own (inside its pinned prefix, or at a stack node it
@@ -133,28 +110,22 @@ type Steal interface {
 	// coordinator records claimed|pending as taken, creates one unit
 	// per pending branch that was not already claimed in the table,
 	// and returns that shipped subset (the engine keeps exploring the
-	// rest locally). seed, when non-nil, returns a private tracker
-	// clone covering len(prefix) events for seeding those units; it
-	// must be invoked synchronously inside this call (or not at all),
-	// never retained — on the undo backend it is a CloneTo through the
-	// caller's live undo log, which the caller rewinds and regrows the
-	// moment Publish returns.
+	// rest locally).
 	// info, when non-nil, carries the node's sleep-set context so
 	// units branching off it (now or through later escapes) inherit
 	// the sleep set the sequential engine would compute; nil when the
 	// search runs without sleep sets. prefix and info.Pend are views
 	// into engine state: implementations must copy what they retain.
-	Publish(prefix []event.ThreadID, claimed, pending uint64, seed func() *hb.Tracker, info *NodeInfo) (shipped uint64)
+	Publish(prefix []event.ThreadID, claimed, pending uint64, info *NodeInfo) (shipped uint64)
 
 	// Escape hands over a backtrack addition (a thread bitmask,
 	// computed exactly as sequential DPOR would) for a published node
 	// of a *foreign* prefix — one the escaping engine owns no stack
 	// node for. The coordinator claims the fresh branches and creates
-	// one unit per branch, seeding each from seed when non-nil (same
-	// synchronous-invocation rule as Publish).
+	// one unit per branch.
 	// prefix is a view into engine state: implementations must copy
 	// what they retain.
-	Escape(prefix []event.ThreadID, cands uint64, seed func() *hb.Tracker)
+	Escape(prefix []event.ThreadID, cands uint64)
 
 	// Claim claims a backtrack addition for a published node the
 	// calling engine still owns on its own stack, and returns the
@@ -200,9 +171,6 @@ type StealStats struct {
 	// were claimed through the shared table but explored in place by
 	// the owning worker (no unit shipped).
 	LocalClaims int `json:"local_claims"`
-	// Seeded counts units that shipped a happens-before tracker
-	// clone, so their prefix replay advanced only the machine.
-	Seeded int `json:"seeded"`
 	// Steals counts units a worker took from another worker's stripe
 	// of the steal deque.
 	Steals int `json:"steals"`

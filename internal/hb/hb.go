@@ -46,8 +46,9 @@
 // stored. Updates allocate a fresh clock — bump-allocated from an
 // internal arena, so the common case costs zero heap allocations — and
 // replace the reference. Published clocks can therefore be shared
-// freely: Clone copies O(threads+vars+mutexes) slice headers and no
-// clock contents, which is what makes snapshot-based exploration cheap.
+// freely: an undo record saves the few clock references an event
+// overwrites and no clock contents, and the clocks Apply returns stay
+// valid as the tracker moves on.
 package hb
 
 import (
@@ -119,9 +120,9 @@ type Clocks struct {
 // start when it crossed back into an older chunk), and a Reset reuses
 // the current chunk from its start — each only above the tracker's
 // arena floor (see Tracker.arenaFloor). Older chunks are left to the GC.
-// Chunk sizes double from a small start, so short-lived tracker clones
-// (one per exploration backtrack) stay cheap and a reset tracker's
-// retained chunk grows only to what one execution used.
+// Chunk sizes double from a small start, so a tracker over a short
+// execution stays small and a reset tracker's retained chunk grows
+// only to what one execution used.
 type clockArena struct {
 	chunk []int32
 	next  int
@@ -129,7 +130,7 @@ type clockArena struct {
 	// is monotone under forward execution, which makes it a watermark:
 	// the undo log records it per event, so rewinding can tell whether
 	// the clocks allocated since a mark are still private to this
-	// tracker (reusable) or published into a clone (must leak to GC).
+	// tracker (reusable) or returned by Apply (must leak to GC).
 	allocated int64
 	// base is the most recently made chunk, whole, and baseAt the
 	// watermark at which it started: Reset rewinds to them, and an
@@ -166,7 +167,7 @@ type Tracker struct {
 	nthreads, nvars, nmutexes, nchans int
 
 	// slab backs every clock-reference field below in one allocation,
-	// so Clone is a single copy. All clocks referenced from the slab
+	// so Reset is a single clear. All clocks referenced from the slab
 	// are immutable (copy-on-write); only the references change.
 	slab []vclock.VC
 
@@ -209,8 +210,8 @@ type Tracker struct {
 	// undo is the reversal log recorded when undoEnabled: one record
 	// per applied event, letting UndoTo rewind the tracker in place
 	// (see undo.go). arenaFloor is the arena watermark at the last
-	// Clone or Apply: storage below it is shared with clones or
-	// returned clocks and is never reused by UndoTo or Reset.
+	// Apply: storage below it is shared with returned clocks and is
+	// never reused by UndoTo or Reset.
 	undo        []undoRec
 	undoEnabled bool
 	arenaFloor  int64
@@ -259,18 +260,6 @@ func NewTrackerChans(nthreads, nvars, nmutexes, nchans int) *Tracker {
 
 // Events returns the number of events applied so far.
 func (tr *Tracker) Events() int { return tr.events }
-
-// Universe returns the program universe sizes the tracker was created
-// for, so consumers of shipped tracker clones (work-stealing frontier
-// units) can validate a seed against the program it will explore.
-func (tr *Tracker) Universe() (nthreads, nvars, nmutexes int) {
-	return tr.nthreads, tr.nvars, tr.nmutexes
-}
-
-// Channels returns the channel-universe size the tracker was created
-// for (the fourth Universe dimension, kept separate for
-// compatibility).
-func (tr *Tracker) Channels() int { return tr.nchans }
 
 // HBFingerprint returns the fingerprint of the regular HBR of the
 // event prefix applied so far.
@@ -351,8 +340,8 @@ func (tr *Tracker) joined(base, with vclock.VC) vclock.VC {
 // Apply folds one executed event into all three relations and returns
 // the event's regular and lazy clocks. The returned clocks are shared,
 // immutable views of tracker state and must not be modified. They
-// stay valid across later UndoTo and Reset calls: like Clone, Apply
-// raises the arena floor over them.
+// stay valid across later UndoTo and Reset calls: Apply raises the
+// arena floor over them.
 func (tr *Tracker) Apply(ev event.Event) Clocks {
 	hb, lazy := tr.apply(ev)
 	tr.arenaFloor = tr.arena.allocated
@@ -535,44 +524,14 @@ func labelHash(ev event.Event) uint64 {
 	return h
 }
 
-// Clone returns an independent copy of the tracker, enabling
-// snapshot-based exploration. Under the copy-on-write discipline only
-// clock *references* are copied — O(threads+vars+mutexes) header
-// copies in three slab allocations, no clock contents — so cloning at
-// every exploration step is cheap. The clone allocates future clocks
-// from its own fresh arena; shared published clocks are never mutated
-// by either side. The clone starts without an undo log even when the
-// receiver records one.
-func (tr *Tracker) Clone() *Tracker {
-	// Every clock allocated so far is now reachable from the clone:
-	// raise the arena floor so a later UndoTo on the receiver leaks
-	// that storage to the GC instead of reusing it under the clone.
-	tr.arenaFloor = tr.arena.allocated
-	cp := &Tracker{
-		nthreads: tr.nthreads,
-		nvars:    tr.nvars,
-		nmutexes: tr.nmutexes,
-		nchans:   tr.nchans,
-		slab:     append([]vclock.VC(nil), tr.slab...),
-		evSlab:   append([]event.Event(nil), tr.evSlab...),
-		hasSlab:  append([]bool(nil), tr.hasSlab...),
-		hbFP:     tr.hbFP,
-		lazyFP:   tr.lazyFP,
-		races:    append([]Race(nil), tr.races...),
-		events:   tr.events,
-	}
-	cp.carve()
-	return cp
-}
-
 // Reset returns the tracker to its initial state (that of
 // NewTrackerChans over the same universe) in place, reusing its slabs,
 // undo log storage and clock arena. The undo switch is kept. The race
 // log is dropped rather than truncated, so a slice returned by Races
 // before the call is never overwritten. The arena restarts at its
-// current chunk only when the arena floor shows that no Clone, CloneTo
-// or Apply result shares that chunk; otherwise it keeps its position
-// and the shared storage is left to the GC.
+// current chunk only when the arena floor shows that no Apply result
+// shares that chunk; otherwise it keeps its position and the shared
+// storage is left to the GC.
 func (tr *Tracker) Reset() {
 	clear(tr.slab)
 	clear(tr.evSlab)

@@ -292,28 +292,6 @@ func TestFingerprintPrefixes(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies deep copying of tracker state.
-func TestCloneIndependence(t *testing.T) {
-	tr := NewTracker(2, 1, 1)
-	tr.Apply(ev(0, 0, wr(0, 1)))
-	cp := tr.Clone()
-	tr.Apply(ev(1, 0, wr(0, 2)))
-	if cp.Events() != 1 || tr.Events() != 2 {
-		t.Fatal("clone must freeze event count")
-	}
-	if cp.HBFingerprint() == tr.HBFingerprint() {
-		t.Fatal("applying to the original must not affect the clone")
-	}
-	if len(cp.Races()) != 0 || len(tr.Races()) != 1 {
-		t.Fatal("race logs must be independent")
-	}
-	// The clone can continue independently and reach the same result.
-	cp.Apply(ev(1, 0, wr(0, 2)))
-	if cp.HBFingerprint() != tr.HBFingerprint() || cp.LazyFingerprint() != tr.LazyFingerprint() {
-		t.Fatal("same continuation on the clone must reproduce the fingerprints")
-	}
-}
-
 // TestApplyFastMatchesApply: the engines' no-result path must leave the
 // tracker in exactly the state the recording path produces.
 func TestApplyFastMatchesApply(t *testing.T) {
@@ -343,48 +321,6 @@ func TestApplyFastMatchesApply(t *testing.T) {
 		p := event.ThreadID(tid)
 		if !a.ThreadClock(p).Equal(b.ThreadClock(p)) || !a.LazyThreadClock(p).Equal(b.LazyThreadClock(p)) {
 			t.Fatalf("thread %d clocks diverged", tid)
-		}
-	}
-}
-
-// TestCloneSnapshotStability mimics the exploration backend: clones
-// taken at every prefix must stay frozen while the original advances,
-// and re-applying the suffix to any clone must reproduce the original
-// run exactly — the copy-on-write contract.
-func TestCloneSnapshotStability(t *testing.T) {
-	events := []event.Event{
-		ev(0, 0, lk(0)),
-		ev(0, 1, wr(0, 1)),
-		ev(1, 0, wr(1, 5)),
-		ev(0, 2, ul(0)),
-		ev(1, 1, lk(0)),
-		ev(1, 2, rd(0)),
-		ev(1, 3, ul(0)),
-		ev(0, 3, rd(1)),
-	}
-	tr := NewTracker(2, 2, 1)
-	var clones []*Tracker
-	var hbFPs, lazyFPs []Fingerprint
-	clones = append(clones, tr.Clone())
-	hbFPs = append(hbFPs, tr.HBFingerprint())
-	lazyFPs = append(lazyFPs, tr.LazyFingerprint())
-	for _, e := range events {
-		tr.Apply(e)
-		clones = append(clones, tr.Clone())
-		hbFPs = append(hbFPs, tr.HBFingerprint())
-		lazyFPs = append(lazyFPs, tr.LazyFingerprint())
-	}
-	for d, cp := range clones {
-		if cp.Events() != d || cp.HBFingerprint() != hbFPs[d] || cp.LazyFingerprint() != lazyFPs[d] {
-			t.Fatalf("clone at depth %d drifted while the original advanced", d)
-		}
-		// Clones of clones continue independently: replay the suffix.
-		re := cp.Clone()
-		for _, e := range events[d:] {
-			re.ApplyFast(e)
-		}
-		if re.HBFingerprint() != tr.HBFingerprint() || re.LazyFingerprint() != tr.LazyFingerprint() {
-			t.Fatalf("suffix replay from depth %d did not reproduce the run", d)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // contents — and reversal is O(1) per event: restore the saved
 // references, subtract the event's hashes from the two commutative
 // fingerprints, truncate the race log, and roll the arena back to the
-// event's watermark (when no clone shares the storage).
+// event's watermark (when no Apply result shares the storage).
 
 // undoRec captures everything one apply mutates, keyed by the event's
 // kind. aux holds the kind-specific old references:
@@ -110,50 +110,47 @@ func (tr *Tracker) record(ev event.Event) *undoRec {
 	return rec
 }
 
-// undoOne reverses one recorded event on dst. dst is either the
-// recording tracker itself (UndoTo) or a clone of it (CloneTo) — the
-// saved references point at immutable published clocks, so they are
-// valid in both. Arena rollback is the caller's business: it is only
-// sound on the tracker that owns the arena.
-func undoOne(dst *Tracker, r *undoRec) {
+// undoOne reverses one recorded event: the saved references point at
+// immutable published clocks. Arena rollback is UndoTo's business.
+func (tr *Tracker) undoOne(r *undoRec) {
 	t := int(r.thread)
-	dst.hbT[t], dst.lazyT[t], dst.syncT[t] = r.hbT, r.lazyT, r.syncT
+	tr.hbT[t], tr.lazyT[t], tr.syncT[t] = r.hbT, r.lazyT, r.syncT
 	switch r.kind {
 	case event.KindRead:
 		v := r.obj
-		dst.rHB[v], dst.rLazy[v], dst.rSync[v] = r.aux[0], r.aux[1], r.aux[2]
-		dst.lastReadEv[v], dst.hasReadEv[v] = r.oldEv, r.oldHasR
+		tr.rHB[v], tr.rLazy[v], tr.rSync[v] = r.aux[0], r.aux[1], r.aux[2]
+		tr.lastReadEv[v], tr.hasReadEv[v] = r.oldEv, r.oldHasR
 	case event.KindWrite:
 		v := r.obj
-		dst.wHB[v], dst.rHB[v] = r.aux[0], r.aux[1]
-		dst.wLazy[v], dst.rLazy[v] = r.aux[2], r.aux[3]
-		dst.wSync[v], dst.rSync[v] = r.aux[4], r.aux[5]
-		dst.lastWriteEv[v], dst.hasWriteEv[v], dst.hasReadEv[v] = r.oldEv, r.oldHasW, r.oldHasR
+		tr.wHB[v], tr.rHB[v] = r.aux[0], r.aux[1]
+		tr.wLazy[v], tr.rLazy[v] = r.aux[2], r.aux[3]
+		tr.wSync[v], tr.rSync[v] = r.aux[4], r.aux[5]
+		tr.lastWriteEv[v], tr.hasWriteEv[v], tr.hasReadEv[v] = r.oldEv, r.oldHasW, r.oldHasR
 	case event.KindLock, event.KindUnlock:
 		mu := r.obj
-		dst.mHB[mu], dst.mSync[mu] = r.aux[0], r.aux[1]
+		tr.mHB[mu], tr.mSync[mu] = r.aux[0], r.aux[1]
 	case event.KindSpawn:
 		c := int(r.obj)
-		dst.hbT[c], dst.lazyT[c], dst.syncT[c] = r.aux[0], r.aux[1], r.aux[2]
+		tr.hbT[c], tr.lazyT[c], tr.syncT[c] = r.aux[0], r.aux[1], r.aux[2]
 	case event.KindSend, event.KindRecv, event.KindClose:
 		c := r.obj
-		dst.chHB[c], dst.chLazy[c], dst.chSync[c] = r.aux[0], r.aux[1], r.aux[2]
+		tr.chHB[c], tr.chLazy[c], tr.chSync[c] = r.aux[0], r.aux[1], r.aux[2]
 	case event.KindSelect:
 		i := 0
 		for c, mask := int32(0), event.SelectCases(r.val); mask != 0; c, mask = c+1, mask>>1 {
 			if mask&1 == 0 {
 				continue
 			}
-			dst.chHB[c], dst.chLazy[c], dst.chSync[c] = r.auxSel[i], r.auxSel[i+1], r.auxSel[i+2]
+			tr.chHB[c], tr.chLazy[c], tr.chSync[c] = r.auxSel[i], r.auxSel[i+1], r.auxSel[i+2]
 			i += 3
 		}
 	}
-	dst.hbFP[0] -= r.hbHash
-	dst.hbFP[1] ^= mix64(r.hbHash)
-	dst.lazyFP[0] -= r.lazyHash
-	dst.lazyFP[1] ^= mix64(r.lazyHash)
-	dst.races = dst.races[:r.racesLen]
-	dst.events--
+	tr.hbFP[0] -= r.hbHash
+	tr.hbFP[1] ^= mix64(r.hbHash)
+	tr.lazyFP[0] -= r.lazyHash
+	tr.lazyFP[1] ^= mix64(r.lazyHash)
+	tr.races = tr.races[:r.racesLen]
+	tr.events--
 }
 
 // EnableUndo switches the tracker to record an undo log: every applied
@@ -169,8 +166,8 @@ func (tr *Tracker) UndoMark() int { return len(tr.undo) }
 // previously returned by UndoMark), popping reversal records in LIFO
 // order. Fingerprints, races, per-thread and per-variable clocks and
 // the event count are restored exactly; arena storage allocated since
-// the mark is reused unless a Clone or Apply result taken since
-// shares it, in which case it leaks to the GC (correct either way).
+// the mark is reused unless an Apply result taken since shares it, in
+// which case it leaks to the GC (correct either way).
 func (tr *Tracker) UndoTo(mark int) {
 	if !tr.undoEnabled {
 		panic("hb: UndoTo without EnableUndo")
@@ -180,7 +177,7 @@ func (tr *Tracker) UndoTo(mark int) {
 	}
 	for len(tr.undo) > mark {
 		r := &tr.undo[len(tr.undo)-1]
-		undoOne(tr, r)
+		tr.undoOne(r)
 		if r.arenaPos >= tr.arenaFloor {
 			tr.arena.chunk = r.arenaChunk
 			tr.arena.allocated = r.arenaPos
@@ -192,26 +189,9 @@ func (tr *Tracker) UndoTo(mark int) {
 	// full tail. Continue from the newest chunk's start instead, so the
 	// next forward crossing does not make another chunk. That chunk is
 	// private: a position is restored only at or above the floor, so
-	// every clock in the chunk was handed out after the last Clone or
-	// Apply, and after the event the restored position belongs to.
+	// every clock in the chunk was handed out after the last Apply,
+	// and after the event the restored position belongs to.
 	if a := &tr.arena; a.allocated < a.baseAt {
 		a.chunk, a.baseAt = a.base, a.allocated
 	}
-}
-
-// CloneTo returns an independent tracker equal to the receiver's state
-// at mark, without disturbing the receiver: a Clone rewound through the
-// receiver's undo records. Work-steal coordinators use it to ship a
-// seed for an interior node of the schedule tree while the engine's
-// live tracker sits at the frontier. The clone has a fresh arena and
-// no undo log of its own.
-func (tr *Tracker) CloneTo(mark int) *Tracker {
-	if mark < 0 || mark > len(tr.undo) {
-		panic(fmt.Sprintf("hb: CloneTo(%d) beyond undo log length %d", mark, len(tr.undo)))
-	}
-	cp := tr.Clone()
-	for i := len(tr.undo) - 1; i >= mark; i-- {
-		undoOne(cp, &tr.undo[i])
-	}
-	return cp
 }

@@ -83,48 +83,6 @@ func TestUndoToMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCloneToMatchesReference: CloneTo ships an interior state without
-// disturbing the live tracker — the work-steal seed export path.
-func TestCloneToMatchesReference(t *testing.T) {
-	tr := NewTracker(3, 2, 1)
-	tr.EnableUndo()
-	for _, e := range undoSeq {
-		tr.ApplyFast(e)
-	}
-	frontier := trackerAt(undoSeq, len(undoSeq))
-	for k := 0; k <= len(undoSeq); k++ {
-		cp := tr.CloneTo(k)
-		sameState(t, "CloneTo", cp, trackerAt(undoSeq, k))
-		sameState(t, "receiver after CloneTo", tr, frontier)
-	}
-}
-
-// TestUndoCloneSafety: a clone taken mid-exploration must survive the
-// parent rewinding past the clone point and re-applying different
-// events — the arena floor prevents the parent from reusing storage
-// the clone shares.
-func TestUndoCloneSafety(t *testing.T) {
-	tr := NewTracker(3, 2, 1)
-	tr.EnableUndo()
-	for _, e := range undoSeq[:8] {
-		tr.ApplyFast(e)
-	}
-	cp := tr.Clone()
-	want := trackerAt(undoSeq, 8)
-
-	// Rewind the parent below the clone point and grow a different
-	// branch, forcing heavy arena churn.
-	tr.UndoTo(3)
-	for i := 0; i < 50; i++ {
-		tr.ApplyFast(ev(1, int32(1+i), wr(0, int64(i))))
-	}
-	sameState(t, "clone after parent rewind+regrow", cp, want)
-
-	// And the regrown parent itself still rewinds exactly.
-	tr.UndoTo(3)
-	sameState(t, "parent after regrow rewind", tr, trackerAt(undoSeq, 3))
-}
-
 // TestUndoRandomWalk drives a random apply/undo interleaving (the DFS
 // access pattern, including arena reuse after rewinds) and checks the
 // live state against a reference replay at every step.
@@ -153,9 +111,6 @@ func TestUndoRandomWalk(t *testing.T) {
 			tr.UndoTo(d)
 			trace = trace[:d]
 			reindex()
-		}
-		if rng.Intn(8) == 0 {
-			_ = tr.CloneTo(rng.Intn(tr.UndoMark() + 1))
 		}
 		ref := trackerAt(trace, len(trace))
 		if tr.HBFingerprint() != ref.HBFingerprint() || tr.LazyFingerprint() != ref.LazyFingerprint() {
@@ -215,11 +170,11 @@ func TestUndoAcrossChunkAllocatesNothing(t *testing.T) {
 	sameState(t, "after cycles", tr, trackerAt(prefix, mark))
 }
 
-// TestChunkRewindRespectsArenaFloor: a Clone and an Apply result taken
-// after an undo rewound the arena into its newest chunk share that
-// chunk; applying, undoing and resetting the tracker afterwards must
-// not reuse their storage, and the tracker itself must still equal a
-// fresh replay.
+// TestChunkRewindRespectsArenaFloor: an Apply result taken after an
+// undo rewound the arena into its newest chunk shares that chunk;
+// applying, undoing and resetting the tracker afterwards must not
+// reuse its storage, and the tracker itself must still equal a fresh
+// replay.
 func TestChunkRewindRespectsArenaFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tr := NewTrackerChans(rsThreads, rsVars, rsMutexes, rsChans)
@@ -247,8 +202,6 @@ func TestChunkRewindRespectsArenaFloor(t *testing.T) {
 		}
 		sameTracker(t, "after a chunk rewind", tr, ref)
 
-		kept := tr.Clone()
-		want := copyClocks(kept.slab)
 		applied := tr.Apply(evs[mark%len(evs)])
 		wantApplied := copyClocks([]vclock.VC{applied.HB, applied.Lazy})
 		for _, e := range randomEvents(rng, 300) {
@@ -261,9 +214,6 @@ func TestChunkRewindRespectsArenaFloor(t *testing.T) {
 		tr.Reset()
 		for _, e := range randomEvents(rng, 300) {
 			tr.ApplyFast(e)
-		}
-		if !reflect.DeepEqual(copyClocks(kept.slab), want) {
-			t.Fatalf("iter %d: a clone's clocks changed after a chunk rewind", iter)
 		}
 		if got := copyClocks([]vclock.VC{applied.HB, applied.Lazy}); !reflect.DeepEqual(got, wantApplied) {
 			t.Fatalf("iter %d: Apply's clocks changed after a chunk rewind: %v, want %v", iter, got, wantApplied)
