@@ -28,6 +28,7 @@ import (
 	"repro/internal/figures"
 	"repro/internal/goharness"
 	"repro/internal/hb"
+	"repro/internal/model"
 	"repro/internal/vclock"
 )
 
@@ -460,27 +461,52 @@ func BenchmarkExecutor(b *testing.B) {
 }
 
 // BenchmarkTracker measures the per-event cost of maintaining all
-// three happens-before relations plus fingerprints.
+// three happens-before relations plus fingerprints in the shape
+// exploration uses: one warm tracker per program with its undo log on,
+// fed recorded corpus schedules and rewound with UndoTo(0) after each.
+// It reports ns/event and allocs/event over every corpus program's
+// schedules under four random seeds.
 func BenchmarkTracker(b *testing.B) {
-	evs := make([]event.Event, 0, 64)
-	for i := 0; i < 16; i++ {
-		t := event.ThreadID(i % 4)
-		evs = append(evs,
-			event.Event{Thread: t, Index: int32(i / 4 * 4), Op: event.Op{Kind: event.KindLock, Obj: 0}},
-			event.Event{Thread: t, Index: int32(i/4*4 + 1), Op: event.Op{Kind: event.KindRead, Obj: int32(i % 3)}},
-			event.Event{Thread: t, Index: int32(i/4*4 + 2), Op: event.Op{Kind: event.KindWrite, Obj: int32(i % 3), Val: int64(i)}},
-			event.Event{Thread: t, Index: int32(i/4*4 + 3), Op: event.Op{Kind: event.KindUnlock, Obj: 0}},
-		)
+	type workload struct {
+		tr     *hb.Tracker
+		traces [][]event.Event
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := hb.NewTracker(4, 3, 1)
-		for _, ev := range evs {
-			tr.Apply(ev)
+	var loads []workload
+	events := 0
+	for _, bm := range bench.All() {
+		p := bm.Program
+		w := workload{tr: hb.NewTrackerChans(p.NumThreads(), p.NumVars(), p.NumMutexes(), model.NumChannels(p))}
+		w.tr.EnableUndo()
+		for seed := int64(1); seed <= 4; seed++ {
+			tr := exec.Run(p, exec.NewRandom(seed), exec.Options{}).Trace
+			w.traces = append(w.traces, tr)
+			events += len(tr)
+		}
+		loads = append(loads, w)
+	}
+	pass := func() {
+		for _, w := range loads {
+			for _, trace := range w.traces {
+				for _, ev := range trace {
+					w.tr.ApplyFast(ev)
+				}
+				w.tr.UndoTo(0)
+			}
 		}
 	}
-	b.ReportMetric(float64(len(evs)), "events/op")
+	pass() // warm every tracker's arena and undo log
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/event")
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // BenchmarkVClock measures the clock algebra hot path.

@@ -38,17 +38,27 @@
 // over 128 bits). Fingerprints of every prefix are available, which is
 // what HBR caching and lazy HBR caching consume.
 //
-// # Copy-on-write clocks
+// # Copy-on-write clock triples
+//
+// Every tracker slot — per thread, per variable (last write and the
+// join of the reads since), per mutex and per channel — holds one
+// clock triple: a single 3n-word clock laid out hb|lazy|sync, the
+// event's clock in each relation for n threads. An event takes one
+// arena allocation for its triple, a copy of its thread's predecessor
+// triple, and joins each operand into the parts its kind selects
+// (variable accesses: hb and lazy; lock/unlock: hb and sync; join and
+// channel operations: all three); the slots it updates then share that
+// one triple.
 //
 // The tracker follows an immutable-after-publication discipline: every
-// clock reachable from tracker state (thread clocks, variable metadata,
-// mutex clocks, clocks returned by Apply) is never mutated again once
-// stored. Updates allocate a fresh clock — bump-allocated from an
-// internal arena, so the common case costs zero heap allocations — and
-// replace the reference. Published clocks can therefore be shared
-// freely: an undo record saves the few clock references an event
-// overwrites and no clock contents, and the clocks Apply returns stay
-// valid as the tracker moves on.
+// triple reachable from tracker state, and every clock returned by
+// Apply (a sub-slice of one), is never mutated again once stored.
+// Updates allocate a fresh triple — bump-allocated from an internal
+// arena, so the common case costs zero heap allocations — and replace
+// the reference. Published triples can therefore be shared freely: an
+// undo record saves the one reference per slot an event overwrites and
+// no clock contents, and the clocks Apply returns stay valid as the
+// tracker moves on.
 package hb
 
 import (
@@ -103,9 +113,10 @@ func (r Race) String() string {
 	return fmt.Sprintf("data race on v%d: %v vs %v", r.Var, r.Prev, r.Access)
 }
 
-// Clocks carries the per-event results of Tracker.Apply. The clocks are
-// shared with the tracker's internal state under the copy-on-write
-// discipline: they are immutable and must not be modified.
+// Clocks carries the per-event results of Tracker.Apply: the hb and
+// lazy parts of the event's clock triple. The clocks are shared with
+// the tracker's internal state under the copy-on-write discipline:
+// they are immutable and must not be modified.
 type Clocks struct {
 	// HB is the event's regular happens-before vector clock.
 	HB vclock.VC
@@ -166,33 +177,31 @@ func (a *clockArena) alloc(n int) vclock.VC {
 type Tracker struct {
 	nthreads, nvars, nmutexes, nchans int
 
-	// slab backs every clock-reference field below in one allocation,
-	// so Reset is a single clear. All clocks referenced from the slab
-	// are immutable (copy-on-write); only the references change.
+	// slab backs every triple-reference field below in one allocation,
+	// so Reset is a single clear. Every triple referenced from the slab
+	// is immutable (copy-on-write); only the references change. A nil
+	// reference is the bottom triple.
 	slab []vclock.VC
 
-	// Per-thread clocks of the last executed event (bottom before
-	// the first event). For spawned threads these are seeded with
-	// the parent's spawn-event clock.
-	hbT, lazyT, syncT []vclock.VC
+	// Per-thread triple of the last executed event (bottom before the
+	// first event). A spawned thread's slot is seeded with its spawn
+	// event's triple.
+	thread []vclock.VC
 
-	// Regular-HB variable metadata: clock of the last write, and the
-	// join of the clocks of all reads since that write.
-	wHB, rHB []vclock.VC
-	// Lazy-HB variable metadata (identical structure; variable edges
-	// are kept by the lazy relation).
-	wLazy, rLazy []vclock.VC
-	// Sync-only variable metadata, for race detection only.
-	wSync, rSync []vclock.VC
+	// Per-variable triple of the last write, and the join of the
+	// triples of all reads since that write (bottom after a write).
+	// The hb and lazy parts carry the variable edges both relations
+	// keep; the sync part serves race detection only.
+	write, read []vclock.VC
 
-	// Per-mutex clock of the last lock/unlock event, for the regular
-	// and sync relations. The lazy relation has no mutex state.
-	mHB, mSync []vclock.VC
+	// Per-mutex triple of the last lock/unlock event. Only its hb and
+	// sync parts are read: the lazy relation has no mutex edges.
+	mutex []vclock.VC
 
-	// Per-channel clock of the last channel operation, for all three
-	// relations: channel edges are data-carrying, so the lazy relation
-	// keeps them (only mutex edges are dropped).
-	chHB, chLazy, chSync []vclock.VC
+	// Per-channel triple of the last channel operation, all three
+	// parts read: channel edges are data-carrying, so the lazy
+	// relation keeps them (only mutex edges are dropped).
+	chans []vclock.VC
 
 	// Last-access events per variable, for race reports; evSlab and
 	// hasSlab back the four views in one allocation each.
@@ -217,6 +226,24 @@ type Tracker struct {
 	arenaFloor  int64
 }
 
+// The parts of a clock triple, in layout order.
+const (
+	partHB = iota
+	partLazy
+	partSync
+)
+
+// part returns one relation's n-word clock out of triple c (bottom if
+// c is bottom), capped so that it cannot be appended into the next
+// part.
+func (tr *Tracker) part(c vclock.VC, k int) vclock.VC {
+	if c == nil {
+		return nil
+	}
+	n := tr.nthreads
+	return c[k*n : (k+1)*n : (k+1)*n]
+}
+
 // carve derives the named views from the backing slabs.
 func (tr *Tracker) carve() {
 	s := tr.slab
@@ -225,13 +252,11 @@ func (tr *Tracker) carve() {
 		s = s[n:]
 		return out
 	}
-	n, v, m, c := tr.nthreads, tr.nvars, tr.nmutexes, tr.nchans
-	tr.hbT, tr.lazyT, tr.syncT = take(n), take(n), take(n)
-	tr.wHB, tr.rHB = take(v), take(v)
-	tr.wLazy, tr.rLazy = take(v), take(v)
-	tr.wSync, tr.rSync = take(v), take(v)
-	tr.mHB, tr.mSync = take(m), take(m)
-	tr.chHB, tr.chLazy, tr.chSync = take(c), take(c), take(c)
+	tr.thread = take(tr.nthreads)
+	tr.write, tr.read = take(tr.nvars), take(tr.nvars)
+	tr.mutex = take(tr.nmutexes)
+	tr.chans = take(tr.nchans)
+	v := tr.nvars
 	tr.lastWriteEv, tr.lastReadEv = tr.evSlab[:v:v], tr.evSlab[v:]
 	tr.hasWriteEv, tr.hasReadEv = tr.hasSlab[:v:v], tr.hasSlab[v:]
 }
@@ -250,7 +275,7 @@ func NewTrackerChans(nthreads, nvars, nmutexes, nchans int) *Tracker {
 		nvars:    nvars,
 		nmutexes: nmutexes,
 		nchans:   nchans,
-		slab:     make([]vclock.VC, 3*nthreads+6*nvars+2*nmutexes+3*nchans),
+		slab:     make([]vclock.VC, nthreads+2*nvars+nmutexes+nchans),
 		evSlab:   make([]event.Event, 2*nvars),
 		hasSlab:  make([]bool, 2*nvars),
 	}
@@ -274,11 +299,15 @@ func (tr *Tracker) Races() []Race { return tr.races }
 
 // ThreadClock returns thread t's regular-HB clock after its last event.
 // The returned slice must not be modified.
-func (tr *Tracker) ThreadClock(t event.ThreadID) vclock.VC { return tr.hbT[t] }
+func (tr *Tracker) ThreadClock(t event.ThreadID) vclock.VC {
+	return tr.part(tr.thread[t], partHB)
+}
 
 // LazyThreadClock returns thread t's lazy-HB clock after its last
 // event. The returned slice must not be modified.
-func (tr *Tracker) LazyThreadClock(t event.ThreadID) vclock.VC { return tr.lazyT[t] }
+func (tr *Tracker) LazyThreadClock(t event.ThreadID) vclock.VC {
+	return tr.part(tr.thread[t], partLazy)
+}
 
 // HappensBeforeNext reports whether an already-executed event e (with
 // per-thread index e.Index, executed by e.Thread) happens-before the
@@ -290,7 +319,7 @@ func (tr *Tracker) HappensBeforeNext(e event.Event, p event.ThreadID) bool {
 	if e.Thread == p {
 		return true
 	}
-	return tr.hbT[p].Get(int(e.Thread)) >= e.Index+1
+	return tr.ThreadClock(p).Get(int(e.Thread)) >= e.Index+1
 }
 
 // RacesWithNext reports whether the already-executed event e races
@@ -314,27 +343,43 @@ func (tr *Tracker) RacesWithNext(e event.Event, q event.ThreadID, op event.Op) b
 	return !tr.HappensBeforeNext(e, q)
 }
 
-// fresh returns a new unpublished full-width clock initialised to
-// parent (bottom if parent is nil/short). The tail beyond parent is
-// cleared explicitly: arena storage is zeroed when a chunk is made but
-// not when an undo rewind hands the same region out again.
-func (tr *Tracker) fresh(parent vclock.VC) vclock.VC {
-	v := tr.arena.alloc(tr.nthreads)
-	n := copy(v, parent)
-	clear(v[n:])
-	return v
+// joinParts joins words [lo, hi) of triple src into the unpublished
+// triple dst; a bottom src changes nothing.
+func joinParts(dst, src vclock.VC, lo, hi int) {
+	if src == nil {
+		return
+	}
+	s, d := src[lo:hi], dst[lo:hi:hi]
+	for i, x := range s {
+		if x > d[i] {
+			d[i] = x
+		}
+	}
 }
 
-// joined returns a published clock equal to base ⊔ with. When base is
+// leq reports whether clock a ≤ clock b; both are parts of the same
+// width.
+func leq(a, b vclock.VC) bool {
+	b = b[:len(a)]
+	for i, x := range a {
+		if x > b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// joined returns a published triple equal to base ⊔ with. When base is
 // bottom the already-published with is shared directly (copy-on-write);
-// otherwise a fresh clock is built. with must be a published full-width
-// clock.
+// otherwise a fresh triple is built.
 func (tr *Tracker) joined(base, with vclock.VC) vclock.VC {
-	if len(base) == 0 {
+	if base == nil {
 		return with
 	}
-	v := tr.fresh(base)
-	return v.Join(with)
+	c := tr.arena.alloc(len(with))
+	copy(c, base)
+	joinParts(c, with, 0, len(with))
+	return c
 }
 
 // Apply folds one executed event into all three relations and returns
@@ -343,93 +388,80 @@ func (tr *Tracker) joined(base, with vclock.VC) vclock.VC {
 // stay valid across later UndoTo and Reset calls: Apply raises the
 // arena floor over them.
 func (tr *Tracker) Apply(ev event.Event) Clocks {
-	hb, lazy := tr.apply(ev)
+	c := tr.apply(ev)
 	tr.arenaFloor = tr.arena.allocated
-	return Clocks{HB: hb, Lazy: lazy}
+	return Clocks{HB: tr.part(c, partHB), Lazy: tr.part(c, partLazy)}
 }
 
 // ApplyFast is Apply for callers that do not consume the per-event
 // clocks (the exploration hot path).
 func (tr *Tracker) ApplyFast(ev event.Event) { tr.apply(ev) }
 
-// apply computes the event's clocks on fresh arena storage, publishes
-// them into tracker state (sharing, never copying) and folds the event
-// into both fingerprints.
-func (tr *Tracker) apply(ev event.Event) (hbc, lazyc vclock.VC) {
+// apply computes the event's clock triple on fresh arena storage,
+// publishes it into tracker state (sharing, never copying) and folds
+// the event into both fingerprints.
+func (tr *Tracker) apply(ev event.Event) vclock.VC {
 	t := int(ev.Thread)
+	n := tr.nthreads
 
-	var rec *undoRec
 	if tr.undoEnabled {
-		rec = tr.record(ev)
+		tr.record(ev)
 	}
 
-	// Start from the thread's program-order predecessor and tick. The
-	// three clocks are unpublished until stored below, so in-place
-	// Join/increment is safe; all clocks are full-width, so Join never
-	// reallocates.
-	hb := tr.fresh(tr.hbT[t])
-	hb[t]++
-	lazy := tr.fresh(tr.lazyT[t])
-	lazy[t]++
-	sync := tr.fresh(tr.syncT[t])
-	sync[t]++
+	// Start from the thread's program-order predecessor and tick each
+	// part. The triple is unpublished until stored below, so in-place
+	// joins are safe. The tail is cleared explicitly: arena storage
+	// is zeroed when a chunk is made but not when an undo rewind hands
+	// the same region out again.
+	c := tr.arena.alloc(3 * n)
+	clear(c[copy(c, tr.thread[t]):])
+	c[partHB*n+t]++
+	c[partLazy*n+t]++
+	c[partSync*n+t]++
 
 	switch ev.Kind {
 	case event.KindRead:
 		v := ev.Obj
-		hb = hb.Join(tr.wHB[v])
-		lazy = lazy.Join(tr.wLazy[v])
-		if tr.hasWriteEv[v] && !tr.wSync[v].Leq(sync) {
+		joinParts(c, tr.write[v], 0, 2*n)
+		if tr.hasWriteEv[v] && !leq(tr.part(tr.write[v], partSync), c[2*n:]) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastWriteEv[v]})
 		}
-		tr.rHB[v] = tr.joined(tr.rHB[v], hb)
-		tr.rLazy[v] = tr.joined(tr.rLazy[v], lazy)
-		tr.rSync[v] = tr.joined(tr.rSync[v], sync)
+		tr.read[v] = tr.joined(tr.read[v], c)
 		tr.lastReadEv[v] = ev
 		tr.hasReadEv[v] = true
 
 	case event.KindWrite:
 		v := ev.Obj
-		hb = hb.Join(tr.wHB[v]).Join(tr.rHB[v])
-		lazy = lazy.Join(tr.wLazy[v]).Join(tr.rLazy[v])
-		if tr.hasWriteEv[v] && !tr.wSync[v].Leq(sync) {
+		joinParts(c, tr.write[v], 0, 2*n)
+		joinParts(c, tr.read[v], 0, 2*n)
+		if tr.hasWriteEv[v] && !leq(tr.part(tr.write[v], partSync), c[2*n:]) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastWriteEv[v]})
-		} else if tr.hasReadEv[v] && !tr.rSync[v].Leq(sync) {
+		} else if tr.hasReadEv[v] && !leq(tr.part(tr.read[v], partSync), c[2*n:]) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastReadEv[v]})
 		}
-		tr.wHB[v] = hb
-		tr.rHB[v] = nil
-		tr.wLazy[v] = lazy
-		tr.rLazy[v] = nil
-		tr.wSync[v] = sync
-		tr.rSync[v] = nil
+		tr.write[v] = c
+		tr.read[v] = nil
 		tr.lastWriteEv[v] = ev
 		tr.hasWriteEv[v] = true
 		tr.hasReadEv[v] = false
 
 	case event.KindLock, event.KindUnlock:
-		mu := ev.Obj
 		// Mutex edges exist in the regular and sync relations
 		// only: this is the entire difference that defines the
 		// lazy HBR.
-		hb = hb.Join(tr.mHB[mu])
-		sync = sync.Join(tr.mSync[mu])
-		tr.mHB[mu] = hb
-		tr.mSync[mu] = sync
+		mu := ev.Obj
+		joinParts(c, tr.mutex[mu], 0, n)
+		joinParts(c, tr.mutex[mu], 2*n, 3*n)
+		tr.mutex[mu] = c
 
 	case event.KindSpawn:
 		// The child's first event must order after this spawn, in
 		// all three relations (spawn edges are not mutex edges).
-		c := int(ev.Obj)
-		tr.hbT[c] = tr.joined(tr.hbT[c], hb)
-		tr.lazyT[c] = tr.joined(tr.lazyT[c], lazy)
-		tr.syncT[c] = tr.joined(tr.syncT[c], sync)
+		ch := int(ev.Obj)
+		tr.thread[ch] = tr.joined(tr.thread[ch], c)
 
 	case event.KindJoin:
-		c := int(ev.Obj)
-		hb = hb.Join(tr.hbT[c])
-		lazy = lazy.Join(tr.lazyT[c])
-		sync = sync.Join(tr.syncT[c])
+		joinParts(c, tr.thread[ev.Obj], 0, 3*n)
 
 	case event.KindAssert, event.KindPanic:
 		// Thread-local: program order only.
@@ -438,88 +470,111 @@ func (tr *Tracker) apply(ev event.Event) (hbc, lazyc vclock.VC) {
 		// One total order per channel, in all three relations: every
 		// pair of same-channel operations is dependent (the ring order,
 		// the drained value, or a panic depends on their order), so all
-		// of them must be HB-ordered; the per-channel clock achieves
+		// of them must be HB-ordered; the per-channel triple achieves
 		// exactly that and subsumes send→recv pairing and close→recv
 		// edges. Channel edges carry data, so the lazy relation keeps
 		// them (contrast KindLock/KindUnlock above).
-		c := ev.Obj
-		hb = hb.Join(tr.chHB[c])
-		lazy = lazy.Join(tr.chLazy[c])
-		sync = sync.Join(tr.chSync[c])
-		tr.chHB[c] = hb
-		tr.chLazy[c] = lazy
-		tr.chSync[c] = sync
+		joinParts(c, tr.chans[ev.Obj], 0, 3*n)
+		tr.chans[ev.Obj] = c
 
 	case event.KindSelect:
 		// A commit observes every case channel (it picked the lowest
 		// ready one, or proved none ready for the default), so it joins
-		// and republishes all of their clocks.
-		for c, mask := int32(0), event.SelectCases(ev.Val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 == 0 {
-				continue
+		// and republishes all of their triples.
+		for ch, mask := int32(0), event.SelectCases(ev.Val); mask != 0; ch, mask = ch+1, mask>>1 {
+			if mask&1 != 0 {
+				joinParts(c, tr.chans[ch], 0, 3*n)
 			}
-			hb = hb.Join(tr.chHB[c])
-			lazy = lazy.Join(tr.chLazy[c])
-			sync = sync.Join(tr.chSync[c])
 		}
-		for c, mask := int32(0), event.SelectCases(ev.Val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 == 0 {
-				continue
+		for ch, mask := int32(0), event.SelectCases(ev.Val); mask != 0; ch, mask = ch+1, mask>>1 {
+			if mask&1 != 0 {
+				tr.chans[ch] = c
 			}
-			tr.chHB[c] = hb
-			tr.chLazy[c] = lazy
-			tr.chSync[c] = sync
 		}
 	}
 
-	tr.hbT[t] = hb
-	tr.lazyT[t] = lazy
-	tr.syncT[t] = sync
+	tr.thread[t] = c
 
 	lbl := labelHash(ev)
-	hh, lh := lbl^mix64(hb.Hash()), lbl^mix64(lazy.Hash())
+	hbh, lzh := hashPair(c[:n], c[n:2*n])
+	hh, lh := lbl^mix64(hbh), lbl^mix64(lzh)
 	tr.hbFP.Add(hh)
 	tr.lazyFP.Add(lh)
 	tr.events++
+	return c
+}
 
-	if rec != nil {
-		// The fingerprint folds are commutative and invertible, so the
-		// record keeps the two hashes and undo subtracts them back out.
-		rec.hbHash, rec.lazyHash = hh, lh
+// FNV-1a over little-endian bytes: the hash vclock.VC.Hash and
+// labelHash define. fnvPrime2..4 are fnvPrime's powers mod 2^64; since
+// folding a zero byte is a bare multiply by fnvPrime, a run of k zero
+// bytes folds as one multiply by fnvPrime^k.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime2 = 0x366000002e329
+	fnvPrime3 = 0x8a97b0004e7feab
+	fnvPrime4 = 0x9ffaac085635bc91
+)
+
+// fnv32 folds the four little-endian bytes of x into FNV-1a state h,
+// collapsing the steps of x's zero high bytes into one multiply.
+// Clock components and event fields are small, so most words cost one
+// xor and one multiply instead of four of each.
+func fnv32(h uint64, x uint32) uint64 {
+	h ^= uint64(x & 0xff)
+	if x < 1<<8 {
+		return h * fnvPrime4
 	}
+	h = h*fnvPrime ^ uint64(x>>8&0xff)
+	if x < 1<<16 {
+		return h * fnvPrime3
+	}
+	h = h*fnvPrime ^ uint64(x>>16&0xff)
+	if x < 1<<24 {
+		return h * fnvPrime2
+	}
+	return (h*fnvPrime ^ uint64(x>>24)) * fnvPrime
+}
 
-	return hb, lazy
+// hashPair returns vclock.VC(a).Hash() and vclock.VC(b).Hash() for two
+// clocks of equal width, in one loop running two independent FNV-1a
+// chains. VC.Hash drops trailing zero components; here each chain's
+// result is instead its state after the last non-zero component, the
+// same value.
+func hashPair(a, b vclock.VC) (ha, hb uint64) {
+	x, y := uint64(fnvOffset), uint64(fnvOffset)
+	ha, hb = fnvOffset, fnvOffset
+	b = b[:len(a)]
+	for i, u := range a {
+		p, q := uint32(u), uint32(b[i])
+		x, y = fnv32(x, p), fnv32(y, q)
+		if p != 0 {
+			ha = x
+		}
+		if q != 0 {
+			hb = y
+		}
+	}
+	return ha, hb
 }
 
 // labelHash hashes an HBR node's schedule-independent label (thread,
-// per-thread index, kind, object, written/asserted value). A node's
-// hash in a relation is labelHash(ev) ^ mix64(vc.Hash()), where vc,
-// the event's clock in that relation, captures its incoming edges
-// exactly; mix64 decorrelates the clock from the label.
+// per-thread index, kind, object, written/asserted value) with FNV-1a.
+// A node's hash in a relation is labelHash(ev) ^ mix64(vc.Hash()),
+// where vc, the event's clock in that relation, captures its incoming
+// edges exactly; mix64 decorrelates the clock from the label.
 func labelHash(ev event.Event) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mixByte := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	mix32 := func(x uint32) {
-		mixByte(byte(x))
-		mixByte(byte(x >> 8))
-		mixByte(byte(x >> 16))
-		mixByte(byte(x >> 24))
-	}
-	mix32(uint32(ev.Thread))
-	mix32(uint32(ev.Index))
-	mixByte(byte(ev.Kind))
-	mix32(uint32(ev.Obj))
+	h := fnv32(fnvOffset, uint32(ev.Thread))
+	h = fnv32(h, uint32(ev.Index))
+	h = (h ^ uint64(ev.Kind)) * fnvPrime
+	h = fnv32(h, uint32(ev.Obj))
 	switch ev.Kind {
 	case event.KindWrite, event.KindAssert, event.KindPanic,
 		event.KindSend, event.KindSelect:
 		// Val is part of the node's label: the written/sent value, the
 		// assert outcome, the panic code, or a select's case set.
-		mix32(uint32(uint64(ev.Val)))
-		mix32(uint32(uint64(ev.Val) >> 32))
+		h = fnv32(h, uint32(uint64(ev.Val)))
+		h = fnv32(h, uint32(uint64(ev.Val)>>32))
 	}
 	return h
 }
@@ -539,7 +594,7 @@ func (tr *Tracker) Reset() {
 	tr.hbFP, tr.lazyFP = Fingerprint{}, Fingerprint{}
 	tr.races = nil
 	tr.events = 0
-	clear(tr.undo) // release the references; record relies on the zeroing
+	clear(tr.undo) // release the references
 	tr.undo = tr.undo[:0]
 	if a := &tr.arena; a.base != nil && tr.arenaFloor <= a.baseAt {
 		a.chunk, a.allocated = a.base, a.baseAt

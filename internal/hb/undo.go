@@ -11,38 +11,38 @@ import (
 // The tracker's undo log, symmetric to the machine's (model.Machine):
 // with undo enabled, apply records one reversal record per event, and
 // UndoTo rewinds the tracker in place by popping records in LIFO
-// order. Under the copy-on-write clock discipline a record is cheap —
-// it stores the clock *references* an event overwrites, never clock
-// contents — and reversal is O(1) per event: restore the saved
-// references, subtract the event's hashes from the two commutative
-// fingerprints, truncate the race log, and roll the arena back to the
-// event's watermark (when no Apply result shares the storage).
+// order. Under the copy-on-write discipline a record is cheap — it
+// stores the one triple reference per slot an event overwrites, never
+// clock contents — and reversal is O(1) per event: restore the saved
+// references and fingerprints, truncate the race log, and roll the
+// arena back to the event's watermark (when no Apply result shares the
+// storage).
 
 // undoRec captures everything one apply mutates, keyed by the event's
-// kind. aux holds the kind-specific old references:
+// kind. aux holds the kind-specific old triple references:
 //
-//	read v:            rHB[v], rLazy[v], rSync[v]
-//	write v:           wHB[v], rHB[v], wLazy[v], rLazy[v], wSync[v], rSync[v]
-//	lock/unlock mu:    mHB[mu], mSync[mu]
-//	spawn c:           hbT[c], lazyT[c], syncT[c]
-//	send/recv/close c: chHB[c], chLazy[c], chSync[c]
+//	read v:            read[v]
+//	write v:           write[v], read[v]
+//	lock/unlock mu:    mutex[mu]
+//	spawn c:           thread[c]
+//	send/recv/close c: chans[c]
 //
-// A select republishes the clocks of every channel in its case set, so
-// its record spills into auxSel (three references per case channel,
-// the only undo record that allocates).
+// A select republishes the triple of every channel in its case set, so
+// its record spills into auxSel (one reference per case channel).
 type undoRec struct {
 	thread event.ThreadID
 	kind   event.Kind
 	obj    int32
 
-	// The stepping thread's clocks before the event.
-	hbT, lazyT, syncT vclock.VC
+	// The stepping thread's triple before the event.
+	prev vclock.VC
 
-	aux [6]vclock.VC
+	aux [2]vclock.VC
 
-	// Select case-set clocks: chHB, chLazy, chSync per case channel,
-	// ascending. val keeps the select's Op.Val so undo can re-walk the
-	// same case set.
+	// Select case-set triples, one per case channel, ascending. val
+	// keeps the select's Op.Val so undo can re-walk the same case set.
+	// UndoTo keeps the emptied slice's storage in the popped slot, so
+	// a warm log records selects without allocating.
 	auxSel []vclock.VC
 	val    int64
 
@@ -51,9 +51,8 @@ type undoRec struct {
 	oldEv            event.Event
 	oldHasW, oldHasR bool
 
-	// The event's contributions to the two fingerprints; both folds
-	// are invertible (64-bit sum, xor).
-	hbHash, lazyHash uint64
+	// Both fingerprints before the event.
+	hbFP, lazyFP Fingerprint
 
 	racesLen int32
 
@@ -64,91 +63,74 @@ type undoRec struct {
 }
 
 // record appends the reversal record for ev, capturing tracker state
-// before apply mutates it. The returned pointer stays valid until the
-// next append; apply fills the fingerprint hashes through it once the
-// event's clocks are final. The record is built in place rather than
-// copied in: UndoTo and Reset zero every record they pop, so a slot
-// regained by growing the log holds only zero fields.
-func (tr *Tracker) record(ev event.Event) *undoRec {
-	t := int(ev.Thread)
+// before apply mutates it. The record is built in place rather than
+// copied in, and writes exactly the fields undoOne reads for ev's
+// kind: a reused slot may keep stale plain data in the others. Slots
+// are popped with their references released and auxSel emptied (see
+// UndoTo; Reset zeroes them).
+func (tr *Tracker) record(ev event.Event) {
 	n := len(tr.undo)
 	tr.undo = slices.Grow(tr.undo, 1)[:n+1]
 	rec := &tr.undo[n]
 	rec.thread, rec.kind, rec.obj = ev.Thread, ev.Kind, ev.Obj
-	rec.hbT, rec.lazyT, rec.syncT = tr.hbT[t], tr.lazyT[t], tr.syncT[t]
+	rec.prev = tr.thread[ev.Thread]
+	rec.hbFP, rec.lazyFP = tr.hbFP, tr.lazyFP
 	rec.racesLen = int32(len(tr.races))
 	rec.arenaChunk, rec.arenaPos = tr.arena.chunk, tr.arena.allocated
 	switch ev.Kind {
 	case event.KindRead:
 		v := ev.Obj
-		rec.aux[0], rec.aux[1], rec.aux[2] = tr.rHB[v], tr.rLazy[v], tr.rSync[v]
+		rec.aux[0] = tr.read[v]
 		rec.oldEv, rec.oldHasR = tr.lastReadEv[v], tr.hasReadEv[v]
 	case event.KindWrite:
 		v := ev.Obj
-		rec.aux[0], rec.aux[1] = tr.wHB[v], tr.rHB[v]
-		rec.aux[2], rec.aux[3] = tr.wLazy[v], tr.rLazy[v]
-		rec.aux[4], rec.aux[5] = tr.wSync[v], tr.rSync[v]
+		rec.aux[0], rec.aux[1] = tr.write[v], tr.read[v]
 		rec.oldEv, rec.oldHasW, rec.oldHasR = tr.lastWriteEv[v], tr.hasWriteEv[v], tr.hasReadEv[v]
 	case event.KindLock, event.KindUnlock:
-		mu := ev.Obj
-		rec.aux[0], rec.aux[1] = tr.mHB[mu], tr.mSync[mu]
+		rec.aux[0] = tr.mutex[ev.Obj]
 	case event.KindSpawn:
-		c := int(ev.Obj)
-		rec.aux[0], rec.aux[1], rec.aux[2] = tr.hbT[c], tr.lazyT[c], tr.syncT[c]
+		rec.aux[0] = tr.thread[ev.Obj]
 	case event.KindSend, event.KindRecv, event.KindClose:
-		c := ev.Obj
-		rec.aux[0], rec.aux[1], rec.aux[2] = tr.chHB[c], tr.chLazy[c], tr.chSync[c]
+		rec.aux[0] = tr.chans[ev.Obj]
 	case event.KindSelect:
 		rec.val = ev.Val
 		for c, mask := int32(0), event.SelectCases(ev.Val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 == 0 {
-				continue
+			if mask&1 != 0 {
+				rec.auxSel = append(rec.auxSel, tr.chans[c])
 			}
-			rec.auxSel = append(rec.auxSel, tr.chHB[c], tr.chLazy[c], tr.chSync[c])
 		}
 	}
-	return rec
 }
 
 // undoOne reverses one recorded event: the saved references point at
-// immutable published clocks. Arena rollback is UndoTo's business.
+// immutable published triples. Arena rollback is UndoTo's business.
 func (tr *Tracker) undoOne(r *undoRec) {
-	t := int(r.thread)
-	tr.hbT[t], tr.lazyT[t], tr.syncT[t] = r.hbT, r.lazyT, r.syncT
+	tr.thread[r.thread] = r.prev
 	switch r.kind {
 	case event.KindRead:
 		v := r.obj
-		tr.rHB[v], tr.rLazy[v], tr.rSync[v] = r.aux[0], r.aux[1], r.aux[2]
+		tr.read[v] = r.aux[0]
 		tr.lastReadEv[v], tr.hasReadEv[v] = r.oldEv, r.oldHasR
 	case event.KindWrite:
 		v := r.obj
-		tr.wHB[v], tr.rHB[v] = r.aux[0], r.aux[1]
-		tr.wLazy[v], tr.rLazy[v] = r.aux[2], r.aux[3]
-		tr.wSync[v], tr.rSync[v] = r.aux[4], r.aux[5]
+		tr.write[v], tr.read[v] = r.aux[0], r.aux[1]
 		tr.lastWriteEv[v], tr.hasWriteEv[v], tr.hasReadEv[v] = r.oldEv, r.oldHasW, r.oldHasR
 	case event.KindLock, event.KindUnlock:
-		mu := r.obj
-		tr.mHB[mu], tr.mSync[mu] = r.aux[0], r.aux[1]
+		tr.mutex[r.obj] = r.aux[0]
 	case event.KindSpawn:
-		c := int(r.obj)
-		tr.hbT[c], tr.lazyT[c], tr.syncT[c] = r.aux[0], r.aux[1], r.aux[2]
+		tr.thread[r.obj] = r.aux[0]
 	case event.KindSend, event.KindRecv, event.KindClose:
-		c := r.obj
-		tr.chHB[c], tr.chLazy[c], tr.chSync[c] = r.aux[0], r.aux[1], r.aux[2]
+		tr.chans[r.obj] = r.aux[0]
 	case event.KindSelect:
 		i := 0
 		for c, mask := int32(0), event.SelectCases(r.val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 == 0 {
-				continue
+			if mask&1 != 0 {
+				tr.chans[c] = r.auxSel[i]
+				i++
 			}
-			tr.chHB[c], tr.chLazy[c], tr.chSync[c] = r.auxSel[i], r.auxSel[i+1], r.auxSel[i+2]
-			i += 3
 		}
 	}
-	tr.hbFP[0] -= r.hbHash
-	tr.hbFP[1] ^= mix64(r.hbHash)
-	tr.lazyFP[0] -= r.lazyHash
-	tr.lazyFP[1] ^= mix64(r.lazyHash)
+	tr.hbFP, tr.lazyFP = r.hbFP, r.lazyFP
 	tr.races = tr.races[:r.racesLen]
 	tr.events--
 }
@@ -182,16 +164,20 @@ func (tr *Tracker) UndoTo(mark int) {
 			tr.arena.chunk = r.arenaChunk
 			tr.arena.allocated = r.arenaPos
 		}
-		*r = undoRec{} // release the references; record relies on the zeroing
+		// Release the references, keeping auxSel's storage for reuse.
+		r.prev, r.aux, r.arenaChunk = nil, [2]vclock.VC{}, nil
+		clear(r.auxSel)
+		r.auxSel = r.auxSel[:0]
 		tr.undo = tr.undo[:len(tr.undo)-1]
 	}
-	// An undo across a chunk boundary lands in an older chunk's nearly
-	// full tail. Continue from the newest chunk's start instead, so the
-	// next forward crossing does not make another chunk. That chunk is
-	// private: a position is restored only at or above the floor, so
-	// every clock in the chunk was handed out after the last Apply,
-	// and after the event the restored position belongs to.
-	if a := &tr.arena; a.allocated < a.baseAt {
+	// An undo across a chunk boundary, or back to the very watermark
+	// at which the newest chunk was made, lands in an older chunk's
+	// nearly full tail. Continue from the newest chunk's start instead,
+	// so the next forward crossing does not make another chunk. That
+	// chunk is private: a position is restored only at or above the
+	// floor, so every clock in the chunk was handed out after the last
+	// Apply, and after the event the restored position belongs to.
+	if a := &tr.arena; a.allocated <= a.baseAt {
 		a.chunk, a.baseAt = a.base, a.allocated
 	}
 }

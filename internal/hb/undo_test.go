@@ -123,7 +123,7 @@ func TestUndoRandomWalk(t *testing.T) {
 }
 
 // writeRun returns n writes to variable 0 by alternating threads,
-// numbered from idx (which it advances): three fresh 3-int clocks per
+// numbered from idx (which it advances): one fresh 9-int triple per
 // event and no other arena use.
 func writeRun(idx []int32, n int) []event.Event {
 	out := make([]event.Event, 0, n)
@@ -166,6 +166,36 @@ func TestUndoAcrossChunkAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("apply/undo cycle across a chunk boundary allocates %.1f times, want 0", allocs)
+	}
+	sameState(t, "after cycles", tr, trackerAt(prefix, mark))
+}
+
+// TestUndoAtChunkBoundaryAllocatesNothing pins the rewind for a mark
+// taken when the current chunk has no room for the next triple: the
+// first event after the mark makes a new chunk at exactly the mark's
+// watermark, and undoing back to the mark must continue from that
+// chunk's start rather than from the old chunk's exhausted tail, or
+// every apply/undo cycle makes another chunk.
+func TestUndoAtChunkBoundaryAllocatesNothing(t *testing.T) {
+	tr := NewTracker(3, 2, 1)
+	tr.EnableUndo()
+	idx := make([]int32, 3)
+	var prefix []event.Event
+	for len(prefix) == 0 || len(tr.arena.chunk) >= 3*tr.nthreads {
+		prefix = append(prefix, writeRun(idx, 1)...)
+		tr.ApplyFast(prefix[len(prefix)-1])
+	}
+	mark := tr.UndoMark()
+	evs := writeRun(idx, 4)
+	cycle := func() {
+		for _, e := range evs {
+			tr.ApplyFast(e)
+		}
+		tr.UndoTo(mark)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("apply/undo cycle from a chunk boundary allocates %.1f times, want 0", allocs)
 	}
 	sameState(t, "after cycles", tr, trackerAt(prefix, mark))
 }
