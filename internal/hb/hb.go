@@ -346,27 +346,9 @@ func (tr *Tracker) RacesWithNext(e event.Event, q event.ThreadID, op event.Op) b
 // joinParts joins words [lo, hi) of triple src into the unpublished
 // triple dst; a bottom src changes nothing.
 func joinParts(dst, src vclock.VC, lo, hi int) {
-	if src == nil {
-		return
+	if src != nil {
+		dst[lo:hi].Join(src[lo:hi])
 	}
-	s, d := src[lo:hi], dst[lo:hi:hi]
-	for i, x := range s {
-		if x > d[i] {
-			d[i] = x
-		}
-	}
-}
-
-// leq reports whether clock a ≤ clock b; both are parts of the same
-// width.
-func leq(a, b vclock.VC) bool {
-	b = b[:len(a)]
-	for i, x := range a {
-		if x > b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // joined returns a published triple equal to base ⊔ with. When base is
@@ -378,8 +360,7 @@ func (tr *Tracker) joined(base, with vclock.VC) vclock.VC {
 	}
 	c := tr.arena.alloc(len(with))
 	copy(c, base)
-	joinParts(c, with, 0, len(with))
-	return c
+	return c.Join(with)
 }
 
 // Apply folds one executed event into all three relations and returns
@@ -421,9 +402,12 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 
 	switch ev.Kind {
 	case event.KindRead:
+		// Variable edges join the hb and lazy parts (words [0, 2n));
+		// the sync part only detects races.
 		v := ev.Obj
 		joinParts(c, tr.write[v], 0, 2*n)
-		if tr.hasWriteEv[v] && !leq(tr.part(tr.write[v], partSync), c[2*n:]) {
+		sync := tr.part(c, partSync)
+		if tr.hasWriteEv[v] && !tr.part(tr.write[v], partSync).Leq(sync) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastWriteEv[v]})
 		}
 		tr.read[v] = tr.joined(tr.read[v], c)
@@ -434,9 +418,10 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 		v := ev.Obj
 		joinParts(c, tr.write[v], 0, 2*n)
 		joinParts(c, tr.read[v], 0, 2*n)
-		if tr.hasWriteEv[v] && !leq(tr.part(tr.write[v], partSync), c[2*n:]) {
+		sync := tr.part(c, partSync)
+		if tr.hasWriteEv[v] && !tr.part(tr.write[v], partSync).Leq(sync) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastWriteEv[v]})
-		} else if tr.hasReadEv[v] && !leq(tr.part(tr.read[v], partSync), c[2*n:]) {
+		} else if tr.hasReadEv[v] && !tr.part(tr.read[v], partSync).Leq(sync) {
 			tr.races = append(tr.races, Race{Var: v, Access: ev, Prev: tr.lastReadEv[v]})
 		}
 		tr.write[v] = c
@@ -450,8 +435,8 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 		// only: this is the entire difference that defines the
 		// lazy HBR.
 		mu := ev.Obj
-		joinParts(c, tr.mutex[mu], 0, n)
-		joinParts(c, tr.mutex[mu], 2*n, 3*n)
+		joinParts(c, tr.mutex[mu], 0, n)     // hb
+		joinParts(c, tr.mutex[mu], 2*n, 3*n) // sync
 		tr.mutex[mu] = c
 
 	case event.KindSpawn:
@@ -461,7 +446,7 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 		tr.thread[ch] = tr.joined(tr.thread[ch], c)
 
 	case event.KindJoin:
-		joinParts(c, tr.thread[ev.Obj], 0, 3*n)
+		c.Join(tr.thread[ev.Obj])
 
 	case event.KindAssert, event.KindPanic:
 		// Thread-local: program order only.
@@ -474,7 +459,7 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 		// exactly that and subsumes send→recv pairing and close→recv
 		// edges. Channel edges carry data, so the lazy relation keeps
 		// them (contrast KindLock/KindUnlock above).
-		joinParts(c, tr.chans[ev.Obj], 0, 3*n)
+		c.Join(tr.chans[ev.Obj])
 		tr.chans[ev.Obj] = c
 
 	case event.KindSelect:
@@ -482,14 +467,16 @@ func (tr *Tracker) apply(ev event.Event) vclock.VC {
 		// ready one, or proved none ready for the default), so it joins
 		// and republishes all of their triples.
 		for ch, mask := int32(0), event.SelectCases(ev.Val); mask != 0; ch, mask = ch+1, mask>>1 {
-			if mask&1 != 0 {
-				joinParts(c, tr.chans[ch], 0, 3*n)
+			if mask&1 == 0 {
+				continue
 			}
+			c.Join(tr.chans[ch])
 		}
 		for ch, mask := int32(0), event.SelectCases(ev.Val); mask != 0; ch, mask = ch+1, mask>>1 {
-			if mask&1 != 0 {
-				tr.chans[ch] = c
+			if mask&1 == 0 {
+				continue
 			}
+			tr.chans[ch] = c
 		}
 	}
 

@@ -95,9 +95,10 @@ func (tr *Tracker) record(ev event.Event) {
 	case event.KindSelect:
 		rec.val = ev.Val
 		for c, mask := int32(0), event.SelectCases(ev.Val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 != 0 {
-				rec.auxSel = append(rec.auxSel, tr.chans[c])
+			if mask&1 == 0 {
+				continue
 			}
+			rec.auxSel = append(rec.auxSel, tr.chans[c])
 		}
 	}
 }
@@ -124,10 +125,11 @@ func (tr *Tracker) undoOne(r *undoRec) {
 	case event.KindSelect:
 		i := 0
 		for c, mask := int32(0), event.SelectCases(r.val); mask != 0; c, mask = c+1, mask>>1 {
-			if mask&1 != 0 {
-				tr.chans[c] = r.auxSel[i]
-				i++
+			if mask&1 == 0 {
+				continue
 			}
+			tr.chans[c] = r.auxSel[i]
+			i++
 		}
 	}
 	tr.hbFP, tr.lazyFP = r.hbFP, r.lazyFP

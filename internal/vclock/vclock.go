@@ -12,9 +12,9 @@
 // that no one else can see yet. Once a clock is published — stored into
 // shared state, returned to a caller, or captured by a snapshot — it
 // must never be mutated again. Under that discipline published clocks
-// are shared by reference, never deep-copied: tracker clones, per-event
-// result clocks and exploration snapshots all alias the same immutable
-// backing arrays. Clone remains available for the rare consumer that
+// are shared by reference, never deep-copied: the happens-before
+// tracker's slots and the per-event result clocks it returns alias the
+// same immutable backing arrays. Clone remains available for the rare consumer that
 // genuinely needs a private mutable copy.
 package vclock
 
