@@ -330,7 +330,7 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 func BenchmarkBacktrackAllocs(b *testing.B) {
 	const maxAllocsPerEvent = 0.25
 	bm := mustBench(b, "coarse-tail-3x3")
-	opt := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000, Backend: explore.BackendUndo}
+	opt := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000}
 	engines := []explore.Engine{explore.NewDFS(), explore.NewDPOR(false),
 		explore.NewHBRCache(), explore.NewLazyHBRCache(),
 		explore.NewPreemptionBounded(2), explore.NewDelayBounded(4)}
@@ -374,7 +374,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		maxEnabledExtraPerEvent   = 2.0
 	)
 	bm := mustBench(b, "coarse-tail-3x3")
-	plain := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000, Backend: explore.BackendUndo}
+	plain := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000}
 	res := explore.NewDPOR(false).Explore(bm.Program, plain)
 	if res.Events == 0 {
 		b.Fatal("probe run explored no events")
@@ -419,28 +419,33 @@ func BenchmarkObserverOverhead(b *testing.B) {
 
 // BenchmarkSnapshotVsReplay measures the exploration-backend ablation:
 // the undo-log backend ("snapshot", name kept stable across the perf
-// trajectory), which the stack engines use by default on snapshottable
-// programs, against full replay.
+// trajectory), which the stack engines use on snapshottable programs,
+// against full replay, forced by hiding the program's snapshots behind
+// model.Opaque. A probe run checks that each side resolved to the
+// backend it is named for.
 func BenchmarkSnapshotVsReplay(b *testing.B) {
 	bm := mustBench(b, "counter-racy-2x2")
 	for _, mode := range []struct {
-		name    string
-		backend explore.BackendKind
+		name, backend string
+		src           model.Source
 	}{
-		{"snapshot", explore.BackendUndo},
-		{"replay", explore.BackendReplay},
+		{"snapshot", "undo", bm.Program},
+		{"replay", "replay", model.Opaque(bm.Program)},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			eng := explore.NewDPOR(false)
+			opt := explore.Options{ScheduleLimit: benchLimit, MaxSteps: 2000}
+			probe := opt
+			probe.Counters = explore.NewCounters()
+			eng.Explore(mode.src, probe)
+			if got := probe.Counters.Backend(); got != mode.backend {
+				b.Fatalf("%s resolved to backend %q, want %q", mode.name, got, mode.backend)
+			}
 			var last explore.Result
 			for i := 0; i < b.N; i++ {
-				last = eng.Explore(bm.Program, explore.Options{
-					ScheduleLimit: benchLimit,
-					MaxSteps:      2000,
-					Backend:       mode.backend,
-				})
+				last = eng.Explore(mode.src, opt)
 			}
 			b.ReportMetric(float64(last.Events)/float64(last.Schedules), "events/schedule")
 		})

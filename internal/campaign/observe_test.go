@@ -14,23 +14,24 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engines"
 	"repro/internal/explore"
+	"repro/internal/model"
 )
 
 // TestObserverDoesNotPerturbResults pins the tentpole's no-perturbation
-// contract: for every engine in the canonical grid × every backend,
-// running with full telemetry armed (shared counters, a tight-cadence
-// observer and a flight recorder) yields a Result byte-identical to a
-// bare run, and the final counters agree with the Result. Steal stats
-// are zeroed before comparison — work distribution is timing-dependent
-// by design, with or without telemetry.
+// contract: for every engine in the canonical grid × both backend
+// sides (the program as given, and wrapped in model.Opaque to force
+// replay), running with full telemetry armed (shared counters, a
+// tight-cadence observer and a flight recorder) yields a Result
+// byte-identical to a bare run, and the final counters agree with the
+// Result and name the backend the cursor picked: the samplers replay
+// on both sides. Steal stats are zeroed before comparison — work
+// distribution is timing-dependent by design, with or without
+// telemetry.
 func TestObserverDoesNotPerturbResults(t *testing.T) {
-	backends := []explore.BackendKind{
-		explore.BackendUndo, explore.BackendReplay,
-	}
 	for _, spec := range engines.DefaultGrid() {
-		for _, backend := range backends {
+		for _, backend := range []string{"undo", "replay"} {
 			spec, backend := spec, backend
-			t.Run(spec+"/"+backend.String(), func(t *testing.T) {
+			t.Run(spec+"/"+backend, func(t *testing.T) {
 				t.Parallel()
 				// Sequential engines get a racy program under a limit;
 				// parallel ones exhaust a tiny bug-free space so the
@@ -43,12 +44,20 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 				if !ok {
 					t.Fatalf("missing benchmark %s", name)
 				}
+				src, want := bm.Program, backend
+				if backend == "replay" {
+					src = model.Opaque(src)
+				}
+				switch strings.SplitN(spec, ":", 2)[0] {
+				case "random", "pct", "pos":
+					want = "replay"
+				}
 				run := func(observe bool) (explore.Result, *explore.Counters, int) {
 					eng, err := engines.Build(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					opt := explore.Options{ScheduleLimit: limit, MaxSteps: 2000, Backend: backend}
+					opt := explore.Options{ScheduleLimit: limit, MaxSteps: 2000}
 					var ctr *explore.Counters
 					var mu sync.Mutex
 					snaps := 0
@@ -65,7 +74,7 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 						}
 						opt.Flight = explore.NewFlightRecorder(8)
 					}
-					res := eng.Explore(bm.Program, opt)
+					res := eng.Explore(src, opt)
 					return res, ctr, snaps
 				}
 				plain, _, _ := run(false)
@@ -85,6 +94,9 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 				}
 				if got := int(ctr.Terminals.Load()); got != observed.Terminals {
 					t.Errorf("Counters.Terminals = %d, Result.Terminals = %d", got, observed.Terminals)
+				}
+				if got := ctr.Backend(); got != want {
+					t.Errorf("Counters.Backend() = %q, want %q", got, want)
 				}
 			})
 		}

@@ -6,9 +6,9 @@
 //
 // Exactness guarantee, for deterministic programs explored to
 // exhaustion (no limit, no deadline) without sleep sets: every counter
-// except Events — #schedules included — equals sequential DPOR's, for
-// every backend and worker count (Events differs because each unit
-// replays its pinned prefix).
+// except Events — #schedules included — equals sequential DPOR's,
+// whichever backend the cursor picks and for every worker count
+// (Events differs because each unit replays its pinned prefix).
 //
 // With a schedule limit, the shared explore.Budget is honoured to
 // within workers−1 schedules, but which schedules run first depends on
@@ -34,8 +34,9 @@ func normWorkers(w int) int {
 
 // mergeUnits folds per-unit results into one Result whose distinct
 // counters come from the shared dedup. Units must be passed in a
-// deterministic order (ParallelDPOR sorts them by unit key) so
-// FirstViolation is deterministic.
+// fixed order (ParallelDPOR sorts them by unit key), so FirstViolation
+// does not depend on the order units finished in; which units exist
+// depends on worker timing, though (see FirstBugSchedule below).
 func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explore.Dedup, units []explore.Result) explore.Result {
 	merged := explore.Result{Program: src.Name(), Engine: name}
 	for _, u := range units {
@@ -59,9 +60,12 @@ func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explo
 		if merged.ViolationKind == "" && u.ViolationKind != "" {
 			merged.FirstViolation = u.FirstViolation
 			merged.ViolationKind = u.ViolationKind
-			// Schedules-to-first-bug in the deterministic unit order:
-			// units merged before this one ran to completion without a
-			// witness, so their schedules all precede the bug.
+			// Schedules-to-first-bug in unit-key order: every schedule
+			// of the units merged before this one counts as preceding
+			// the bug. Donations and escapes depend on worker timing,
+			// and under StopAtFirstBug so does how far each unit ran
+			// before the queue drained, so the unit set, and hence this
+			// index, can vary from run to run.
 			merged.FirstBugSchedule = merged.Schedules - u.Schedules + u.FirstBugSchedule
 		}
 	}
@@ -79,10 +83,11 @@ func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explo
 // shared claim table, so the partial-order reduction survives the
 // fan-out. On exhausted spaces without sleep sets, every counter
 // except Events — including #schedules — is byte-identical to
-// sequential explore.NewDPOR for every backend and worker count. With
-// sleep sets the coverage counters (#HBRs/#lazy HBRs/#states) remain
-// exact while #schedules and #sleep-blocked depend on unit
-// boundaries. Result.Steal carries the worker/unit statistics.
+// sequential explore.NewDPOR, whichever backend the cursor picks and
+// for every worker count. With sleep sets the coverage counters
+// (#HBRs/#lazy HBRs/#states) remain exact while #schedules and
+// #sleep-blocked depend on unit boundaries. Result.Steal carries the
+// worker/unit statistics.
 func ParallelDPOR(src model.Source, opt explore.Options, workers int, sleep bool) explore.Result {
 	workers = normWorkers(workers)
 	outcomes, dedup, stats := workStealDPOR(src, opt, workers, sleep)

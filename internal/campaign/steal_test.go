@@ -21,33 +21,58 @@ var stealWorkerCounts = []int{1, 2, 4, 8}
 // TestWorkStealDPORExact is the work-stealing engine's exactness
 // contract: on exhausted spaces without sleep sets, every counter
 // except Events — including #schedules — is byte-identical to
-// sequential DPOR for every backend and every worker count: no branch
+// sequential DPOR for both backends and every worker count: no branch
 // of the DPOR tree is explored twice across unit boundaries.
 func TestWorkStealDPORExact(t *testing.T) {
-	backends := []explore.BackendKind{
-		explore.BackendUndo, explore.BackendReplay,
-	}
 	for _, name := range exactBenches {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			bm := mustProgram(t, name)
-			for _, backend := range backends {
-				opt := explore.Options{MaxSteps: 2000, RecordStates: true, Backend: backend}
-				seq := explore.NewDPOR(false).Explore(bm.Program, opt)
+			for _, side := range backendSides(bm.Program) {
+				opt := explore.Options{MaxSteps: 2000, RecordStates: true}
+				seq := side.run(t, opt, explore.NewDPOR(false).Explore)
 				if seq.HitLimit {
 					t.Fatalf("sequential DPOR unexpectedly hit a limit")
 				}
 				for _, workers := range stealWorkerCounts {
-					par := ParallelDPOR(bm.Program, opt, workers, false)
+					par := side.run(t, opt, func(src model.Source, opt explore.Options) explore.Result {
+						return ParallelDPOR(src, opt, workers, false)
+					})
 					assertExact(t, workers, seq, par, true)
 					if par.Steal == nil || par.Steal.Workers != workers {
-						t.Errorf("backend=%v workers=%d: missing or wrong steal stats: %+v",
-							backend, workers, par.Steal)
+						t.Errorf("backend=%s workers=%d: missing or wrong steal stats: %+v",
+							side.backend, workers, par.Steal)
 					}
 				}
 			}
 		})
 	}
+}
+
+// backendSide is one side of an undo-versus-replay comparison: a
+// program as given, which the backtracking engines explore on the
+// undo log, or wrapped in model.Opaque, which forces replay.
+type backendSide struct {
+	backend string
+	src     model.Source
+}
+
+func backendSides(src model.Source) []backendSide {
+	return []backendSide{{"undo", src}, {"replay", model.Opaque(src)}}
+}
+
+// run explores the side's program through a DPOR search fn under opt
+// armed with fresh Counters, and checks that the search resolved to
+// the side's backend, so a wrapper that leaked Snapshot could not
+// quietly compare undo with undo.
+func (s backendSide) run(t *testing.T, opt explore.Options, fn func(model.Source, explore.Options) explore.Result) explore.Result {
+	t.Helper()
+	opt.Counters = explore.NewCounters()
+	res := fn(s.src, opt)
+	if got := opt.Counters.Backend(); got != s.backend {
+		t.Errorf("%s resolved to backend %q, want %q", res.Engine, got, s.backend)
+	}
+	return res
 }
 
 // TestWorkStealDPORSleepCoverage: with sleep sets the schedule list is

@@ -47,11 +47,10 @@ func allocsPerEvent(t *testing.T, eng Engine, opt Options, name string) float64 
 // TestSamplerAllocsStraightLine pins the sampler fast path: random,
 // pct and pos walks never backtrack mid-execution, so their cursors
 // must not retain per-step machine or tracker snapshots on the way
-// forward (newWalkCursor forces the replay backend when no prefix is
-// pinned). A regression that reintroduces per-step snapshot work —
-// undo logging a coroutine checkpoint per event, or a tr.Clone() per
-// retained step — multiplies allocations per event several-fold and
-// fails the bound.
+// forward (newWalkCursor builds a replay cursor). A regression that
+// reintroduces per-step snapshot work — undo logging a coroutine
+// checkpoint per event, or a tr.Clone() per retained step —
+// multiplies allocations per event several-fold and fails the bound.
 func TestSamplerAllocsStraightLine(t *testing.T) {
 	opt := Options{ScheduleLimit: 50, MaxSteps: 2000}
 	for _, eng := range []Engine{NewRandomWalk(1), NewPCT(1, 3), NewPOS(1)} {
@@ -75,7 +74,7 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 // that this resets the machine and tracker in place instead of
 // rebuilding them.
 func TestBacktrackAllocsO1(t *testing.T) {
-	opt := Options{ScheduleLimit: 500, MaxSteps: 2000, Backend: BackendUndo}
+	opt := Options{ScheduleLimit: 500, MaxSteps: 2000}
 	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true), NewLazyDPOR(), NewHBRCache(), NewLazyHBRCache(),
 		NewPreemptionBounded(2), NewPreemptionBoundedCache(2, false), NewDelayBounded(4)} {
 		got := allocsPerEvent(t, eng, opt, "coarse-tail-3x3")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/model"
+	"repro/internal/vclock"
 )
 
 // dporEngine implements dynamic partial-order reduction (Flanagan &
@@ -198,19 +199,6 @@ func disjoint(a, b csSummary) bool {
 	return true
 }
 
-// pnode is the slim per-depth state work-stealing mode retains for the
-// pinned prefix: enough to compute escaped backtrack additions exactly
-// as sequential DPOR would at that node.
-type pnode struct {
-	enabled    []event.ThreadID
-	enabledSet tset
-	steps      []int32
-	// claimed caches the masks already handed to Steal.Escape for
-	// this node: the claim table is monotone, so a covered mask needs
-	// no repeat round-trip (hot prefix races recur every schedule).
-	claimed tset
-}
-
 // dnode is one state on the current DPOR stack.
 type dnode struct {
 	enabled    []event.ThreadID
@@ -223,10 +211,35 @@ type dnode struct {
 	pend    []event.Op
 	pendSet tset
 
+	// backtrack is the node's backtrack set. On a node of a unit's
+	// pinned prefix, which the engine never explores itself, it
+	// caches the masks already handed to Steal.Escape instead: the
+	// claim table is monotone, so a covered mask needs no repeat
+	// round-trip (hot prefix races recur every schedule).
 	backtrack tset
 	done      tset
 	sleep     tset
 	chosen    event.ThreadID
+}
+
+// backtrackMask returns the Flanagan–Godefroid backtrack addition at
+// this node for thread p, whose next transition carries the
+// happens-before clock pc: p itself if enabled here; otherwise the
+// first enabled thread with a later event ordered before p's
+// transition; otherwise every enabled thread.
+func (n *dnode) backtrackMask(p event.ThreadID, pc vclock.VC) tset {
+	if n.enabledSet.has(p) {
+		return 1 << uint(p)
+	}
+	for _, q := range n.enabled {
+		// ∃ j > i executed by q with j → next(p): p's clock includes
+		// an event of q beyond those executed when this state was
+		// reached.
+		if pc.Get(int(q)) >= n.steps[q]+1 {
+			return 1 << uint(q)
+		}
+	}
+	return n.enabledSet
 }
 
 // dporState bundles the cursor with per-object access logs that make
@@ -277,34 +290,6 @@ func (s *dporState) index(ev event.Event) {
 			mask >>= 1
 		}
 	}
-}
-
-// replayPrefix steps a unit's pinned choices through step (machine,
-// tracker and access logs), so lastDep sees them, and returns each
-// prefix state's pnode for the escape computation. The coordinator
-// builds prefixes from live executions, so a choice that is not
-// enabled is a coordinator bug.
-func (s *dporState) replayPrefix(u Unit) []pnode {
-	c := s.c
-	pnodes := make([]pnode, 0, len(u.Prefix))
-	for i, t := range u.Prefix {
-		pn := pnode{
-			enabled: append([]event.ThreadID(nil), c.enabled()...),
-			steps:   make([]int32, c.src.NumThreads()),
-		}
-		for _, q := range pn.enabled {
-			pn.enabledSet.add(q)
-		}
-		if !pn.enabledSet.has(t) {
-			panic(fmt.Sprintf("explore: prefix choice t%d not enabled at depth %d", t, i))
-		}
-		for q := range pn.steps {
-			pn.steps[q] = c.m.Steps(event.ThreadID(q))
-		}
-		pnodes = append(pnodes, pn)
-		s.step(t)
-	}
-	return pnodes
 }
 
 // resetTo truncates the execution and the access logs to depth d.
@@ -409,73 +394,19 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	nthreads := src.NumThreads()
 	steal := u.Steal
 
-	// The unit's pinned prefix owns no stack nodes: race reversals
-	// that would seed a backtrack point inside it escape to the Steal
-	// coordinator instead (see escape), which is what carries the
-	// reduction across unit boundaries.
-	pnodes := st.replayPrefix(u)
+	// Every stack index is a trace index: nodes[i] is the state
+	// preceding trace event i. The first base nodes are the unit's
+	// pinned prefix, which this engine never pops or explores: race
+	// reversals that would seed a backtrack point inside it escape to
+	// the Steal coordinator instead (see addBacktrack), which is what
+	// carries the reduction across unit boundaries.
+	var nodes []*dnode
 	base := len(u.Prefix)
 
-	var nodes []*dnode
-
-	// pubLocal counts the local stack nodes (from the bottom) that
-	// have been published to the Steal coordinator: backtrack
-	// additions at depths below base+pubLocal are globally claimed
-	// escapes, not local set updates.
-	pubLocal := 0
-
-	// escape computes the exact Flanagan–Godefroid backtrack addition
-	// for the published node preceding trace event i — p itself if
-	// enabled there; otherwise the first enabled thread with a later
-	// event ordered before p's next transition; otherwise every
-	// enabled thread — and routes it through the coordinator's claim
-	// table. Additions targeting a node this engine still owns (a
-	// published node of its own stack) are claimed and folded back
-	// into the local backtrack set, so they are explored in place;
-	// only additions into the foreign pinned prefix ship as units.
-	escape := func(i int, p event.ThreadID) {
-		var en []event.ThreadID
-		var eset tset
-		var steps []int32
-		if i < base {
-			pn := &pnodes[i]
-			en, eset, steps = pn.enabled, pn.enabledSet, pn.steps
-		} else {
-			n := nodes[i-base]
-			en, eset, steps = n.enabled, n.enabledSet, n.steps
-		}
-		var mask tset
-		if eset.has(p) {
-			mask.add(p)
-		} else {
-			for _, q := range en {
-				if c.tr.ThreadClock(p).Get(int(q)) >= steps[q]+1 {
-					mask.add(q)
-					break
-				}
-			}
-			if mask.empty() {
-				mask = eset
-			}
-		}
-		if i < base {
-			pn := &pnodes[i]
-			if mask&^pn.claimed != 0 {
-				steal.Escape(c.choices[:i], uint64(mask))
-				pn.claimed |= mask
-			}
-			return
-		}
-		// Published own-stack node: the local backtrack set is always a
-		// subset of the node's global claim set, so a mask already
-		// covered locally needs no table round-trip (the sequential
-		// engine's backtrack.has fast path, kept here to spare the
-		// shard mutex and key allocation on every update).
-		n := nodes[i-base]
-		if mask&^n.backtrack != 0 {
-			n.backtrack |= tset(steal.Claim(c.choices[:i], uint64(mask)))
-		}
-	}
+	// pub counts the stack nodes (from the bottom) whose backtrack
+	// additions go through the Steal coordinator: the pinned prefix,
+	// then the nodes published by donation.
+	pub := base
 
 	// maybeDonate ships pending backtrack branches to starving
 	// workers: the shallowest local node with pending candidates is
@@ -487,7 +418,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			return
 		}
 		dIdx := -1
-		for j := pubLocal; j < len(nodes); j++ {
+		for j := pub; j < len(nodes); j++ {
 			if !(nodes[j].backtrack &^ nodes[j].done).empty() {
 				dIdx = j
 				break
@@ -496,7 +427,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 		if dIdx < 0 {
 			return
 		}
-		for j := pubLocal; j <= dIdx; j++ {
+		for j := pub; j <= dIdx; j++ {
 			n := nodes[j]
 			pending := tset(0)
 			if j == dIdx {
@@ -510,43 +441,33 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			if e.sleep {
 				info = &NodeInfo{Sleep: uint64(n.sleep), Pend: n.pend, PendSet: uint64(n.pendSet)}
 			}
-			shipped := steal.Publish(c.choices[:base+j], uint64(n.done), uint64(pending), info)
+			shipped := steal.Publish(c.choices[:j], uint64(n.done), uint64(pending), info)
 			n.done |= tset(shipped)
 		}
-		pubLocal = dIdx + 1
+		pub = dIdx + 1
 	}
 
 	// addBacktrack seeds the backtrack set of the state preceding
-	// trace event i on behalf of thread p's pending transition,
-	// following Flanagan–Godefroid: add p itself if enabled there;
-	// otherwise any enabled thread with a later event ordered before
-	// p's transition; otherwise every enabled thread.
+	// trace event i on behalf of thread p's pending transition. Below
+	// pub the addition escapes through the coordinator's claim table:
+	// into the foreign pinned prefix it ships as units, into a node
+	// this engine published itself it is claimed and folded back into
+	// the local backtrack set, so it is explored in place. A mask the
+	// backtrack set already covers needs no table round-trip: on a
+	// published node the local set is always a subset of its global
+	// claim set.
 	addBacktrack := func(i int, p event.ThreadID) {
-		if i < base+pubLocal {
-			// Reversal beneath the pinned prefix or a published
-			// node: globally claimed through the coordinator.
-			escape(i, p)
-			return
-		}
-		n := nodes[i-base]
-		if n.backtrack.has(p) {
-			return
-		}
-		if n.enabledSet.has(p) {
-			n.backtrack.add(p)
-			return
-		}
-		for _, q := range n.enabled {
-			// ∃ j > i executed by q with j → next(p): p's clock
-			// includes an event of q beyond those executed when
-			// state i was reached.
-			if c.tr.ThreadClock(p).Get(int(q)) >= n.steps[q]+1 {
-				n.backtrack.add(q)
-				return
-			}
-		}
-		for _, q := range n.enabled {
-			n.backtrack.add(q)
+		n := nodes[i]
+		mask := n.backtrackMask(p, c.tr.ThreadClock(p))
+		switch {
+		case mask&^n.backtrack == 0:
+		case i < base:
+			steal.Escape(c.choices[:i], uint64(mask))
+			n.backtrack |= mask
+		case i < pub:
+			n.backtrack |= tset(steal.Claim(c.choices[:i], uint64(mask)))
+		default:
+			n.backtrack |= mask
 		}
 	}
 
@@ -582,7 +503,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	// the reversed schedule has the same lazy HBR (Theorem 2.2).
 	resolveDeferred := func() {
 		for _, d := range deferred {
-			if d.i >= base+len(nodes) {
+			if d.i >= len(nodes) {
 				// The raced state was truncated by an earlier
 				// resolution pass on a previous execution;
 				// stale entry.
@@ -641,14 +562,16 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 				n.pendSet.add(t)
 			}
 		}
-		if e.sleep && len(nodes) == 0 {
+		if e.sleep && len(nodes) == base {
 			// The subtree root: a work-stealing coordinator shipped the
 			// sleep set this node would carry in the sequential search
 			// (already filtered by dependence against the prefix's last
 			// event); a whole-tree search starts with nothing asleep.
+			// The pinned prefix nodes below it sleep nothing: the engine
+			// never picks a continuation there.
 			n.sleep = tset(u.SleepSeed)
 		}
-		if e.sleep && len(nodes) > 0 {
+		if e.sleep && len(nodes) > base {
 			parent := nodes[len(nodes)-1]
 			execOp := c.trace[len(c.trace)-1].Op
 			inherit := parent.sleep | (parent.done &^ (1 << uint(parent.chosen)))
@@ -703,10 +626,22 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 		}
 	}
 
+	// Replay the pinned prefix, pushing its nodes. The coordinator
+	// builds prefixes from live executions, so a choice that is not
+	// enabled is a coordinator bug.
+	for i, t := range u.Prefix {
+		n := makeNode()
+		if !n.enabledSet.has(t) {
+			panic(fmt.Sprintf("explore: prefix choice t%d not enabled at depth %d", t, i))
+		}
+		nodes = append(nodes, n)
+		st.step(t)
+	}
+
 	if !extend() {
 		return rec.finish(c)
 	}
-	for len(nodes) > 0 {
+	for len(nodes) > base {
 		maybeDonate()
 		d := len(nodes) - 1
 		n := nodes[d]
@@ -725,15 +660,15 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			// later re-extension re-uses its depth for a different
 			// node, whose reversals must stay local until it is
 			// published itself.
-			if pubLocal > d {
-				pubLocal = d
+			if pub > d {
+				pub = d
 			}
 			continue
 		}
 		p := cand.first()
 		n.done.add(p)
 		n.chosen = p
-		st.resetTo(base + d)
+		st.resetTo(d)
 		st.step(p)
 		if !extend() {
 			break

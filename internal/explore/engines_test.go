@@ -185,16 +185,15 @@ func TestScheduleLimitHonoured(t *testing.T) {
 }
 
 // TestReplayVsSnapshotIdentical: forcing the replay backend instead of
-// the default undo log (which rewinds through coroutine snapshots) must
-// not change any count on any engine (the ablation knob is purely
-// mechanical).
+// the undo log (which rewinds through coroutine snapshots), by hiding
+// the program's snapshots behind model.Opaque, must not change any
+// count on any engine (the backend is purely mechanical).
 func TestReplayVsSnapshotIdentical(t *testing.T) {
 	for _, src := range soundnessZoo()[:10] {
 		src := src
 		t.Run(src.Name(), func(t *testing.T) {
 			for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewLazyHBRCache()} {
-				undo := eng.Explore(src, Options{MaxSteps: 2000})
-				repl := eng.Explore(src, Options{MaxSteps: 2000, Backend: BackendReplay})
+				undo, repl := exploreBackends(t, eng, src, Options{MaxSteps: 2000})
 				if undo.Schedules != repl.Schedules ||
 					undo.DistinctHBRs != repl.DistinctHBRs ||
 					undo.DistinctLazyHBRs != repl.DistinctLazyHBRs ||

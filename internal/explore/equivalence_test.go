@@ -364,11 +364,7 @@ func TestBackendAblationExact(t *testing.T) {
 		src := src
 		t.Run(src.Name(), func(t *testing.T) {
 			for _, e := range engines {
-				mkOpt := func(b BackendKind) Options {
-					return Options{MaxSteps: 2000, ScheduleLimit: e.limit, Backend: b}
-				}
-				undo := e.eng.Explore(src, mkOpt(BackendUndo))
-				repl := e.eng.Explore(src, mkOpt(BackendReplay))
+				undo, repl := exploreBackends(t, e.eng, src, Options{MaxSteps: 2000, ScheduleLimit: e.limit})
 				if got, want := countersOf(undo), countersOf(repl); got != want {
 					t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v",
 						e.eng.Name(), got, want)
@@ -378,23 +374,67 @@ func TestBackendAblationExact(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins the backend-selection rules: the zero
-// value is the undo log (for snapshottable programs), and explicit
-// requests are honoured.
-func TestBackendResolution(t *testing.T) {
-	src := curatedFigure1()
-	for _, tc := range []struct {
-		opt  Options
-		want BackendKind
-	}{
-		{Options{}, BackendUndo},
-		{Options{Backend: BackendReplay}, BackendReplay},
-	} {
-		c := newCursor(src, tc.opt)
-		if c.backend != tc.want {
-			t.Errorf("options %+v resolved to backend %v, want %v", tc.opt, c.backend, tc.want)
+// exploreBackends runs eng over src twice under opt: as given, where
+// the cursor picks the undo log for a backtracking engine and replay
+// for a sampler, and wrapped in model.Opaque, which forces replay. It
+// checks each side's resolved backend through Counters.Backend, so a
+// wrapper that leaked Snapshot could not quietly compare undo with
+// undo. A run that executes no event is exempt: its threads all ended
+// or diverged before their first operation, so EnableUndo had no live
+// coroutine to refuse, and nothing is ever rewound.
+func exploreBackends(t testing.TB, eng Engine, src model.Source, opt Options) (plain, opaque Result) {
+	t.Helper()
+	run := func(src model.Source, want string) Result {
+		t.Helper()
+		o := opt
+		o.Counters = NewCounters()
+		res := eng.Explore(src, o)
+		if got := o.Counters.Backend(); got != want && res.Events > 0 {
+			t.Errorf("%s on %s: resolved backend %q, want %q", eng.Name(), src.Name(), got, want)
 		}
-		c.close()
+		return res
+	}
+	want := "undo"
+	switch eng.(type) {
+	case *randomEngine, *pctEngine, *posEngine:
+		want = "replay"
+	}
+	return run(src, want), run(model.Opaque(src), "replay")
+}
+
+// TestBackendResolution pins the backend-selection rules: the cursor
+// uses the undo log exactly when the engine backtracks (the tree
+// engines and DPOR) and the program's coroutines can snapshot; the
+// samplers, goroutine-harness programs and programs wrapped in
+// model.Opaque run on replay.
+func TestBackendResolution(t *testing.T) {
+	prog := curatedFigure1()
+	twin := buildHarnessVariant("twin", 2, true, true)
+	for _, tc := range []struct {
+		eng  Engine
+		src  model.Source
+		want string
+	}{
+		{NewDFS(), prog, "undo"},
+		{NewLazyHBRCache(), prog, "undo"},
+		{NewPreemptionBounded(1), prog, "undo"},
+		{NewDPOR(false), prog, "undo"},
+		{NewDPOR(true), prog, "undo"},
+		{NewLazyDPOR(), prog, "undo"},
+		{NewDFS(), model.Opaque(prog), "replay"},
+		{NewDPOR(false), model.Opaque(prog), "replay"},
+		{NewRandomWalk(1), prog, "replay"},
+		{NewPCT(1, 2), prog, "replay"},
+		{NewPOS(1), prog, "replay"},
+		{NewDFS(), twin, "replay"},
+		{NewDPOR(false), twin, "replay"},
+		{NewRandomWalk(1), twin, "replay"},
+	} {
+		ctr := NewCounters()
+		tc.eng.Explore(tc.src, Options{ScheduleLimit: 20, MaxSteps: 2000, Counters: ctr})
+		if got := ctr.Backend(); got != tc.want {
+			t.Errorf("%s on %s resolved to backend %q, want %q", tc.eng.Name(), tc.src.Name(), got, tc.want)
+		}
 	}
 }
 

@@ -42,11 +42,6 @@ type Options struct {
 	// (exec.DefaultMaxSteps if 0); executions hitting the bound are
 	// counted as truncated.
 	MaxSteps int
-	// Backend selects the cursor's backtracking implementation; see
-	// BackendKind. Both backends are observationally identical — the
-	// ablation tests assert byte-identical Result counters — so the
-	// zero value (the undo log) is right outside ablations.
-	Backend BackendKind
 	// RecordStates retains the sorted set of distinct terminal state
 	// keys in Result.States — a diagnostic for cross-engine
 	// agreement checks; costly on large spaces.
@@ -133,55 +128,10 @@ func (o Options) Validate() error {
 	if o.MaxSteps < 0 {
 		return fmt.Errorf("explore: negative MaxSteps %d", o.MaxSteps)
 	}
-	if o.Backend > BackendReplay {
-		return fmt.Errorf("explore: unknown backend %q", o.Backend)
-	}
 	if o.StallTimeout < 0 {
 		return fmt.Errorf("explore: negative StallTimeout %v", o.StallTimeout)
 	}
 	return o.validateObservability()
-}
-
-// BackendKind names a cursor backtracking implementation.
-type BackendKind uint8
-
-const (
-	// BackendUndo rewinds the (machine, tracker) pair through their
-	// O(1)-per-step undo logs — the only per-step copy is the stepping
-	// thread's coroutine, recycled where the frontend allows. Requires
-	// snapshottable coroutines; falls back to replay otherwise.
-	// Straight-line samplers use replay outright (see newWalkCursor).
-	// The backends are observationally identical, so the choice never
-	// changes a Result.
-	BackendUndo BackendKind = iota
-	// BackendReplay re-executes the retained prefix from the initial
-	// state on every backtrack. Works for every program, including
-	// goroutine-backed ones that cannot snapshot.
-	BackendReplay
-)
-
-// String names the backend.
-func (b BackendKind) String() string {
-	switch b {
-	case BackendUndo:
-		return "undo"
-	case BackendReplay:
-		return "replay"
-	}
-	return fmt.Sprintf("backend(%d)", uint8(b))
-}
-
-// backend returns the requested backend; the cursor falls back to
-// replay when the program cannot snapshot. Unknown kinds panic —
-// Options.Validate rejects them, and an engine built from unvalidated
-// options must fail loudly rather than silently explore under a
-// different backend than the ablation asked for.
-func (o Options) backend() BackendKind {
-	switch o.Backend {
-	case BackendUndo, BackendReplay:
-		return o.Backend
-	}
-	panic(fmt.Sprintf("explore: unknown backend %q (Options.Validate rejects it)", o.Backend))
 }
 
 func (o Options) maxSteps() int {
@@ -263,9 +213,11 @@ type Result struct {
 	// ViolationKind, not a non-nil FirstViolation, says one was found.
 	// FirstBugSchedule is the 1-based index of the violating execution
 	// — the schedules-to-first-bug metric of the paper's evaluation; 0
-	// when no violation was seen. For deterministic merges of parallel
-	// searches it is the index in the deterministic unit order, not
-	// wall-clock discovery order.
+	// when no violation was seen. For a merged work-stealing search it
+	// counts the schedules of the units before the violating one in
+	// unit-key order, not in wall-clock discovery order; the unit set
+	// depends on worker timing (and, under StopAtFirstBug, on how far
+	// each unit ran), so this index can vary from run to run.
 	FirstViolation   []event.ThreadID
 	ViolationKind    string
 	FirstBugSchedule int `json:"first_bug_schedule,omitempty"`
@@ -520,15 +472,17 @@ func (r *recorder) finish(c *cursor) Result {
 
 // cursor is the engines' shared execution walker: it maintains one live
 // execution (machine + happens-before tracker + trace) and supports
-// truncation to an earlier depth. Two backends implement the
-// truncation (see BackendKind): the paired machine and tracker undo
-// logs (the default — O(1) per backtracked step, nothing copied per
-// forward step), and deterministic replay for programs that cannot
-// snapshot.
+// truncation to an earlier depth. It picks one of two backends for the
+// truncation, and no option overrides the choice: the paired machine
+// and tracker undo logs (O(1) per backtracked step, nothing copied per
+// forward step) when the engine backtracks and the program can
+// snapshot, else deterministic replay from the initial state. The
+// backends are observationally identical, so the choice never changes
+// a Result (pinned by TestBackendAblationExact).
 type cursor struct {
 	src      model.Source
 	maxSteps int
-	backend  BackendKind // resolved: replay when the program cannot snapshot
+	undo     bool // the undo-log backend is in use; replay otherwise
 	// mcfg carries the fault-containment machine knobs (stall
 	// watchdog, shared divergence hints) to every machine this cursor
 	// builds. A replay-backend reset keeps the live machine's, so it
@@ -548,42 +502,39 @@ type cursor struct {
 	backtracks int64
 }
 
+// newCursor builds the cursor for the engines that backtrack (the tree
+// engines and DPOR): it uses the undo logs when the machine can keep
+// one, which needs snapshottable coroutines, and replay otherwise
+// (goroutine-backed programs).
 func newCursor(src model.Source, opt Options) *cursor {
+	c := newWalkCursor(src, opt)
+	if c.m.EnableUndo() {
+		c.tr.EnableUndo()
+		c.undo = true
+	}
+	return c
+}
+
+// newWalkCursor builds the replay cursor of the sampling engines
+// (random, pct, pos), whose walks never backtrack mid-execution: every
+// walk runs straight to its end and resets to the initial state. Replay
+// is strictly cheaper there — a reset returns the machine and tracker
+// to their initial state in place, reusing their storage, instead of
+// paying per-step undo logging (a coroutine snapshot per event) on the
+// way forward.
+func newWalkCursor(src model.Source, opt Options) *cursor {
 	checkThreadCount(src)
 	mcfg := model.MachineConfig{StallTimeout: opt.StallTimeout}
 	if mcfg.StallTimeout > 0 {
 		mcfg.Hints = model.NewDivergeHints()
 	}
-	c := &cursor{
+	return &cursor{
 		src:      src,
 		maxSteps: opt.maxSteps(),
-		backend:  opt.backend(),
 		mcfg:     mcfg,
 		m:        model.NewMachineCfg(src, mcfg),
 		tr:       hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src)),
 	}
-	if c.backend == BackendUndo {
-		if c.m.EnableUndo() {
-			c.tr.EnableUndo()
-		} else {
-			c.backend = BackendReplay
-		}
-	}
-	return c
-}
-
-// newWalkCursor builds the cursor for the sampling engines (random,
-// pct, pos), whose walks never backtrack mid-execution: every walk
-// runs straight to its end and resets to the initial state. The
-// replay backend is strictly cheaper there — a reset returns the
-// machine and tracker to their initial state in place, reusing their
-// storage, instead of paying per-step undo logging (a coroutine
-// snapshot per event) on the way forward — so the requested backend
-// is overridden. The backends are observationally identical, so
-// Results are unchanged (pinned by TestBackendAblationExact).
-func newWalkCursor(src model.Source, opt Options) *cursor {
-	opt.Backend = BackendReplay
-	return newCursor(src, opt)
 }
 
 func (c *cursor) depth() int { return len(c.trace) }
@@ -628,13 +579,12 @@ func (c *cursor) resetTo(d int) {
 		return
 	}
 	c.backtracks++
-	switch c.backend {
-	case BackendUndo:
+	if c.undo {
 		// Both undo logs rewind in place: O(1) per popped step, no
 		// copies.
 		c.m.UndoTo(d)
 		c.tr.UndoTo(d)
-	default:
+	} else {
 		c.m.Reset()
 		c.tr.Reset()
 		for i := 0; i < d; i++ {
@@ -652,7 +602,7 @@ func (c *cursor) resetTo(d int) {
 // abortable (goroutine-backed) coroutines: the undo backend requires
 // snapshottable programs, which are self-contained by construction.
 func (c *cursor) close() {
-	if c.backend == BackendReplay {
+	if !c.undo {
 		c.m.Abort()
 	}
 }

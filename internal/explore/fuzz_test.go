@@ -30,11 +30,9 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 	if src == nil {
 		t.Skip("input too short to decode")
 	}
-	mkOpt := func(b BackendKind) Options {
-		return Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true, Backend: b}
-	}
+	opt := Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true}
 
-	dfs := NewDFS().Explore(src, mkOpt(BackendUndo))
+	dfs := NewDFS().Explore(src, opt)
 	if err := dfs.CheckInvariant(); err != nil {
 		t.Fatalf("dfs: %v", err)
 	}
@@ -64,8 +62,7 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 	}
 	for _, e := range engines {
 		eng := e.eng
-		undo := eng.Explore(src, mkOpt(BackendUndo))
-		repl := eng.Explore(src, mkOpt(BackendReplay))
+		undo, repl := exploreBackends(t, eng, src, opt)
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
@@ -102,7 +99,7 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 		want := countersOf(dfs)
 		want.ViolationKind, want.FirstViolation = "", ""
 		for _, eng := range []Engine{NewPreemptionBounded(unbound), NewDelayBounded(unbound)} {
-			res := eng.Explore(src, mkOpt(BackendUndo))
+			res := eng.Explore(src, opt)
 			got := countersOf(res)
 			got.ViolationKind, got.FirstViolation = "", ""
 			if got != want || !reflect.DeepEqual(res.States, dfs.States) {
@@ -113,9 +110,10 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 
 	// The sampling engines (random walk, PCT, POS) explore a seeded
 	// random subset of the space rather than all of it, so the oracle
-	// weakens to: the counting invariant holds, every backend reports
-	// byte-identical counters (walk i is a pure function of (seed, i)
-	// and the program), and — when exhaustive DFS finished — every
+	// weakens to: the counting invariant holds, the plain and the
+	// model.Opaque run (both replay: a sampler never backtracks
+	// mid-walk) report byte-identical counters (walk i is a pure
+	// function of (seed, i) and the program), and — when exhaustive DFS finished — every
 	// terminal state the sampler reached is one DFS reached, and any
 	// violation it found is a violation class DFS confirmed exists.
 	for _, eng := range []Engine{
@@ -124,32 +122,29 @@ func checkEngineEquivalence(t *testing.T, data []byte) {
 		NewPCT(3, 3),
 		NewPOS(3),
 	} {
-		sOpt := func(b BackendKind) Options {
-			o := mkOpt(b)
-			o.ScheduleLimit = 40
-			return o
-		}
-		undo := eng.Explore(src, sOpt(BackendUndo))
-		if err := undo.CheckInvariant(); err != nil {
+		sOpt := opt
+		sOpt.ScheduleLimit = 40
+		res, repl := exploreBackends(t, eng, src, sOpt)
+		if err := res.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
-			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
+		if got, want := countersOf(res), countersOf(repl); got != want {
+			t.Errorf("%s: plain and opaque (replay) runs disagree:\n plain=%+v\n opaque=%+v", eng.Name(), got, want)
 		}
 		if exhausted {
 			dfsStates := make(map[string]bool, len(dfs.States))
 			for _, s := range dfs.States {
 				dfsStates[s] = true
 			}
-			for _, s := range undo.States {
+			for _, s := range res.States {
 				if !dfsStates[s] {
 					t.Errorf("%s reached terminal state %q that exhaustive DFS never saw", eng.Name(), s)
 				}
 			}
-			if (undo.AssertFailures > 0 && dfs.AssertFailures == 0) ||
-				(undo.Deadlocks > 0 && dfs.Deadlocks == 0) ||
-				(undo.Races > 0 && dfs.Races == 0) ||
-				(undo.LockErrors > 0 && dfs.LockErrors == 0) {
+			if (res.AssertFailures > 0 && dfs.AssertFailures == 0) ||
+				(res.Deadlocks > 0 && dfs.Deadlocks == 0) ||
+				(res.Races > 0 && dfs.Races == 0) ||
+				(res.LockErrors > 0 && dfs.LockErrors == 0) {
 				t.Errorf("%s found a violation class exhaustive DFS says cannot occur", eng.Name())
 			}
 		}
@@ -203,11 +198,9 @@ func checkChanEquivalence(t *testing.T, data []byte) {
 	if src == nil {
 		t.Skip("input too short to decode")
 	}
-	mkOpt := func(b BackendKind) Options {
-		return Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true, Backend: b}
-	}
+	opt := Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true}
 
-	dfs := NewDFS().Explore(src, mkOpt(BackendUndo))
+	dfs := NewDFS().Explore(src, opt)
 	if err := dfs.CheckInvariant(); err != nil {
 		t.Fatalf("dfs: %v", err)
 	}
@@ -226,8 +219,7 @@ func checkChanEquivalence(t *testing.T, data []byte) {
 	}
 	for _, e := range engines {
 		eng := e.eng
-		undo := eng.Explore(src, mkOpt(BackendUndo))
-		repl := eng.Explore(src, mkOpt(BackendReplay))
+		undo, repl := exploreBackends(t, eng, src, opt)
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
@@ -253,39 +245,36 @@ func checkChanEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	// Samplers: counting invariant, exact backend identity, and
-	// verdict containment against the exhausted space.
+	// Samplers: counting invariant, plain and opaque runs identical,
+	// and verdict containment against the exhausted space.
 	for _, eng := range []Engine{
 		NewRandomWalk(3),
 		NewPCT(3, 2),
 		NewPOS(3),
 	} {
-		sOpt := func(b BackendKind) Options {
-			o := mkOpt(b)
-			o.ScheduleLimit = 40
-			return o
-		}
-		undo := eng.Explore(src, sOpt(BackendUndo))
-		if err := undo.CheckInvariant(); err != nil {
+		sOpt := opt
+		sOpt.ScheduleLimit = 40
+		res, repl := exploreBackends(t, eng, src, sOpt)
+		if err := res.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
-			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
+		if got, want := countersOf(res), countersOf(repl); got != want {
+			t.Errorf("%s: plain and opaque (replay) runs disagree:\n plain=%+v\n opaque=%+v", eng.Name(), got, want)
 		}
 		if exhausted {
 			dfsStates := make(map[string]bool, len(dfs.States))
 			for _, s := range dfs.States {
 				dfsStates[s] = true
 			}
-			for _, s := range undo.States {
+			for _, s := range res.States {
 				if !dfsStates[s] {
 					t.Errorf("%s reached terminal state %q that exhaustive DFS never saw", eng.Name(), s)
 				}
 			}
-			if (undo.AssertFailures > 0 && dfs.AssertFailures == 0) ||
-				(undo.Panics > 0 && dfs.Panics == 0) ||
-				(undo.Deadlocks > 0 && dfs.Deadlocks == 0) ||
-				(undo.Races > 0 && dfs.Races == 0) {
+			if (res.AssertFailures > 0 && dfs.AssertFailures == 0) ||
+				(res.Panics > 0 && dfs.Panics == 0) ||
+				(res.Deadlocks > 0 && dfs.Deadlocks == 0) ||
+				(res.Races > 0 && dfs.Races == 0) {
 				t.Errorf("%s found a violation class exhaustive DFS says cannot occur", eng.Name())
 			}
 		}
@@ -346,9 +335,7 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 	if src == nil {
 		t.Skip("input too short to decode")
 	}
-	mkOpt := func(b BackendKind) Options {
-		return Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true, Backend: b}
-	}
+	opt := Options{ScheduleLimit: fuzzProbeLimit, MaxSteps: 500, RecordStates: true}
 	accounting := func(name string, r Result) {
 		t.Helper()
 		if got := r.Terminals + r.Pruned + r.Truncated + r.SleepBlocked + r.Divergences; got != r.Schedules {
@@ -356,7 +343,7 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	dfs := NewDFS().Explore(src, mkOpt(BackendUndo))
+	dfs := NewDFS().Explore(src, opt)
 	if err := dfs.CheckInvariant(); err != nil {
 		t.Fatalf("dfs: %v", err)
 	}
@@ -376,8 +363,7 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 	}
 	for _, e := range engines {
 		eng := e.eng
-		undo := eng.Explore(src, mkOpt(BackendUndo))
-		repl := eng.Explore(src, mkOpt(BackendReplay))
+		undo, repl := exploreBackends(t, eng, src, opt)
 		if err := undo.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
@@ -404,29 +390,26 @@ func checkHostileEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	// Samplers: counting invariant, accounting identity, and exact
-	// backend identity — diverging walks must classify and count the
-	// same whichever way the cursor rewinds.
+	// Samplers: counting invariant, accounting identity, and plain and
+	// opaque runs identical — diverging walks must classify and count
+	// the same whatever the coroutines expose.
 	for _, eng := range []Engine{
 		NewRandomWalk(3),
 		NewPCT(3, 2),
 		NewPOS(3),
 	} {
-		sOpt := func(b BackendKind) Options {
-			o := mkOpt(b)
-			o.ScheduleLimit = 40
-			return o
-		}
-		undo := eng.Explore(src, sOpt(BackendUndo))
-		if err := undo.CheckInvariant(); err != nil {
+		sOpt := opt
+		sOpt.ScheduleLimit = 40
+		res, repl := exploreBackends(t, eng, src, sOpt)
+		if err := res.CheckInvariant(); err != nil {
 			t.Errorf("%s: %v", eng.Name(), err)
 		}
-		accounting(eng.Name(), undo)
-		if got, want := countersOf(undo), countersOf(eng.Explore(src, sOpt(BackendReplay))); got != want {
-			t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v", eng.Name(), got, want)
+		accounting(eng.Name(), res)
+		if got, want := countersOf(res), countersOf(repl); got != want {
+			t.Errorf("%s: plain and opaque (replay) runs disagree:\n plain=%+v\n opaque=%+v", eng.Name(), got, want)
 		}
-		if (undo.Panics > 0 && dfs.Panics == 0) ||
-			(undo.Divergences > 0 && dfs.Divergences == 0 && !dfs.HitLimit && dfs.Truncated == 0) {
+		if (res.Panics > 0 && dfs.Panics == 0) ||
+			(res.Divergences > 0 && dfs.Divergences == 0 && !dfs.HitLimit && dfs.Truncated == 0) {
 			t.Errorf("%s found a hostile outcome exhaustive DFS says cannot occur", eng.Name())
 		}
 	}

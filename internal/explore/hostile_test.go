@@ -61,21 +61,21 @@ func TestDivergenceCountingAcrossEngines(t *testing.T) {
 		"db2":        NewDelayBounded(2),
 	}
 	for name, eng := range engines {
-		for _, backend := range []BackendKind{BackendUndo, BackendReplay} {
-			res := eng.Explore(divergeRacy(), Options{Backend: backend})
+		undo, repl := exploreBackends(t, eng, divergeRacy(), Options{})
+		for backend, res := range map[string]Result{"undo": undo, "replay": repl} {
 			if res.Divergences == 0 {
-				t.Errorf("%s/%v: no divergences counted", name, backend)
+				t.Errorf("%s/%s: no divergences counted", name, backend)
 			}
 			if got := res.Terminals + res.Pruned + res.Truncated + res.SleepBlocked + res.Divergences; got != res.Schedules {
-				t.Errorf("%s/%v: accounting %d != schedules %d (%+v)", name, backend, got, res.Schedules, res)
+				t.Errorf("%s/%s: accounting %d != schedules %d (%+v)", name, backend, got, res.Schedules, res)
 			}
 			// The read-first schedule terminates; it must survive the
 			// hostile sibling.
 			if res.Terminals == 0 {
-				t.Errorf("%s/%v: healthy schedules lost", name, backend)
+				t.Errorf("%s/%s: healthy schedules lost", name, backend)
 			}
 			if err := res.CheckInvariant(); err != nil {
-				t.Errorf("%s/%v: %v", name, backend, err)
+				t.Errorf("%s/%s: %v", name, backend, err)
 			}
 		}
 	}

@@ -61,8 +61,8 @@ type Counters struct {
 	// MaxDepth latches the deepest execution seen.
 	MaxDepth atomic.Int64
 
-	// backend latches the resolved BackendKind + 1 once a cursor
-	// commits to one (0 = not yet resolved).
+	// backend latches the resolved backend once a cursor commits to
+	// one: 0 = not yet resolved, 1 = undo, 2 = replay.
 	backend atomic.Int32
 }
 
@@ -70,19 +70,25 @@ type Counters struct {
 func NewCounters() *Counters { return &Counters{} }
 
 // setBackend latches the resolved backend (idempotent; the workers of
-// a parallel search all resolve to the same kind).
-func (c *Counters) setBackend(b BackendKind) {
-	c.backend.Store(int32(b) + 1)
+// a parallel search all resolve to the same one).
+func (c *Counters) setBackend(undo bool) {
+	if undo {
+		c.backend.Store(1)
+	} else {
+		c.backend.Store(2)
+	}
 }
 
-// Backend returns the resolved backend name, or "" before the first
-// cursor has published progress.
+// Backend returns the resolved backend name ("undo" or "replay"), or
+// "" before the first cursor has published progress.
 func (c *Counters) Backend() string {
-	v := c.backend.Load()
-	if v == 0 {
-		return ""
+	switch c.backend.Load() {
+	case 1:
+		return "undo"
+	case 2:
+		return "replay"
 	}
-	return BackendKind(v - 1).String()
+	return ""
 }
 
 // maxDepth latches d into MaxDepth.
@@ -427,7 +433,7 @@ func (t *telemetry) flush(r *recorder, c *cursor) {
 		if hints := c.mcfg.Hints; hints != nil {
 			add64(&t.ctr.DivergeHintHits, hints.Hits(), &f.hintHits)
 		}
-		t.ctr.setBackend(c.backend)
+		t.ctr.setBackend(c.undo)
 	}
 	add64(&t.ctr.DedupHits, t.dedupHits, &f.dedupHits)
 	add64(&t.ctr.DedupMisses, t.dedupMisses, &f.dedupMisses)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/model"
 )
 
 // TestTelemetryNilWhenUnarmed: plain options allocate no telemetry at
@@ -149,8 +150,8 @@ func TestCountersBackendLatch(t *testing.T) {
 	if got := ctr.Backend(); got != "" {
 		t.Fatalf("unresolved backend reads %q, want empty", got)
 	}
-	NewDFS().Explore(curatedSharedCounter(), Options{MaxSteps: 2000, Counters: ctr, Backend: BackendReplay})
-	if got := ctr.Backend(); got != BackendReplay.String() {
-		t.Fatalf("Backend() = %q, want %q", got, BackendReplay.String())
+	NewDFS().Explore(model.Opaque(curatedSharedCounter()), Options{MaxSteps: 2000, Counters: ctr})
+	if got := ctr.Backend(); got != "replay" {
+		t.Fatalf("Backend() = %q, want %q", got, "replay")
 	}
 }

@@ -19,10 +19,9 @@ func TestOptionsValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"zero value", Options{}, Unit{}, ""},
-		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendReplay}, Unit{}, ""},
+		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200}, Unit{}, ""},
 		{"negative limit", Options{ScheduleLimit: -1}, Unit{}, "negative ScheduleLimit"},
 		{"negative max steps", Options{MaxSteps: -3}, Unit{}, "negative MaxSteps"},
-		{"unknown backend", Options{Backend: BackendReplay + 1}, Unit{}, "unknown backend"},
 		{"prefix beyond bound", Options{MaxSteps: 2}, Unit{Prefix: []event.ThreadID{0, 1, 0}, Steal: dropEscapes{}}, "exceeds step bound"},
 		{"prefix without steal", Options{}, Unit{Prefix: []event.ThreadID{0}}, "needs a Steal"},
 	}
@@ -77,27 +76,6 @@ func TestZeroBudgetMeansUnlimited(t *testing.T) {
 	if unlimited.Schedules != full.Schedules || unlimited.HitLimit {
 		t.Errorf("zero budget limited the search: %+v vs %+v", unlimited, full)
 	}
-}
-
-// TestUnknownBackendFailsLoudly: resolution and validation agree on
-// out-of-range BackendKind values. Validate rejects them, and an
-// engine built from unvalidated options panics instead of silently
-// exploring under replay — an ablation run under the wrong backend is
-// worse than no run.
-func TestUnknownBackendFailsLoudly(t *testing.T) {
-	bogus := BackendReplay + 7
-	if got := bogus.String(); !strings.Contains(got, "backend(") {
-		t.Errorf("stringer hid the bogus kind: %q", got)
-	}
-	if err := (Options{Backend: bogus}).Validate(); err == nil {
-		t.Errorf("Validate accepted bogus backend %v", bogus)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("resolution silently accepted bogus backend %v", bogus)
-		}
-	}()
-	(Options{Backend: bogus}).backend()
 }
 
 // TestCancelledCtxStopsEveryEngine: a context cancelled before the

@@ -437,12 +437,11 @@ func TestUndoMatchesSnapshot(t *testing.T) {
 // TestEnableUndoRejectsOpaqueCoroutines: programs whose coroutines
 // cannot snapshot must be refused, leaving the machine in plain mode.
 func TestEnableUndoRejectsOpaqueCoroutines(t *testing.T) {
-	src := &opaqueSource{scriptSource{
+	m := NewMachine(Opaque(&scriptSource{
 		name: "opaque", vars: 1,
 		threads: [][]event.Op{{wr(0, 1)}},
 		initial: allThreads(1),
-	}}
-	m := NewMachine(src)
+	}))
 	if m.EnableUndo() {
 		t.Fatal("EnableUndo must reject non-snapshottable coroutines")
 	}
@@ -450,15 +449,6 @@ func TestEnableUndoRejectsOpaqueCoroutines(t *testing.T) {
 	if m.UndoMark() != 0 {
 		t.Fatal("no undo records must be written in plain mode")
 	}
-}
-
-// opaqueSource wraps scriptSource with coroutines that hide Snapshot.
-type opaqueSource struct{ scriptSource }
-
-type opaqueCoroutine struct{ Coroutine }
-
-func (s *opaqueSource) Start(t event.ThreadID) Coroutine {
-	return &opaqueCoroutine{s.scriptSource.Start(t)}
 }
 
 // TestStateSigAgreesWithKey: equal keys imply equal signatures and

@@ -13,6 +13,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -701,16 +702,15 @@ func (m *Machine) Step(t event.ThreadID) event.Event {
 	op := m.pending[t]
 	var rec *undoRec
 	if m.undoEnabled {
-		m.undo = append(m.undo, undoRec{
-			t:       t,
-			spawned: NoOwner,
-			op:      op,
-			cor:     m.checkpoint(m.cor[t]),
-			oldOwn:  NoOwner,
-			nfail:   int32(len(m.failures)),
-			chObj:   -1,
-		})
-		rec = &m.undo[len(m.undo)-1]
+		// Built in place: a reused slot holds a stale record, so every
+		// field UndoTo reads for this kind is written here or below.
+		cor := m.checkpoint(m.cor[t])
+		n := len(m.undo)
+		m.undo = slices.Grow(m.undo, 1)[:n+1]
+		rec = &m.undo[n]
+		rec.t, rec.spawned, rec.op, rec.cor = t, NoOwner, op, cor
+		rec.nfail = int32(len(m.failures))
+		rec.chObj = -1
 		switch op.Kind {
 		case event.KindWrite:
 			rec.oldVal = m.store[op.Obj]

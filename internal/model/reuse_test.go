@@ -171,3 +171,36 @@ func TestUndoFinishedThreadAllocatesNothing(t *testing.T) {
 		t.Errorf("run-to-completion/undo cycle allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestOpaqueHidesOnlySnapshots: model.Opaque refuses the undo log but
+// forwards the name, the initial store and the channel universe, so
+// the wrapped program runs every schedule through the same events to
+// the same state.
+func TestOpaqueHidesOnlySnapshots(t *testing.T) {
+	b := progdsl.New("opaque-chan").AutoStart()
+	x := b.VarInit("x", 7)
+	c := b.Chan("c", 1)
+	b.Thread().Read(0, x).Send(c, 0).SendConst(c, 2).Close(c)
+	b.Thread().Recv(1, 2, c).Write(x, 1).Recv(1, 2, c).AssertEq(1, 7)
+	src := b.Build()
+	opaque := model.Opaque(src)
+	if opaque.Name() != src.Name() || model.NumChannels(opaque) != 1 {
+		t.Fatalf("wrapper hides the name or the channels: %q, %d channels", opaque.Name(), model.NumChannels(opaque))
+	}
+	if model.NewMachine(opaque).EnableUndo() {
+		t.Fatal("EnableUndo accepted a wrapped program")
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		m, w := model.NewMachine(src), model.NewMachine(opaque)
+		for en := m.EnabledThreads(nil); len(en) > 0; en = m.EnabledThreads(nil) {
+			tid := en[r.Intn(len(en))]
+			if ev, ew := m.Step(tid), w.Step(tid); ev != ew {
+				t.Fatalf("schedule %d: event %v, wrapped %v", i, ev, ew)
+			}
+		}
+		if len(w.EnabledThreads(nil)) != 0 || m.StateSig() != w.StateSig() {
+			t.Fatalf("schedule %d: wrapped program ended in a different state", i)
+		}
+	}
+}
