@@ -129,6 +129,12 @@ func treeBySpec(spec string) Engine {
 		return NewIterativePreemptionBounding(3)
 	case "chess-db:3":
 		return NewIterativeDelayBounding(3)
+	case "dpor":
+		return NewDPOR(false)
+	case "dpor+sleep":
+		return NewDPOR(true)
+	case "lazy-dpor":
+		return NewLazyDPOR()
 	}
 	panic("unknown tree engine " + spec)
 }
@@ -139,7 +145,10 @@ func treeBySpec(spec string) Engine {
 // TestSamplerStreamsPinned. They all share one descend/backtrack
 // skeleton and differ only in the choices a node may try and what
 // each costs, so a change to the skeleton's visiting order, its
-// pruning or its bound accounting moves these values.
+// pruning or its bound accounting moves these values. The DPOR rows
+// (dpor, dpor+sleep, lazy-dpor) pin the backtrack-set search the same
+// way: a change to its stack layout must leave every one of them as
+// it is.
 func TestTreeEnginesPinned(t *testing.T) {
 	golden := []struct {
 		spec, prog string
@@ -156,6 +165,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "chan-mesh-2p2c", false, treePin{samplerPin{35, 0, 22, 22, 5, 208, 0x0}, 35, 0, 0, 0}},
 		{"chess-pb:3", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 111, 111, 5, 1537, 0x0}, 300, 0, 0, 0}},
 		{"chess-db:3", "chan-mesh-2p2c", false, treePin{samplerPin{151, 0, 57, 57, 5, 813, 0x0}, 151, 0, 0, 0}},
+		{"dpor", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
+		{"dpor+sleep", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 194, 194, 5, 1165, 0x0}, 194, 0, 0, 106}},
+		{"lazy-dpor", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
 		{"dfs", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 72, 72, 5, 1111, 0x0}, 300, 0, 0, 0}},
 		{"hbr-caching", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
 		{"lazy-hbr-caching", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
@@ -166,6 +178,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "chan-mesh-2p2c", true, treePin{samplerPin{35, 0, 22, 22, 5, 208, 0x0}, 35, 0, 0, 0}},
 		{"chess-pb:3", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 111, 111, 5, 1537, 0x0}, 300, 0, 0, 0}},
 		{"chess-db:3", "chan-mesh-2p2c", true, treePin{samplerPin{151, 0, 57, 57, 5, 813, 0x0}, 151, 0, 0, 0}},
+		{"dpor", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
+		{"dpor+sleep", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 194, 194, 5, 1165, 0x0}, 194, 0, 0, 106}},
+		{"lazy-dpor", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
 		{"dfs", "philosophers-3", false, treePin{samplerPin{300, 96, 7, 2, 2, 2348, 0xd949aa186c0c4928}, 300, 0, 0, 0}},
 		{"hbr-caching", "philosophers-3", false, treePin{samplerPin{96, 37, 7, 2, 2, 255, 0xd949aa186c0c4928}, 7, 89, 0, 0}},
 		{"lazy-hbr-caching", "philosophers-3", false, treePin{samplerPin{93, 36, 2, 2, 2, 225, 0xd949aa186c0c4928}, 2, 91, 0, 0}},
@@ -176,6 +191,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "philosophers-3", false, treePin{samplerPin{39, 28, 4, 2, 2, 438, 0xd949aa186c0c4928}, 39, 0, 0, 0}},
 		{"chess-pb:3", "philosophers-3", false, treePin{samplerPin{294, 31, 7, 2, 2, 2952, 0xd94645186c0967b2}, 294, 0, 0, 0}},
 		{"chess-db:3", "philosophers-3", false, treePin{samplerPin{11, 0, 3, 1, 1, 159, 0x0}, 11, 0, 0, 0}},
+		{"dpor", "philosophers-3", false, treePin{samplerPin{21, 4, 7, 2, 2, 264, 0xd949aa186c0c4928}, 21, 0, 0, 0}},
+		{"dpor+sleep", "philosophers-3", false, treePin{samplerPin{14, 4, 7, 2, 2, 160, 0xd949aa186c0c4928}, 14, 0, 0, 0}},
+		{"lazy-dpor", "philosophers-3", false, treePin{samplerPin{12, 4, 5, 2, 2, 137, 0xd949aa186c0c4928}, 12, 0, 0, 0}},
 		{"dfs", "philosophers-3", true, treePin{samplerPin{96, 96, 4, 2, 2, 737, 0xd949aa186c0c4928}, 96, 0, 0, 0}},
 		{"hbr-caching", "philosophers-3", true, treePin{samplerPin{37, 37, 4, 2, 2, 111, 0xd949aa186c0c4928}, 4, 33, 0, 0}},
 		{"lazy-hbr-caching", "philosophers-3", true, treePin{samplerPin{36, 36, 2, 2, 2, 101, 0xd949aa186c0c4928}, 2, 34, 0, 0}},
@@ -186,6 +204,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "philosophers-3", true, treePin{samplerPin{28, 28, 4, 2, 2, 310, 0xd949aa186c0c4928}, 28, 0, 0, 0}},
 		{"chess-pb:3", "philosophers-3", true, treePin{samplerPin{31, 31, 6, 2, 2, 374, 0xd94645186c0967b2}, 31, 0, 0, 0}},
 		{"chess-db:3", "philosophers-3", true, treePin{samplerPin{11, 0, 3, 1, 1, 159, 0x0}, 11, 0, 0, 0}},
+		{"dpor", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
+		{"dpor+sleep", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
+		{"lazy-dpor", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
 		{"dfs", "synth-08", false, treePin{samplerPin{300, 2, 4, 1, 1, 3416, 0x9ae5fd883dd28c52}, 300, 0, 0, 0}},
 		{"hbr-caching", "synth-08", false, treePin{samplerPin{300, 2, 22, 3, 2, 926, 0x9ae5fd883dd28c52}, 22, 278, 0, 0}},
 		{"lazy-hbr-caching", "synth-08", false, treePin{samplerPin{300, 49, 3, 3, 2, 737, 0x473de543b00eaf2}, 3, 297, 0, 0}},
@@ -196,6 +217,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "synth-08", false, treePin{samplerPin{121, 2, 9, 2, 1, 2934, 0x9ae5fd883dd28c52}, 121, 0, 0, 0}},
 		{"chess-pb:3", "synth-08", false, treePin{samplerPin{184, 8, 73, 3, 2, 4428, 0x34ca73da25fe6f36}, 184, 0, 0, 0}},
 		{"chess-db:3", "synth-08", false, treePin{samplerPin{14, 3, 4, 2, 1, 424, 0x9ae5fd883dd28c52}, 14, 0, 0, 0}},
+		{"dpor", "synth-08", false, treePin{samplerPin{300, 2, 20, 3, 2, 4302, 0x9ae5fd883dd28c52}, 300, 0, 0, 0}},
+		{"dpor+sleep", "synth-08", false, treePin{samplerPin{300, 2, 62, 3, 2, 4500, 0x9ae5fd883dd28c52}, 298, 0, 0, 2}},
+		{"lazy-dpor", "synth-08", false, treePin{samplerPin{300, 2, 20, 3, 2, 4302, 0x9ae5fd883dd28c52}, 300, 0, 0, 0}},
 		{"dfs", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"hbr-caching", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"lazy-hbr-caching", "synth-08", true, treePin{samplerPin{49, 49, 2, 2, 1, 174, 0x473de543b00eaf2}, 2, 47, 0, 0}},
@@ -206,6 +230,9 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"db:2", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"chess-pb:3", "synth-08", true, treePin{samplerPin{8, 8, 6, 2, 2, 256, 0x34ca73da25fe6f36}, 8, 0, 0, 0}},
 		{"chess-db:3", "synth-08", true, treePin{samplerPin{3, 3, 2, 1, 1, 100, 0x9ae5fd883dd28c52}, 3, 0, 0, 0}},
+		{"dpor", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
+		{"dpor+sleep", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
+		{"lazy-dpor", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 	}
 	for _, g := range golden {
 		bm := benchProgram(t, g.prog)
