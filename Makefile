@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race ci bench bench-smoke bench-json perf-smoke perf-compare fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
+.PHONY: build test test-full race ci bench bench-smoke bench-json perf-smoke perf-compare fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval loc
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package directory, then the total; perfbench/
+# (a module of its own, the benchmark harness) is left out. The line
+# count a simplification is judged by: run it before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 fmt:
 	@out="$$(gofmt -l .)"; \

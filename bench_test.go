@@ -306,7 +306,7 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 		b.Run(fmt.Sprintf("pdpor-workers=%d", workers), func(b *testing.B) {
 			var last explore.Result
 			for i := 0; i < b.N; i++ {
-				last = campaign.ParallelDPOR(bm.Program, opt, workers, false)
+				last = campaign.ParallelDPOR(bm.Program, opt, workers)
 			}
 			b.ReportMetric(float64(last.Schedules), "schedules")
 			if last.Steal != nil {

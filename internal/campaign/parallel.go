@@ -4,11 +4,12 @@
 // explore.Dedup so the merged #HBRs/#lazy HBRs/#states counters stay
 // exact.
 //
-// Exactness guarantee, for deterministic programs explored to
-// exhaustion (no limit, no deadline) without sleep sets: every counter
-// except Events — #schedules included — equals sequential DPOR's,
-// whichever backend the cursor picks and for every worker count
-// (Events differs because each unit replays its pinned prefix).
+// Work travels as bare choice prefixes (explore.Unit), and units run
+// without sleep sets. Exactness guarantee, for deterministic programs
+// explored to exhaustion (no limit, no deadline): every counter except
+// Events — #schedules included — equals sequential DPOR's, whichever
+// backend the cursor picks and for every worker count (Events differs
+// because each unit replays its pinned prefix).
 //
 // With a schedule limit, the shared explore.Budget is honoured to
 // within workers−1 schedules, but which schedules run first depends on
@@ -76,21 +77,18 @@ func mergeUnits(name string, src model.Source, opt explore.Options, dedup *explo
 	return merged
 }
 
-// ParallelDPOR explores src with work-stealing DPOR (with sleep sets
-// when sleep is set): one DPOR search spans all workers, exchanging
-// frontier units (donated pending backtrack branches, and backtrack
-// points escaping a unit's prefix) over a striped steal deque with a
-// shared claim table, so the partial-order reduction survives the
-// fan-out. On exhausted spaces without sleep sets, every counter
-// except Events — including #schedules — is byte-identical to
-// sequential explore.NewDPOR, whichever backend the cursor picks and
-// for every worker count. With sleep sets the coverage counters
-// (#HBRs/#lazy HBRs/#states) remain exact while #schedules and
-// #sleep-blocked depend on unit boundaries. Result.Steal carries the
-// worker/unit statistics.
-func ParallelDPOR(src model.Source, opt explore.Options, workers int, sleep bool) explore.Result {
+// ParallelDPOR explores src with work-stealing DPOR: one DPOR search
+// spans all workers, exchanging frontier units (donated pending
+// backtrack branches, and backtrack points escaping a unit's prefix)
+// over a striped steal deque with a shared claim table, so the
+// partial-order reduction survives the fan-out. On exhausted spaces
+// every counter except Events — including #schedules — is
+// byte-identical to sequential explore.NewDPOR(false), whichever
+// backend the cursor picks and for every worker count. Result.Steal
+// carries the worker/unit statistics.
+func ParallelDPOR(src model.Source, opt explore.Options, workers int) explore.Result {
 	workers = normWorkers(workers)
-	outcomes, dedup, stats := workStealDPOR(src, opt, workers, sleep)
+	outcomes, dedup, stats := workStealDPOR(src, opt, workers)
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].key < outcomes[j].key })
 	units := make([]explore.Result, len(outcomes))
 	for i, o := range outcomes {
@@ -120,5 +118,5 @@ func (e *parallelEngine) Name() string {
 
 // Explore implements explore.Engine.
 func (e *parallelEngine) Explore(src model.Source, opt explore.Options) explore.Result {
-	return ParallelDPOR(src, opt, e.workers, false)
+	return ParallelDPOR(src, opt, e.workers)
 }

@@ -46,7 +46,7 @@ func TestParallelDPORExactCoverage(t *testing.T) {
 				t.Fatalf("sequential DPOR unexpectedly hit a limit")
 			}
 			for _, workers := range []int{2, 4} {
-				par := ParallelDPOR(bm.Program, opt, workers, false)
+				par := ParallelDPOR(bm.Program, opt, workers)
 				if err := par.CheckInvariant(); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -109,7 +109,7 @@ func TestParallelContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := ParallelDPOR(bm.Program, explore.Options{MaxSteps: 2000, Ctx: ctx}, 2, false)
+	res := ParallelDPOR(bm.Program, explore.Options{MaxSteps: 2000, Ctx: ctx}, 2)
 	if !res.Interrupted {
 		t.Fatalf("expected Interrupted from a cancelled context; got %+v", res)
 	}

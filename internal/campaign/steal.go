@@ -4,11 +4,11 @@
 // enumerating that frontier exhaustively would forfeit the
 // partial-order reduction across the partition layer; instead the
 // work-stealing scheme lets one DPOR search span all workers. Work is
-// exchanged as *units* (explore.Unit: a pinned choice prefix plus its
-// root sleep set) on a striped deque: busy engines donate pending
-// backtrack branches when workers starve, and race reversals that
-// escape a unit's prefix are claimed against a shared node table and
-// become new units instead of being re-enumerated. Every branch of the DPOR tree is claimed exactly
+// exchanged as *units* (explore.Unit: a bare pinned choice prefix) on
+// a striped deque: busy engines donate pending backtrack branches when
+// workers starve, and race reversals that escape a unit's prefix are
+// claimed against a shared node table and become new units instead of
+// being re-enumerated. Every branch of the DPOR tree is claimed exactly
 // once, so the merged counters equal sequential DPOR's (see
 // explore.Steal for the argument, and parallel_test.go/steal_test.go
 // for the pinned exactness).
@@ -16,10 +16,8 @@ package campaign
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/event"
 	"repro/internal/explore"
@@ -55,6 +53,13 @@ type stealStripe struct {
 type stealQueue struct {
 	stripes []stealStripe
 
+	// mu guards nothing but the wait: a starving worker re-checks the
+	// stripes and outstanding under it before parking on wake, and
+	// push and the final complete signal under it, so no wake-up is
+	// lost between the check and the park.
+	mu   sync.Mutex
+	wake *sync.Cond
+
 	// outstanding counts units pushed but not yet fully processed.
 	// It is incremented before a unit becomes visible and decremented
 	// only after the unit's engine returned and its result was
@@ -63,7 +68,7 @@ type stealQueue struct {
 	// keeps its creator's own count above zero.
 	outstanding atomic.Int64
 
-	// starving counts workers currently spinning for work; queued
+	// starving counts workers currently waiting for work; queued
 	// counts units sitting in stripes. Engines poll both (through
 	// workerHooks.Starving) and donate only while demand exceeds
 	// stock — otherwise donated units just pile up on the donor's own
@@ -76,11 +81,14 @@ type stealQueue struct {
 }
 
 func newStealQueue(workers int) *stealQueue {
-	return &stealQueue{stripes: make([]stealStripe, workers)}
+	q := &stealQueue{stripes: make([]stealStripe, workers)}
+	q.wake = sync.NewCond(&q.mu)
+	return q
 }
 
-// push makes u available, crediting it to worker w's stripe. The
-// outstanding increment happens before the unit is visible.
+// push makes u available, crediting it to worker w's stripe, and wakes
+// one waiting worker. The outstanding increment happens before the
+// unit is visible.
 func (q *stealQueue) push(w int, u *explore.Unit) {
 	q.outstanding.Add(1)
 	q.pushed.Add(1)
@@ -89,6 +97,9 @@ func (q *stealQueue) push(w int, u *explore.Unit) {
 	s.mu.Lock()
 	s.units = append(s.units, u)
 	s.mu.Unlock()
+	q.mu.Lock()
+	q.wake.Signal()
+	q.mu.Unlock()
 }
 
 // tryPop returns a unit for worker w, or nil when every stripe is
@@ -125,78 +136,65 @@ func (q *stealQueue) tryPop(w int) *explore.Unit {
 }
 
 // next blocks until a unit is available for worker w or the search has
-// terminated (outstanding hit zero), spinning with escalating
-// politeness while other workers still hold units.
+// terminated (outstanding hit zero), parked on the queue's condition
+// variable while other workers still hold units.
 func (q *stealQueue) next(w int) *explore.Unit {
 	if u := q.tryPop(w); u != nil {
 		return u
 	}
 	q.starving.Add(1)
 	defer q.starving.Add(-1)
-	sleep := 20 * time.Microsecond
-	for spins := 0; ; spins++ {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
 		if u := q.tryPop(w); u != nil {
 			return u
 		}
 		if q.outstanding.Load() == 0 {
 			return nil
 		}
-		if spins < 64 {
-			runtime.Gosched()
-			continue
-		}
-		// Exponentially backed-off sleep, capped at 1ms: a worker
-		// starving through one long-tail unit must not burn the CPU
-		// that concurrently running campaign cells need.
-		time.Sleep(sleep)
-		if sleep < time.Millisecond {
-			sleep *= 2
-		}
+		q.wake.Wait()
 	}
 }
 
 // complete retires one unit; the matching push happened when the unit
-// was created.
-func (q *stealQueue) complete() { q.outstanding.Add(-1) }
+// was created. Retiring the last one ends the search and wakes every
+// waiting worker.
+func (q *stealQueue) complete() {
+	if q.outstanding.Add(-1) == 0 {
+		q.mu.Lock()
+		q.wake.Broadcast()
+		q.mu.Unlock()
+	}
+}
 
 // nodeShards stripes the node table; node keys hash uniformly enough
 // with FNV.
 const nodeShards = 64
 
-// nodeEntry is one published node's table state: the monotone claim
-// set, plus the node's sleep-set context (write-once at publish, read
-// without the shard lock afterwards — only done mutates under it).
-type nodeEntry struct {
-	done uint64
-	// Sleep-set context copied from the publisher's explore.NodeInfo;
-	// zero/nil when the search runs without sleep sets.
-	sleep   uint64
-	pendSet uint64
-	pend    []event.Op
-}
-
 // nodeTable is the shared claim registry of published schedule-tree
-// nodes: done[t] means branch t of the node has been (or is being)
-// explored by some unit. Escaped backtrack additions claim against it,
-// so each branch is explored exactly once globally.
+// nodes, keyed by prefix: bit t of a node's claim set means branch t
+// of the node has been (or is being) explored by some unit. Escaped
+// backtrack additions claim against it, so each branch is explored
+// exactly once globally.
 type nodeTable struct {
 	shards [nodeShards]struct {
 		mu sync.Mutex
-		m  map[string]*nodeEntry
+		m  map[string]uint64
 	}
 }
 
 func newNodeTable() *nodeTable {
 	t := &nodeTable{}
 	for i := range t.shards {
-		t.shards[i].m = map[string]*nodeEntry{}
+		t.shards[i].m = map[string]uint64{}
 	}
 	return t
 }
 
 func (t *nodeTable) shard(key string) *struct {
 	mu sync.Mutex
-	m  map[string]*nodeEntry
+	m  map[string]uint64
 } {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -207,50 +205,34 @@ func (t *nodeTable) shard(key string) *struct {
 
 // publish registers the node with the given claimed set and claims the
 // pending branches on top, returning the pending branches that were
-// actually fresh plus the node's entry (with the claim set as it stood
-// before this call folded in). By the publish-before-ship invariant
-// each key is published exactly once and escapes only target published
-// keys, so prior is zero here and fresh == pending; the dedup is kept
-// as a cheap safety net should that invariant ever break. info's Pend
-// view is copied.
-func (t *nodeTable) publish(key string, claimed, pending uint64, info *explore.NodeInfo) (fresh, prior uint64, e *nodeEntry) {
+// actually fresh. By the publish-before-ship invariant each key is
+// published exactly once and escapes only target published keys, so
+// nothing was claimed before and fresh == pending; the dedup is kept
+// as a cheap safety net should that invariant ever break.
+func (t *nodeTable) publish(key string, claimed, pending uint64) (fresh uint64) {
 	s := t.shard(key)
 	s.mu.Lock()
-	e = s.m[key]
-	if e == nil {
-		e = &nodeEntry{}
-		s.m[key] = e
-	}
-	prior = e.done
-	fresh = pending &^ prior
-	e.done = prior | claimed | pending
-	if info != nil && e.pendSet == 0 {
-		e.sleep = info.Sleep
-		e.pendSet = info.PendSet
-		e.pend = append([]event.Op(nil), info.Pend...)
-	}
+	prior := s.m[key]
+	s.m[key] = prior | claimed | pending
 	s.mu.Unlock()
-	return fresh, prior, e
+	return pending &^ prior
 }
 
-// claim marks cands as taken and returns the subset that was fresh
-// plus the claim set as it stood before the call and the node's entry.
+// claim marks cands as taken and returns the subset that was fresh.
 // The node must have been published — an escape can only target a
 // node some unit's prefix runs through, and every unit's proper
 // prefixes are published before the unit exists.
-func (t *nodeTable) claim(key string, cands uint64) (fresh, prior uint64, e *nodeEntry) {
+func (t *nodeTable) claim(key string, cands uint64) (fresh uint64) {
 	s := t.shard(key)
 	s.mu.Lock()
-	e, ok := s.m[key]
+	prior, ok := s.m[key]
 	if !ok {
 		s.mu.Unlock()
 		panic("campaign: escaped backtrack point targets an unpublished node")
 	}
-	prior = e.done
-	fresh = cands &^ prior
-	e.done = prior | cands
+	s.m[key] = prior | cands
 	s.mu.Unlock()
-	return fresh, prior, e
+	return cands &^ prior
 }
 
 // sharedHooks is the per-search coordinator state shared by every
@@ -276,9 +258,9 @@ type workerHooks struct {
 
 // forceDonate, set by tests before a search starts, makes every worker
 // report starvation so donation — and with it the unit-shipping paths
-// (sleep seeds, escapes into foreign prefixes) — fires at every
-// opportunity. With one worker the resulting search is fully
-// deterministic, which is what the shipping exactness tests pin.
+// (escapes into foreign prefixes) — fires at every opportunity. With
+// one worker the resulting search is fully deterministic, which is
+// what the shipping exactness tests pin.
 var forceDonate bool
 
 // Starving implements explore.Steal: donate only while spinning
@@ -287,41 +269,13 @@ func (h workerHooks) Starving() bool {
 	return forceDonate || h.q.starving.Load() > h.q.queued.Load()
 }
 
-// unitSleep derives the root sleep set of a unit that takes branch t
-// from the published node e while done holds the branches claimed
-// before t — the sequential child-node rule: a thread in
-// sleep ∪ (done ∖ {t}) stays asleep iff its pending operation at the
-// node is independent of the operation t executes there. Zero when the
-// node carries no sleep context (sleep sets off).
-func unitSleep(e *nodeEntry, done uint64, t event.ThreadID) uint64 {
-	if e == nil || e.pendSet == 0 || e.pendSet&(1<<uint(t)) == 0 {
-		return 0
-	}
-	inherit := (e.sleep | (done &^ (1 << uint(t)))) & e.pendSet
-	var s uint64
-	for m := inherit; m != 0; m &= m - 1 {
-		q := bits.TrailingZeros64(m)
-		if !event.Dependent(e.pend[q], e.pend[t]) {
-			s |= 1 << uint(q)
-		}
-	}
-	return s
-}
-
 // ship creates one unit per set bit of fresh, branching the node
-// prefix, and pushes them onto the worker's stripe. done holds the
-// node's claim set before the first shipped branch; sleep seeds are
-// derived as if the branches were explored in bit order, mirroring the
-// sequential engine's ascending backtrack pops.
-func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEntry, donated bool) {
+// prefix, and pushes them onto the worker's stripe.
+func (h workerHooks) ship(prefix []event.ThreadID, fresh uint64, donated bool) {
 	for fresh != 0 {
 		t := event.ThreadID(bits.TrailingZeros64(fresh))
 		fresh &= fresh - 1
-		u := &explore.Unit{
-			Prefix:    append(append([]event.ThreadID(nil), prefix...), t),
-			SleepSeed: unitSleep(e, done, t),
-		}
-		done |= 1 << uint(t)
+		u := &explore.Unit{Prefix: append(append([]event.ThreadID(nil), prefix...), t)}
 		if donated {
 			h.donated.Add(1)
 		} else {
@@ -335,22 +289,21 @@ func (h workerHooks) ship(prefix []event.ThreadID, fresh, done uint64, e *nodeEn
 }
 
 // Publish implements explore.Steal.
-func (h workerHooks) Publish(prefix []event.ThreadID, claimed, pending uint64, info *explore.NodeInfo) uint64 {
-	fresh, prior, e := h.table.publish(prefixKey(prefix), claimed, pending, info)
-	h.ship(prefix, fresh, prior|claimed, e, true)
+func (h workerHooks) Publish(prefix []event.ThreadID, claimed, pending uint64) uint64 {
+	fresh := h.table.publish(prefixKey(prefix), claimed, pending)
+	h.ship(prefix, fresh, true)
 	return fresh
 }
 
 // Escape implements explore.Steal.
 func (h workerHooks) Escape(prefix []event.ThreadID, cands uint64) {
-	fresh, prior, e := h.table.claim(prefixKey(prefix), cands)
-	h.ship(prefix, fresh, prior, e, false)
+	h.ship(prefix, h.table.claim(prefixKey(prefix), cands), false)
 }
 
 // Claim implements explore.Steal: grant the fresh branches to the
 // calling engine for in-place exploration.
 func (h workerHooks) Claim(prefix []event.ThreadID, cands uint64) uint64 {
-	fresh, _, _ := h.table.claim(prefixKey(prefix), cands)
+	fresh := h.table.claim(prefixKey(prefix), cands)
 	if fresh != 0 {
 		h.localClaims.Add(1)
 	}
@@ -364,11 +317,10 @@ type unitOutcome struct {
 	res explore.Result
 }
 
-// workStealDPOR runs one work-stealing DPOR search (with sleep sets
-// when sleep is set) across workers (already normalised) and returns
-// the per-unit outcomes (unsorted), the shared dedup and the execution
-// stats.
-func workStealDPOR(src model.Source, opt explore.Options, workers int, sleep bool) ([]unitOutcome, *explore.Dedup, explore.StealStats) {
+// workStealDPOR runs one work-stealing DPOR search across workers
+// (already normalised) and returns the per-unit outcomes (unsorted),
+// the shared dedup and the execution stats.
+func workStealDPOR(src model.Source, opt explore.Options, workers int) ([]unitOutcome, *explore.Dedup, explore.StealStats) {
 	dedup := explore.NewDedup()
 	budget := explore.NewBudget(opt.ScheduleLimit)
 
@@ -416,7 +368,7 @@ func workStealDPOR(src model.Source, opt explore.Options, workers int, sleep boo
 					}
 					unit := *u
 					unit.Steal, unit.Dedup, unit.Budget = hooks, dedup, budget
-					res = explore.ExploreDPORUnit(src, unitOpt, sleep, unit)
+					res = explore.ExploreDPORUnit(src, unitOpt, unit)
 					if opt.StopAtFirstBug && res.ViolationKind != "" {
 						bugFound.Store(true)
 					}

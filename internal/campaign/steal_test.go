@@ -19,7 +19,7 @@ import (
 var stealWorkerCounts = []int{1, 2, 4, 8}
 
 // TestWorkStealDPORExact is the work-stealing engine's exactness
-// contract: on exhausted spaces without sleep sets, every counter
+// contract: on exhausted spaces, every counter
 // except Events — including #schedules — is byte-identical to
 // sequential DPOR for both backends and every worker count: no branch
 // of the DPOR tree is explored twice across unit boundaries.
@@ -36,7 +36,7 @@ func TestWorkStealDPORExact(t *testing.T) {
 				}
 				for _, workers := range stealWorkerCounts {
 					par := side.run(t, opt, func(src model.Source, opt explore.Options) explore.Result {
-						return ParallelDPOR(src, opt, workers, false)
+						return ParallelDPOR(src, opt, workers)
 					})
 					assertExact(t, workers, seq, par, true)
 					if par.Steal == nil || par.Steal.Workers != workers {
@@ -75,84 +75,7 @@ func (s backendSide) run(t *testing.T, opt explore.Options, fn func(model.Source
 	return res
 }
 
-// TestWorkStealDPORSleepCoverage: with sleep sets the schedule list is
-// order-dependent across unit boundaries, but the distinct-coverage
-// counters and the state set must still match sequential DPOR+sleep.
-func TestWorkStealDPORSleepCoverage(t *testing.T) {
-	for _, name := range exactBenches {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			bm := mustProgram(t, name)
-			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
-			seq := explore.NewDPOR(true).Explore(bm.Program, opt)
-			for _, workers := range []int{2, 4} {
-				par := ParallelDPOR(bm.Program, opt, workers, true)
-				if err := par.CheckInvariant(); err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if par.DistinctHBRs != seq.DistinctHBRs ||
-					par.DistinctLazyHBRs != seq.DistinctLazyHBRs ||
-					par.DistinctStates != seq.DistinctStates {
-					t.Errorf("workers=%d coverage mismatch: par hbrs=%d lazy=%d states=%d, seq hbrs=%d lazy=%d states=%d",
-						workers, par.DistinctHBRs, par.DistinctLazyHBRs, par.DistinctStates,
-						seq.DistinctHBRs, seq.DistinctLazyHBRs, seq.DistinctStates)
-				}
-			}
-		})
-	}
-}
-
-// TestWorkStealDPORShippedSleepExact pins the sleep-set shipping
-// contract. Forced donation fragments the search into one unit per
-// branch, so every unit's root sleep set comes from the shipping path
-// (Unit.SleepSeed, derived by the coordinator) instead of the engine's
-// local inheritance. With one worker the search is fully
-// deterministic and must be byte-identical to sequential DPOR+sleep —
-// including #schedules and #sleep-blocked, the counters the unshipped
-// scheme inflated. At higher worker counts claim order is timing-
-// dependent (sleep sets make the schedule list order-dependent), so
-// there the pinned properties are exact coverage plus the pruning
-// actually biting: no more schedules than the sleep-free search.
-func TestWorkStealDPORShippedSleepExact(t *testing.T) {
-	forceDonate = true
-	defer func() { forceDonate = false }()
-	for _, name := range exactBenches {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			bm := mustProgram(t, name)
-			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
-			seq := explore.NewDPOR(true).Explore(bm.Program, opt)
-			noSleep := explore.NewDPOR(false).Explore(bm.Program, explore.Options{MaxSteps: 2000})
-
-			solo := ParallelDPOR(bm.Program, opt, 1, true)
-			assertExact(t, 1, seq, solo, true)
-			if solo.SleepBlocked != seq.SleepBlocked {
-				t.Errorf("workers=1: sleep-blocked %d, sequential %d", solo.SleepBlocked, seq.SleepBlocked)
-			}
-			if solo.Steal.Units < seq.Schedules/2 {
-				t.Errorf("forced donation shipped only %d units over %d schedules; the shipping path is not exercised",
-					solo.Steal.Units, solo.Schedules)
-			}
-
-			for _, workers := range []int{2, 4} {
-				par := ParallelDPOR(bm.Program, opt, workers, true)
-				if par.DistinctHBRs != seq.DistinctHBRs ||
-					par.DistinctLazyHBRs != seq.DistinctLazyHBRs ||
-					par.DistinctStates != seq.DistinctStates {
-					t.Errorf("workers=%d coverage mismatch: par hbrs=%d lazy=%d states=%d, seq hbrs=%d lazy=%d states=%d",
-						workers, par.DistinctHBRs, par.DistinctLazyHBRs, par.DistinctStates,
-						seq.DistinctHBRs, seq.DistinctLazyHBRs, seq.DistinctStates)
-				}
-				if par.Schedules > noSleep.Schedules {
-					t.Errorf("workers=%d: shipped sleep sets explored %d schedules, more than sleep-free DPOR's %d",
-						workers, par.Schedules, noSleep.Schedules)
-				}
-			}
-		})
-	}
-}
-
-// TestWorkStealDPORForcedDonationExact extends the no-sleep exactness
+// TestWorkStealDPORForcedDonationExact extends the exactness
 // contract to maximal fragmentation: even when every pending branch is
 // donated as its own unit, the claim table keeps the merged counters —
 // including #schedules — byte-identical to sequential DPOR.
@@ -166,7 +89,7 @@ func TestWorkStealDPORForcedDonationExact(t *testing.T) {
 			opt := explore.Options{MaxSteps: 2000, RecordStates: true}
 			seq := explore.NewDPOR(false).Explore(bm.Program, opt)
 			for _, workers := range stealWorkerCounts {
-				par := ParallelDPOR(bm.Program, opt, workers, false)
+				par := ParallelDPOR(bm.Program, opt, workers)
 				assertExact(t, workers, seq, par, true)
 			}
 		})
@@ -179,14 +102,14 @@ func TestWorkStealDPORForcedDonationExact(t *testing.T) {
 func TestWorkStealDPORBudget(t *testing.T) {
 	bm := mustProgram(t, "synth-03") // 299 DPOR schedules: comfortably above the limit
 	const limit, workers = 100, 4
-	res := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, workers, false)
+	res := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, workers)
 	if !res.HitLimit {
 		t.Fatalf("expected HitLimit on a %d-schedule budget", limit)
 	}
 	if res.Schedules < limit/2 || res.Schedules > limit+workers-1 {
 		t.Fatalf("budgeted run executed %d schedules, want ≈%d (≤ limit+workers−1)", res.Schedules, limit)
 	}
-	solo := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, 1, false)
+	solo := ParallelDPOR(bm.Program, explore.Options{ScheduleLimit: limit, MaxSteps: 2000}, 1)
 	if solo.Schedules != limit || !solo.HitLimit {
 		t.Fatalf("workers=1 budgeted run executed %d schedules (hitLimit=%v), want exactly %d",
 			solo.Schedules, solo.HitLimit, limit)
@@ -220,7 +143,7 @@ func TestWorkStealDPORFuzzCorpus(t *testing.T) {
 		}
 		compared++
 		for _, workers := range workerCounts {
-			par := ParallelDPOR(src, opt, workers, false)
+			par := ParallelDPOR(src, opt, workers)
 			assertExact(t, workers, seq, par, true)
 			if t.Failed() {
 				t.Fatalf("first divergence on corpus entry %d (bytes %v)", i, data)
@@ -323,26 +246,26 @@ func TestStealQueueRaceStress(t *testing.T) {
 func TestNodeTableClaims(t *testing.T) {
 	tab := newNodeTable()
 	key := prefixKey([]event.ThreadID{0, 1, 2})
-	if fresh, _, _ := tab.publish(key, 0b001, 0b110, nil); fresh != 0b110 {
+	if fresh := tab.publish(key, 0b001, 0b110); fresh != 0b110 {
 		t.Fatalf("publish returned fresh=%b, want 110", fresh)
 	}
-	if fresh, _, _ := tab.claim(key, 0b111); fresh != 0 {
+	if fresh := tab.claim(key, 0b111); fresh != 0 {
 		t.Fatalf("claim of taken branches returned %b, want 0", fresh)
 	}
-	if fresh, prior, _ := tab.claim(key, 0b1011); fresh != 0b1000 || prior != 0b111 {
-		t.Fatalf("claim returned fresh=%b prior=%b, want 1000/111", fresh, prior)
+	if fresh := tab.claim(key, 0b1011); fresh != 0b1000 {
+		t.Fatalf("claim returned fresh=%b, want 1000", fresh)
 	}
 
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	var granted atomic64
-	tab.publish("shared", 0, 0, nil)
+	tab.publish("shared", 0, 0)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for bit := 0; bit < 64; bit++ {
-				fresh, _, _ := tab.claim("shared", 1<<uint(bit))
+				fresh := tab.claim("shared", 1<<uint(bit))
 				granted.add(int64(bits.OnesCount64(fresh)))
 			}
 		}()

@@ -146,10 +146,10 @@ func TestCoarseTailFigure3Regime(t *testing.T) {
 // shared root is covered by another unit.
 type dropEscapes struct{}
 
-func (dropEscapes) Starving() bool                                             { return false }
-func (dropEscapes) Publish([]event.ThreadID, uint64, uint64, *NodeInfo) uint64 { return 0 }
-func (dropEscapes) Escape([]event.ThreadID, uint64)                            {}
-func (dropEscapes) Claim([]event.ThreadID, uint64) uint64                      { return 0 }
+func (dropEscapes) Starving() bool                                  { return false }
+func (dropEscapes) Publish([]event.ThreadID, uint64, uint64) uint64 { return 0 }
+func (dropEscapes) Escape([]event.ThreadID, uint64)                 {}
+func (dropEscapes) Claim([]event.ThreadID, uint64) uint64           { return 0 }
 
 // TestCachingAcrossPrefixPartitions: the shared distinctness caches
 // the campaign package builds on — DPOR units pinned to disjoint root
@@ -172,7 +172,7 @@ func TestCachingAcrossPrefixPartitions(t *testing.T) {
 			dedup := NewDedup()
 			var totalTerminals int
 			for _, root := range roots {
-				res := ExploreDPORUnit(src, Options{MaxSteps: 2000}, false, Unit{
+				res := ExploreDPORUnit(src, Options{MaxSteps: 2000}, Unit{
 					Prefix: []event.ThreadID{root},
 					Steal:  dropEscapes{},
 					Dedup:  dedup,

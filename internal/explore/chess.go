@@ -44,8 +44,9 @@ func (e *iterEngine) Name() string { return e.name }
 
 // Explore implements Engine. Each round re-explores the space at a
 // larger bound (the classic CHESS trade: simple and sound, at the cost
-// of re-executing shallow schedules); distinctness counters therefore
-// come from a merged recorder fed with per-round results.
+// of re-executing shallow schedules); the distinct and violation
+// counters are therefore the largest any round reported, and the
+// others are summed over rounds.
 func (e *iterEngine) Explore(src model.Source, opt Options) Result {
 	merged := Result{Program: src.Name(), Engine: e.name}
 	if opt.Observer != nil && opt.Counters == nil {
@@ -61,7 +62,6 @@ func (e *iterEngine) Explore(src model.Source, opt Options) Result {
 		if budget > 0 {
 			roundOpt.ScheduleLimit = budget
 		}
-		roundOpt.RecordStates = true
 		res := e.mk(bound).Explore(src, roundOpt)
 		merged.Schedules += res.Schedules
 		merged.Terminals += res.Terminals

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/event"
 	"repro/internal/model"
@@ -32,13 +33,13 @@ type dporEngine struct {
 // sets.
 func NewDPOR(sleepSets bool) Engine { return &dporEngine{sleep: sleepSets} }
 
-// ExploreDPORUnit runs DPOR (with sleep sets when sleep is set) over
-// one work-stealing unit: the subtree beneath u.Prefix, coordinated
-// through u.Steal and counted into u.Dedup and u.Budget. The zero Unit
-// is the whole tree, exactly NewDPOR(sleep).Explore. It panics on a
-// unit that fails validation (a coordinator bug).
-func ExploreDPORUnit(src model.Source, opt Options, sleep bool, u Unit) Result {
-	return (&dporEngine{sleep: sleep}).explore(src, opt, u)
+// ExploreDPORUnit runs DPOR over one work-stealing unit: the subtree
+// beneath u.Prefix, coordinated through u.Steal and counted into
+// u.Dedup and u.Budget. The zero Unit is the whole tree, exactly
+// NewDPOR(false).Explore. It panics on a unit that fails validation (a
+// coordinator bug).
+func ExploreDPORUnit(src model.Source, opt Options, u Unit) Result {
+	return (&dporEngine{}).explore(src, opt, u)
 }
 
 // NewLazyDPOR returns the experimental lazy DPOR engine (the paper's
@@ -199,18 +200,15 @@ func disjoint(a, b csSummary) bool {
 	return true
 }
 
-// dnode is one state on the current DPOR stack.
+// dnode is one state on the current DPOR stack: the thread sets the
+// Flanagan–Godefroid search keeps per state. The per-thread step
+// counts and pending operations of the state live in the engine's flat
+// per-depth arrays, nthreads entries per node.
 type dnode struct {
-	enabled    []event.ThreadID
-	enabledSet tset
-	// steps[q] is the number of events thread q had executed when
-	// this state was reached; used for the ∃j>i ∧ j→next(p) test.
-	steps []int32
-	// pend[q] is thread q's pending operation at this state (valid
-	// where pendSet has q); used by sleep-set dependence checks.
-	pend    []event.Op
+	enabled tset
+	// pendSet holds the threads with a pending operation, enabled or
+	// blocked.
 	pendSet tset
-
 	// backtrack is the node's backtrack set. On a node of a unit's
 	// pinned prefix, which the engine never explores itself, it
 	// caches the masks already handed to Steal.Escape instead: the
@@ -226,20 +224,22 @@ type dnode struct {
 // this node for thread p, whose next transition carries the
 // happens-before clock pc: p itself if enabled here; otherwise the
 // first enabled thread with a later event ordered before p's
-// transition; otherwise every enabled thread.
-func (n *dnode) backtrackMask(p event.ThreadID, pc vclock.VC) tset {
-	if n.enabledSet.has(p) {
+// transition; otherwise every enabled thread. steps[q] is the number
+// of events thread q had executed when this state was reached.
+func (n *dnode) backtrackMask(p event.ThreadID, pc vclock.VC, steps []int32) tset {
+	if n.enabled.has(p) {
 		return 1 << uint(p)
 	}
-	for _, q := range n.enabled {
+	for m := n.enabled; m != 0; m &= m - 1 {
 		// ∃ j > i executed by q with j → next(p): p's clock includes
 		// an event of q beyond those executed when this state was
 		// reached.
-		if pc.Get(int(q)) >= n.steps[q]+1 {
+		q := bits.TrailingZeros64(uint64(m))
+		if pc.Get(q) >= steps[q]+1 {
 			return 1 << uint(q)
 		}
 	}
-	return n.enabledSet
+	return n.enabled
 }
 
 // dporState bundles the cursor with per-object access logs that make
@@ -395,12 +395,16 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	steal := u.Steal
 
 	// Every stack index is a trace index: nodes[i] is the state
-	// preceding trace event i. The first base nodes are the unit's
+	// preceding trace event i, and steps/pend[i*nthreads:(i+1)*nthreads]
+	// hold its threads' step counts and pending operations (pend[q] is
+	// valid where pendSet has q). The first base nodes are the unit's
 	// pinned prefix, which this engine never pops or explores: race
 	// reversals that would seed a backtrack point inside it escape to
 	// the Steal coordinator instead (see addBacktrack), which is what
 	// carries the reduction across unit boundaries.
-	var nodes []*dnode
+	var nodes []dnode
+	var steps []int32
+	var pend []event.Op
 	base := len(u.Prefix)
 
 	// pub counts the stack nodes (from the bottom) whose backtrack
@@ -428,7 +432,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			return
 		}
 		for j := pub; j <= dIdx; j++ {
-			n := nodes[j]
+			n := &nodes[j]
 			pending := tset(0)
 			if j == dIdx {
 				pending = n.backtrack &^ n.done
@@ -437,11 +441,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			// retired locally: pending bits already claimed in the
 			// table are this engine's own earlier Claim grants, which
 			// it still owes an in-place exploration.
-			var info *NodeInfo
-			if e.sleep {
-				info = &NodeInfo{Sleep: uint64(n.sleep), Pend: n.pend, PendSet: uint64(n.pendSet)}
-			}
-			shipped := steal.Publish(c.choices[:j], uint64(n.done), uint64(pending), info)
+			shipped := steal.Publish(c.choices[:j], uint64(n.done), uint64(pending))
 			n.done |= tset(shipped)
 		}
 		pub = dIdx + 1
@@ -457,8 +457,8 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	// published node the local set is always a subset of its global
 	// claim set.
 	addBacktrack := func(i int, p event.ThreadID) {
-		n := nodes[i]
-		mask := n.backtrackMask(p, c.tr.ThreadClock(p))
+		n := &nodes[i]
+		mask := n.backtrackMask(p, c.tr.ThreadClock(p), steps[i*nthreads:(i+1)*nthreads])
 		switch {
 		case mask&^n.backtrack == 0:
 		case i < base:
@@ -530,55 +530,36 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 		deferred = deferred[:0]
 	}
 
-	var tids tidPool
-	var i32s slicePool[int32]
-	var ops slicePool[event.Op]
-	var npool nodePool[dnode]
-
-	// freeNode returns a popped node's buffers to the pools.
-	freeNode := func(n *dnode) {
-		tids.put(n.enabled)
-		i32s.put(n.steps)
-		ops.put(n.pend)
-		npool.put(n)
-	}
-
-	makeNode := func() *dnode {
-		en := c.enabled()
-		n := npool.get()
-		*n = dnode{
-			enabled: tids.copyOf(en),
-			steps:   grown(i32s.get(), nthreads),
-			pend:    grown(ops.get(), nthreads),
-		}
+	// push records the current state, whose enabled threads are en, as
+	// the next stack node and returns it (valid until the next push).
+	push := func(en []event.ThreadID) *dnode {
+		d := len(nodes)
+		nodes = append(nodes, dnode{})
+		n := &nodes[d]
 		for _, t := range en {
-			n.enabledSet.add(t)
+			n.enabled.add(t)
 		}
 		for q := 0; q < nthreads; q++ {
 			t := event.ThreadID(q)
-			n.steps[q] = c.m.Steps(t)
-			if op, ok := c.m.Pending(t); ok {
-				n.pend[q] = op
+			op, ok := c.m.Pending(t)
+			if ok {
 				n.pendSet.add(t)
 			}
+			steps = append(steps, c.m.Steps(t))
+			pend = append(pend, op)
 		}
-		if e.sleep && len(nodes) == base {
-			// The subtree root: a work-stealing coordinator shipped the
-			// sleep set this node would carry in the sequential search
-			// (already filtered by dependence against the prefix's last
-			// event); a whole-tree search starts with nothing asleep.
-			// The pinned prefix nodes below it sleep nothing: the engine
-			// never picks a continuation there.
-			n.sleep = tset(u.SleepSeed)
-		}
-		if e.sleep && len(nodes) > base {
-			parent := nodes[len(nodes)-1]
-			execOp := c.trace[len(c.trace)-1].Op
-			inherit := parent.sleep | (parent.done &^ (1 << uint(parent.chosen)))
-			for q := 0; q < nthreads; q++ {
-				t := event.ThreadID(q)
-				if inherit.has(t) && parent.pendSet.has(t) && !event.Dependent(parent.pend[q], execOp) {
-					n.sleep.add(t)
+		if e.sleep && d > 0 {
+			// A thread asleep at the parent, or explored there before
+			// the chosen one, stays asleep iff its pending operation is
+			// independent of the one just executed.
+			parent := &nodes[d-1]
+			execOp := c.trace[d-1].Op
+			ppend := pend[(d-1)*nthreads : d*nthreads]
+			inherit := (parent.sleep | parent.done&^(1<<uint(parent.chosen))) & parent.pendSet
+			for m := inherit; m != 0; m &= m - 1 {
+				q := bits.TrailingZeros64(uint64(m))
+				if !event.Dependent(ppend[q], execOp) {
+					n.sleep.add(event.ThreadID(q))
 				}
 			}
 		}
@@ -602,10 +583,10 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 				resolveDeferred()
 				return !rec.schedule()
 			}
-			n := makeNode()
+			n := push(en)
 			pick := event.ThreadID(-1)
 			for _, t := range en {
-				if !e.sleep || !n.sleep.has(t) {
+				if !n.sleep.has(t) {
 					pick = t
 					break
 				}
@@ -613,7 +594,6 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			if pick < 0 {
 				// Every enabled thread is asleep: this
 				// execution is redundant.
-				nodes = append(nodes, n)
 				rec.res.SleepBlocked++
 				resolveDeferred()
 				return !rec.schedule()
@@ -621,7 +601,6 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 			n.backtrack.add(pick)
 			n.done.add(pick)
 			n.chosen = pick
-			nodes = append(nodes, n)
 			st.step(pick)
 		}
 	}
@@ -630,11 +609,9 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	// builds prefixes from live executions, so a choice that is not
 	// enabled is a coordinator bug.
 	for i, t := range u.Prefix {
-		n := makeNode()
-		if !n.enabledSet.has(t) {
+		if !push(c.enabled()).enabled.has(t) {
 			panic(fmt.Sprintf("explore: prefix choice t%d not enabled at depth %d", t, i))
 		}
-		nodes = append(nodes, n)
 		st.step(t)
 	}
 
@@ -644,7 +621,7 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 	for len(nodes) > base {
 		maybeDonate()
 		d := len(nodes) - 1
-		n := nodes[d]
+		n := &nodes[d]
 		// Sleeping backtrack candidates are explored like any other:
 		// their subtrees sleep-block quickly, but skipping them
 		// outright is unsound under selective search — the sibling
@@ -654,8 +631,9 @@ func (e *dporEngine) explore(src model.Source, opt Options, u Unit) Result {
 		// Sleep sets here prune continuations, never branch choices.
 		cand := n.backtrack &^ n.done
 		if cand.empty() {
-			freeNode(n)
 			nodes = nodes[:d]
+			steps = steps[:d*nthreads]
+			pend = pend[:d*nthreads]
 			// A popped published node leaves the published region; a
 			// later re-extension re-uses its depth for a different
 			// node, whose reversals must stay local until it is

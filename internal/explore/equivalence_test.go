@@ -40,7 +40,13 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 		})
 		return count < cap
 	}
-	var stack []treeNode
+	// One node per depth: the state's enabled threads and how many of
+	// them have been tried.
+	type enumNode struct {
+		choices []event.ThreadID
+		next    int
+	}
+	var stack []enumNode
 	descend := func() bool {
 		for {
 			en := c.enabled()
@@ -50,7 +56,7 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 			if c.truncated() {
 				t.Fatalf("%s: truncated during exhaustive enumeration", src.Name())
 			}
-			stack = append(stack, treeNode{choices: append([]event.ThreadID(nil), en...), next: 1})
+			stack = append(stack, enumNode{choices: append([]event.ThreadID(nil), en...), next: 1})
 			c.step(en[0])
 		}
 	}

@@ -606,60 +606,3 @@ func (c *cursor) close() {
 		c.m.Abort()
 	}
 }
-
-// slicePool recycles the per-node slice copies the stack-based engines
-// retain at every depth (enabled sets, branch costs), turning a steady
-// churn of small allocations into reuse of a few buffers. Pools are
-// engine-local, so no synchronisation is needed.
-type slicePool[T any] struct{ free [][]T }
-
-// copyOf returns a copy of src backed by a recycled buffer when one is
-// available.
-func (p *slicePool[T]) copyOf(src []T) []T {
-	return append(p.get(), src...)
-}
-
-// get returns an empty recycled buffer, or nil when the pool is empty.
-func (p *slicePool[T]) get() []T {
-	var buf []T
-	if n := len(p.free); n > 0 {
-		buf = p.free[n-1][:0]
-		p.free = p.free[:n-1]
-	}
-	return buf
-}
-
-// put returns a buffer to the pool.
-func (p *slicePool[T]) put(s []T) {
-	if cap(s) > 0 {
-		p.free = append(p.free, s[:0])
-	}
-}
-
-// tidPool is the pool of enabled-thread copies.
-type tidPool = slicePool[event.ThreadID]
-
-// nodePool recycles the per-depth node structs of the stack engines.
-// Callers re-initialise a recycled node before use.
-type nodePool[T any] struct{ free []*T }
-
-func (p *nodePool[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		return t
-	}
-	return new(T)
-}
-
-func (p *nodePool[T]) put(t *T) { p.free = append(p.free, t) }
-
-// grown returns s resized to length n, reallocating only when the
-// (possibly recycled) capacity is too small. Contents are unspecified;
-// callers overwrite or guard every entry they read.
-func grown[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}

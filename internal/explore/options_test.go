@@ -72,7 +72,7 @@ func TestZeroBudgetMeansUnlimited(t *testing.T) {
 	}
 	src := curatedSharedCounter()
 	full := NewDPOR(false).Explore(src, Options{MaxSteps: 2000})
-	unlimited := ExploreDPORUnit(src, Options{MaxSteps: 2000}, false, Unit{Budget: NewBudget(0)})
+	unlimited := ExploreDPORUnit(src, Options{MaxSteps: 2000}, Unit{Budget: NewBudget(0)})
 	if unlimited.Schedules != full.Schedules || unlimited.HitLimit {
 		t.Errorf("zero budget limited the search: %+v vs %+v", unlimited, full)
 	}

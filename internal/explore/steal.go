@@ -20,14 +20,6 @@ type Unit struct {
 	// land inside it.
 	Prefix []event.ThreadID
 
-	// SleepSeed is the sleep set (a thread bitmask) of the state
-	// reached after replaying Prefix — the root of the explored
-	// subtree — computed by the coordinator so DPOR with sleep sets
-	// prunes beneath a pinned prefix exactly as the sequential engine
-	// would at that node. Zero means no thread sleeps at the root.
-	// Ignored without sleep sets.
-	SleepSeed uint64
-
 	// Steal, when non-nil, puts the DPOR engine in work-stealing mode:
 	// backtrack points that escape the pinned prefix are handed over,
 	// and pending local branches can be donated to starving workers.
@@ -63,7 +55,7 @@ func (u Unit) validate(opt Options) error {
 // through Unit.Steal).
 //
 // The scheme: every concurrently explored subtree is a *unit* — a
-// pinned choice prefix plus the sleep set at its end, nothing else.
+// bare pinned choice prefix, nothing else.
 // Workers replay the prefix and run real DPOR beneath it. Two
 // situations cross a unit's boundary and go through this interface
 // instead of the engine's local backtrack sets:
@@ -88,13 +80,10 @@ func (u Unit) validate(opt Options) error {
 // The published claim sets make the union of all units' explorations
 // exactly the least fixed point that sequential DPOR computes: each
 // backtrack addition is a pure function of the execution trace that
-// produced it, and each claimed branch is explored exactly once. With
-// sleep sets disabled the merged Result counters are therefore
+// produced it, and each claimed branch is explored exactly once. Units
+// run without sleep sets, so the merged Result counters are
 // byte-identical to sequential DPOR's (see the campaign package's
-// exactness tests). Sleep sets make the *schedule list* (not the
-// coverage) order-dependent, so with sleep sets the merged coverage
-// counters remain exact while #schedules/#sleep-blocked may differ
-// from the sequential engine's.
+// exactness tests).
 type Steal interface {
 	// Starving reports whether idle workers outnumber the queued
 	// units — the signal that donating pending branches would
@@ -111,12 +100,9 @@ type Steal interface {
 	// per pending branch that was not already claimed in the table,
 	// and returns that shipped subset (the engine keeps exploring the
 	// rest locally).
-	// info, when non-nil, carries the node's sleep-set context so
-	// units branching off it (now or through later escapes) inherit
-	// the sleep set the sequential engine would compute; nil when the
-	// search runs without sleep sets. prefix and info.Pend are views
-	// into engine state: implementations must copy what they retain.
-	Publish(prefix []event.ThreadID, claimed, pending uint64, info *NodeInfo) (shipped uint64)
+	// prefix is a view into engine state: implementations must copy
+	// what they retain.
+	Publish(prefix []event.ThreadID, claimed, pending uint64) (shipped uint64)
 
 	// Escape hands over a backtrack addition (a thread bitmask,
 	// computed exactly as sequential DPOR would) for a published node
@@ -134,23 +120,6 @@ type Steal interface {
 	// no prefix replay. The non-fresh rest is someone else's (or was
 	// already claimed here earlier).
 	Claim(prefix []event.ThreadID, cands uint64) (fresh uint64)
-}
-
-// NodeInfo is the sleep-set context of a published node, captured by
-// the owning engine at publish time. A coordinator that ships a unit
-// for branch t of the node derives the unit's root sleep set
-// (Unit.SleepSeed) exactly as the sequential engine's child-node
-// rule: every thread in sleep ∪ (done-before-t ∖ {t}) stays asleep iff
-// its pending operation at the node is independent of the operation t
-// executes there.
-type NodeInfo struct {
-	// Sleep is the node's own sleep set (thread bitmask).
-	Sleep uint64
-	// Pend[q] is thread q's pending operation at the node, valid where
-	// PendSet has bit q. The slice is a view into engine state:
-	// implementations must copy what they retain.
-	Pend    []event.Op
-	PendSet uint64
 }
 
 // StealStats summarises one work-stealing parallel search; attached to

@@ -109,14 +109,15 @@ func (e *treeEngine) Name() string {
 }
 
 // treeNode is one depth of the search: the choices the node may try,
-// in order, how many it has taken, and the bound spent on the path up
-// to (not including) this state. Every rule's costs grow with the
-// choice index and level off at maxCost, so trying choices[i] costs
-// min(i, maxCost): maxCost is 0 for ruleAll, 1 for rulePreempt while
-// the previous thread (choice 0) is still enabled and 0 once it is
-// not, and the number of enabled threads for ruleDelay.
+// in order (choices[off:off+n] of the engine's shared choice slice),
+// how many it has taken, and the bound spent on the path up to (not
+// including) this state. Every rule's costs grow with the choice index
+// and level off at maxCost, so trying choice i costs min(i, maxCost):
+// maxCost is 0 for ruleAll, 1 for rulePreempt while the previous thread
+// (choice 0) is still enabled and 0 once it is not, and the number of
+// enabled threads for ruleDelay.
 type treeNode struct {
-	choices []event.ThreadID
+	off, n  int
 	next    int
 	used    int
 	maxCost int
@@ -124,30 +125,31 @@ type treeNode struct {
 
 func (n *treeNode) cost(i int) int { return min(i, n.maxCost) }
 
-// expand fills n's choices from the enabled threads en (non-empty),
-// given the thread prev that ran the previous event (-1 at the root),
-// and drops the choices the rest of the bound cannot afford. Choice 0
-// is free and n.used never exceeds the bound, so one always remains.
-func (e *treeEngine) expand(n *treeNode, en []event.ThreadID, prev event.ThreadID, pool *tidPool) {
-	n.choices = pool.get()
+// expand appends n's choices to choices from the enabled threads en
+// (non-empty), given the thread prev that ran the previous event (-1
+// at the root), drops the choices the rest of the bound cannot afford,
+// and returns the grown slice. Choice 0 is free and n.used never
+// exceeds the bound, so one always remains.
+func (e *treeEngine) expand(n *treeNode, choices, en []event.ThreadID, prev event.ThreadID) []event.ThreadID {
+	n.off = len(choices)
 	switch {
 	case e.rule == rulePreempt && slices.Contains(en, prev):
-		n.choices, n.maxCost = append(n.choices, prev), 1
+		choices, n.maxCost = append(choices, prev), 1
 		for _, t := range en {
 			if t != prev {
-				n.choices = append(n.choices, t)
+				choices = append(choices, t)
 			}
 		}
 	case e.rule == ruleDelay:
-		n.choices, n.maxCost = append(n.choices, en...), len(en)
+		choices, n.maxCost = append(choices, en...), len(en)
 	default:
-		n.choices = append(n.choices, en...)
+		choices = append(choices, en...)
 	}
-	k := len(n.choices)
-	for n.used+n.cost(k-1) > e.bound {
-		k--
+	n.n = len(choices) - n.off
+	for n.used+n.cost(n.n-1) > e.bound {
+		n.n--
 	}
-	n.choices = n.choices[:k]
+	return choices[:n.off+n.n]
 }
 
 // Explore implements Engine.
@@ -182,8 +184,10 @@ func (e *treeEngine) Explore(src model.Source, opt Options) Result {
 		return false
 	}
 
+	// The stack's nodes keep their choices in one slice, each node's
+	// above its parent's, so a pop truncates it.
 	var stack []treeNode
-	var pool tidPool
+	var choices []event.ThreadID
 
 	// descend extends the current execution to a terminal state,
 	// truncation or cache prune, pushing one node per fresh state and
@@ -204,12 +208,12 @@ func (e *treeEngine) Explore(src model.Source, opt Options) Result {
 			prev := event.ThreadID(-1)
 			if d := len(stack); d > 0 {
 				p := &stack[d-1]
-				prev = p.choices[p.next-1]
+				prev = choices[p.off+p.next-1]
 				n.used = p.used + p.cost(p.next-1)
 			}
-			e.expand(&n, en, prev, &pool)
+			choices = e.expand(&n, choices, en, prev)
 			stack = append(stack, n)
-			if !fresh(n.choices[0]) {
+			if !fresh(choices[n.off]) {
 				return !rec.schedule()
 			}
 		}
@@ -219,12 +223,12 @@ func (e *treeEngine) Explore(src model.Source, opt Options) Result {
 	for more && len(stack) > 0 {
 		d := len(stack) - 1
 		n := &stack[d]
-		if n.next >= len(n.choices) {
-			pool.put(n.choices)
+		if n.next >= n.n {
+			choices = choices[:n.off]
 			stack = stack[:d]
 			continue
 		}
-		t := n.choices[n.next]
+		t := choices[n.off+n.next]
 		n.next++
 		c.resetTo(d)
 		if fresh(t) {
