@@ -150,8 +150,25 @@ const (
 // Run executes every cell, respecting ctx (nil means background), and
 // returns the results in input order. Cell-level failures are reported
 // in CellResult.Err, not as an error; the returned error is non-nil
-// only when ctx ended the campaign early.
+// only when ctx ended the campaign early. OnResult, when set, still
+// sees every result as it completes.
 func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
+	out := make([]CellResult, len(cells))
+	collect := *r
+	collect.OnResult = func(res CellResult) {
+		out[res.Index] = res
+		if r.OnResult != nil {
+			r.OnResult(res)
+		}
+	}
+	err := collect.Stream(ctx, cells)
+	return out, err
+}
+
+// Stream executes every cell like Run but keeps no results: each one
+// goes to OnResult only, so a caller that consumes the stream holds no
+// campaign-sized result slice.
+func (r *Runner) Stream(ctx context.Context, cells []Cell) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,7 +176,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([]CellResult, len(cells))
 	var next atomic.Int64
 	var emitMu sync.Mutex
 	// Heartbeats share the emit lock with results so a JSONL stream
@@ -192,7 +208,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 				} else {
 					res = r.runCell(ctx, i, cells[i], emitHB)
 				}
-				out[i] = res
 				if r.OnResult != nil {
 					emitMu.Lock()
 					r.OnResult(res)
@@ -202,7 +217,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 		}()
 	}
 	wg.Wait()
-	return out, ctx.Err()
+	return ctx.Err()
 }
 
 // runCell executes one cell with fault containment: each attempt runs
@@ -271,7 +286,7 @@ func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Hea
 		// Join, don't just signal: once runCell returns, no heartbeat
 		// for this cell may still be in flight — every heartbeat
 		// happens before the cell's result, and none can outlive
-		// Runner.Run.
+		// Runner.Stream.
 		defer func() { close(stop); <-done }()
 		go func() {
 			defer close(done)

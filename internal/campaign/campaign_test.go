@@ -77,6 +77,34 @@ func TestRunnerContextDeadline(t *testing.T) {
 	}
 }
 
+// TestRunnerStreamMatchesRun: Stream hands every cell to OnResult
+// exactly once, with the result Run returns at that cell's index.
+func TestRunnerStreamMatchesRun(t *testing.T) {
+	cells := Grid([]string{"counter-racy-2x2", "philosophers-3"}, []EngineSpec{"dfs", "dpor"}, 0, 2000)
+	want, err := (&Runner{Workers: 2}).Run(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*CellResult, len(cells))
+	r := Runner{Workers: 2, OnResult: func(res CellResult) {
+		if got[res.Index] != nil {
+			t.Errorf("cell %d streamed twice", res.Index)
+		}
+		got[res.Index] = &res
+	}}
+	if err := r.Stream(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		if res == nil {
+			t.Fatalf("cell %d never streamed", i)
+		}
+		if res.Cell != want[i].Cell || res.Err != want[i].Err || res.Result.Schedules != want[i].Result.Schedules {
+			t.Errorf("cell %d: streamed %+v, Run returned %+v", i, *res, want[i])
+		}
+	}
+}
+
 // countdownCtx is a context whose Err starts reporting cancellation
 // after a fixed number of polls — a deterministic stand-in for "the
 // deadline fired mid-cell", independent of wall-clock timing.

@@ -281,7 +281,7 @@ func (c *Campaign) Results(ctx context.Context) iter.Seq[CellResult] {
 					c.cfg.onHeartbeat(h)
 				}
 			}
-			_, err := runner.Run(ctx, pending)
+			err := runner.Stream(ctx, pending)
 			errc <- err
 		}()
 		for r := range ch {
