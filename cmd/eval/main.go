@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verify   = fs.Bool("verify", false, "firstbug mode: re-read each written artifact and verify its replay reproduces")
 		stall    = fs.Duration("stall-timeout", 0, "campaign/firstbug mode: fence threads whose next operation stalls longer than this as diverged (0 = watchdog off)")
 		cellTO   = fs.Duration("cell-timeout", 0, "campaign/firstbug mode: per-cell wall-clock deadline; late cells are quarantined, not fatal (0 = none)")
-		retries  = fs.Int("retries", 0, "campaign/firstbug mode: extra attempts per cell on transient engine failures")
 		progress = fs.Bool("progress", false, "campaign/firstbug mode: live status line on stderr (cells done/total, schedules/sec, slowest in-flight cell)")
 		metrics  = fs.String("metrics", "", `serve expvar counters and net/http/pprof on this address (e.g. "localhost:6060"; ":0" picks a free port)`)
 		hbEvery  = fs.Duration("heartbeat", 0, "campaign/firstbug mode with -json: mix per-cell heartbeat JSON lines into the result stream at this cadence")
@@ -134,8 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "eval: -repro/-minimize/-verify apply only to -fig firstbug")
 		return 2
 	}
-	if (*stall > 0 || *cellTO > 0 || *retries > 0) && *fig != "campaign" && *fig != "firstbug" {
-		fmt.Fprintln(stderr, "eval: -stall-timeout/-cell-timeout/-retries apply only to -fig campaign/firstbug")
+	if (*stall > 0 || *cellTO > 0) && *fig != "campaign" && *fig != "firstbug" {
+		fmt.Fprintln(stderr, "eval: -stall-timeout/-cell-timeout apply only to -fig campaign/firstbug")
 		return 2
 	}
 	if (*progress || *hbEvery > 0 || *flight != "") && *fig != "campaign" && *fig != "firstbug" {
@@ -159,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runCampaign(ctx, selected, *engines, campaignConfig{
 			limit: *limit, steps: *steps, par: *par,
 			asJSON: *asJSON, resume: *resume,
-			stall: *stall, cellTO: *cellTO, retries: *retries,
+			stall: *stall, cellTO: *cellTO,
 			progress: *progress, hbEvery: *hbEvery, flight: *flight,
 		}, stdout, stderr)
 	}
@@ -170,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			asJSON: *asJSON, md: *md, quiet: *quiet,
 			resume:   *resume,
 			reproDir: *reproDir, minimize: *minimize, verify: *verify,
-			stall: *stall, cellTO: *cellTO, retries: *retries,
+			stall: *stall, cellTO: *cellTO,
 			progress: *progress, hbEvery: *hbEvery, flight: *flight,
 		}, stdout, stderr)
 	}
@@ -244,9 +243,6 @@ func buildCampaign(selected []bench.Benchmark, engineList string, par int, cont 
 	if cont.cellTO > 0 {
 		campOpts = append(campOpts, sct.WithCellTimeout(cont.cellTO))
 	}
-	if cont.retries > 0 {
-		campOpts = append(campOpts, sct.WithRetries(cont.retries))
-	}
 	var rend *progressRenderer
 	var hbFns []func(sct.Heartbeat)
 	if obs.progress {
@@ -306,7 +302,6 @@ func aggregateRates(results []sct.CellResult, wall time.Duration) string {
 // firstbug modes share.
 type containment struct {
 	stall, cellTO time.Duration
-	retries       int
 }
 
 // campaignConfig bundles the campaign-mode knobs.
@@ -315,7 +310,6 @@ type campaignConfig struct {
 	asJSON            bool
 	resume            string
 	stall, cellTO     time.Duration
-	retries           int
 	progress          bool
 	hbEvery           time.Duration
 	flight            string
@@ -329,7 +323,6 @@ type firstBugConfig struct {
 	reproDir          string
 	minimize, verify  bool
 	stall, cellTO     time.Duration
-	retries           int
 	progress          bool
 	hbEvery           time.Duration
 	flight            string
@@ -363,7 +356,7 @@ func runFirstBug(ctx context.Context, selected []bench.Benchmark, engineList str
 		flightDir = cfg.reproDir
 	}
 	camp, rend, err := buildCampaign(selected, engineList, cfg.par,
-		containment{stall: cfg.stall, cellTO: cfg.cellTO, retries: cfg.retries},
+		containment{stall: cfg.stall, cellTO: cfg.cellTO},
 		observability{progress: cfg.progress, hbEvery: cfg.hbEvery, flight: flightDir, stdout: stdout, stderr: stderr},
 		sct.WithBounds(cfg.limit, cfg.steps), sct.StopAtFirstBug())
 	if err != nil {
@@ -518,22 +511,13 @@ func writeArtifacts(results []sct.CellResult, cfg firstBugConfig, stdout, stderr
 }
 
 // reportContainment summarises the campaign's survivability on
-// stderr: cells that healed after retries, then the quarantine —
-// cells whose failure was contained without taking down the run.
+// stderr: the quarantine — cells whose failure was contained without
+// taking down the run.
 func reportContainment(results []sct.CellResult, stderr io.Writer) {
-	healed := 0
-	for _, r := range results {
-		if r.Err == "" && !r.Cancelled && r.Attempts > 1 {
-			healed++
-		}
-	}
-	if healed > 0 {
-		fmt.Fprintf(stderr, "healed: %d cells succeeded after retry\n", healed)
-	}
 	if q := sct.Quarantine(results); len(q) > 0 {
 		fmt.Fprintf(stderr, "quarantine: %d/%d cells failed:\n", len(q), len(results))
 		for _, r := range q {
-			fmt.Fprintf(stderr, "  %-24s %-18s attempts=%d %s\n", r.Cell.Bench, r.Cell.Engine, r.Attempts, r.Err)
+			fmt.Fprintf(stderr, "  %-24s %-18s %s\n", r.Cell.Bench, r.Cell.Engine, r.Err)
 		}
 	}
 }
@@ -544,7 +528,7 @@ func reportContainment(results []sct.CellResult, stderr io.Writer) {
 // skipped.
 func runCampaign(ctx context.Context, selected []bench.Benchmark, engineList string, cfg campaignConfig, stdout, stderr io.Writer) int {
 	camp, rend, err := buildCampaign(selected, engineList, cfg.par,
-		containment{stall: cfg.stall, cellTO: cfg.cellTO, retries: cfg.retries},
+		containment{stall: cfg.stall, cellTO: cfg.cellTO},
 		observability{progress: cfg.progress, hbEvery: cfg.hbEvery, flight: cfg.flight, stdout: stdout, stderr: stderr},
 		sct.WithBounds(cfg.limit, cfg.steps))
 	if err != nil {

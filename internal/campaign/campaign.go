@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/explore"
-	"repro/internal/model"
 )
 
 // Cell is one unit of campaign work: a benchmark explored by one
@@ -68,30 +67,21 @@ type CellResult struct {
 	// cell is flushed to the stream instead of silently dropped, so a
 	// consumer can tell "never ran" from "ran partially" from "done".
 	Cancelled bool `json:"cancelled,omitempty"`
-	// Attempts is how many times the cell's engine was invoked: 1 for
-	// a healthy cell, more when transient failures were retried
-	// (Runner.Retries). 0 means the cell never reached its engine
-	// (unknown benchmark, bad spec, cancelled before start).
-	Attempts int `json:"attempts,omitempty"`
-	// AttemptMS records each attempt's wall-clock cost in
-	// milliseconds, in attempt order — the per-attempt breakdown of
-	// ElapsedMS (which also includes retry backoff sleeps).
-	AttemptMS []int64 `json:"attempt_ms,omitempty"`
 	// FlightPath is where the cell's flight-recorder artifact was
 	// dumped; set only for failed cells under a Runner with FlightDir.
 	FlightPath string `json:"flight,omitempty"`
 	// Err describes a cell-level failure (unknown benchmark, bad
 	// engine spec, invalid options, invariant violation, engine
-	// panic, cell deadline, exhausted retries). A cell with Err set
-	// is quarantined: its failure is contained and reported without
-	// poisoning the rest of the campaign.
+	// panic, cell deadline). A cell with Err set is quarantined: its
+	// failure is contained and reported without poisoning the rest of
+	// the campaign.
 	Err string `json:"error,omitempty"`
 }
 
-// Runner executes campaign cells concurrently. The zero value runs
-// every cell once with no deadline — exactly the pre-containment
-// behaviour; the fault-containment knobs (CellTimeout, Retries) are
-// opt-in per campaign.
+// Runner executes campaign cells concurrently, each exactly once:
+// exploration is deterministic, so a failing cell would fail the same
+// way again. The zero value runs every cell with no deadline;
+// CellTimeout is opt-in per campaign.
 type Runner struct {
 	// Workers is the number of cells explored concurrently; <= 0
 	// uses GOMAXPROCS.
@@ -119,33 +109,19 @@ type Runner struct {
 	// nothing.
 	FlightDir string
 
-	// CellTimeout bounds each cell attempt's wall clock. An attempt
-	// that exceeds it is interrupted through its context; one that
-	// also ignores the interrupt past AbandonGrace has its goroutine
+	// CellTimeout bounds each cell's wall clock. A cell that exceeds
+	// it is interrupted through its context; one whose engine also
+	// ignores the interrupt past abandonGrace has its goroutine
 	// abandoned. Either way the cell completes with a structured Err
 	// (and any partial counters the engine surrendered) and the rest
 	// of the campaign proceeds. 0 means no per-cell deadline.
 	CellTimeout time.Duration
-	// Retries is how many additional attempts a cell gets when its
-	// engine fails transiently — panics with an
-	// explore.TransientError. Non-transient panics and deadline
-	// overruns are never retried. 0 means fail on the first fault.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent attempt with deterministic per-cell jitter; 0 uses
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
-	// AbandonGrace is how long a deadline-overrunning attempt gets to
-	// observe its cancelled context and return partial counters before
-	// its goroutine is abandoned; 0 uses DefaultAbandonGrace.
-	AbandonGrace time.Duration
 }
 
-// Containment defaults; see the Runner fields of the same names.
-const (
-	DefaultRetryBackoff = 10 * time.Millisecond
-	DefaultAbandonGrace = 250 * time.Millisecond
-)
+// abandonGrace is how long a cancelled engine gets to observe its
+// context and return partial counters before its goroutine is
+// abandoned.
+const abandonGrace = 250 * time.Millisecond
 
 // Run executes every cell, respecting ctx (nil means background), and
 // returns the results in input order. Cell-level failures are reported
@@ -220,11 +196,11 @@ func (r *Runner) Stream(ctx context.Context, cells []Cell) error {
 	return ctx.Err()
 }
 
-// runCell executes one cell with fault containment: each attempt runs
-// in its own goroutine under the cell deadline, panics are recovered
-// into structured errors, transient failures are retried with backoff,
-// and a hung attempt is abandoned rather than hanging the worker. The
-// named return lets the deferred timing write reach the caller.
+// runCell executes one cell with fault containment: the engine runs
+// once, in its own goroutine under the cell deadline, a panic is
+// recovered into a structured error, and a hung engine is abandoned
+// rather than hanging the worker. The named return lets the deferred
+// timing write reach the caller.
 func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Heartbeat)) (out CellResult) {
 	out = CellResult{Index: index, Cell: c}
 	start := time.Now()
@@ -235,9 +211,6 @@ func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Hea
 		out.Err = fmt.Sprintf("unknown benchmark %q", c.Bench)
 		return out
 	}
-	// The engine is built once and reused across retry attempts, so
-	// stateful engines (the chaos engine's flaky mode, seeded
-	// samplers) see the cell's attempt history, not a fresh instance.
 	eng, err := c.Engine.Build()
 	if err != nil {
 		out.Err = err.Error()
@@ -258,7 +231,7 @@ func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Hea
 	// Telemetry: heartbeats and the flight recorder both hang off a
 	// per-cell counter set the engine publishes into at schedule
 	// boundaries. Counters and the flight ring stay safe to read even
-	// if an abandoned attempt goroutine is still running behind a
+	// if an abandoned engine goroutine is still running behind a
 	// dumped artifact.
 	var ctr *explore.Counters
 	var flight *explore.FlightRecorder
@@ -275,7 +248,6 @@ func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Hea
 			}
 		}()
 	}
-	var attemptNo atomic.Int64
 	if r.OnHeartbeat != nil {
 		every := r.HeartbeatEvery
 		if every <= 0 {
@@ -297,62 +269,19 @@ func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Hea
 				case <-stop:
 					return
 				case <-tick.C:
-					emitHB(makeHeartbeat(index, c, int(attemptNo.Load()), ctr, start))
+					emitHB(makeHeartbeat(index, c, ctr, start))
 				}
 			}
 		}()
 	}
 
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		attemptNo.Store(int64(attempt))
-		attemptStart := time.Now()
-		res, err := r.runAttempt(ctx, eng, bm.Program, opt)
-		out.AttemptMS = append(out.AttemptMS, time.Since(attemptStart).Milliseconds())
-		out.Result = res
-		if err == nil {
-			if res.Interrupted {
-				// Mid-cell campaign cancellation: keep the partial
-				// counters but mark the cell so downstream analysis
-				// never mistakes them for a finished exploration. (A
-				// cell-deadline interruption arrives as err instead.)
-				out.Cancelled = true
-				return out
-			}
-			if err := res.CheckInvariant(); err != nil {
-				out.Err = err.Error()
-			}
-			return out
-		}
-		var te explore.TransientError
-		retryable := errors.As(err, &te)
-		if !retryable || attempt > r.Retries || ctx.Err() != nil {
-			out.Err = err.Error()
-			out.Cancelled = ctx.Err() != nil
-			return out
-		}
-		if !sleepCtx(ctx, retryDelay(r.RetryBackoff, index, attempt)) {
-			out.Err = err.Error()
-			out.Cancelled = true
-			return out
-		}
-	}
-}
-
-// runAttempt runs one engine invocation in a child goroutine under the
-// per-cell deadline, converting panics into errors. A non-nil error
-// means the attempt failed (the result still carries any partial
-// counters the engine surrendered on its way out); errors wrapping
-// explore.TransientError are the only retryable ones.
-func (r *Runner) runAttempt(ctx context.Context, eng explore.Engine, src model.Source, opt explore.Options) (explore.Result, error) {
-	attemptCtx := ctx
-	cancel := func() {}
+	cellCtx := ctx
 	if r.CellTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, r.CellTimeout)
+		var cancel context.CancelFunc
+		cellCtx, cancel = context.WithTimeout(ctx, r.CellTimeout)
+		defer cancel()
 	}
-	defer cancel()
-	opt.Ctx = attemptCtx
-
+	opt.Ctx = cellCtx
 	type outcome struct {
 		res explore.Result
 		err error
@@ -361,79 +290,50 @@ func (r *Runner) runAttempt(ctx context.Context, eng explore.Engine, src model.S
 	go func() {
 		defer func() {
 			if rec := recover(); rec != nil {
-				if te, ok := rec.(explore.TransientError); ok {
-					done <- outcome{err: te}
-					return
-				}
 				done <- outcome{err: fmt.Errorf("engine panic: %v", rec)}
 			}
 		}()
-		done <- outcome{res: eng.Explore(src, opt)}
+		done <- outcome{res: eng.Explore(bm.Program, opt)}
 	}()
-
 	var o outcome
 	select {
 	case o = <-done:
-	case <-attemptCtx.Done():
+	case <-cellCtx.Done():
 		// Deadline or campaign cancellation: give the engine the grace
 		// window to observe its context and surrender partial counters.
-		grace := r.AbandonGrace
-		if grace <= 0 {
-			grace = DefaultAbandonGrace
-		}
-		timer := time.NewTimer(grace)
+		timer := time.NewTimer(abandonGrace)
 		defer timer.Stop()
 		select {
 		case o = <-done:
 		case <-timer.C:
-			// The attempt ignored its cancelled context: abandon its
+			// The engine ignored its cancelled context: abandon its
 			// goroutine (it parks forever or burns a leaked thread —
 			// contained either way) and fail the cell structurally.
-			return explore.Result{}, fmt.Errorf(
-				"campaign: cell attempt exceeded its deadline and ignored cancellation for %v; attempt goroutine abandoned", grace)
+			o.err = fmt.Errorf("campaign: cell exceeded its deadline and ignored cancellation for %v; engine goroutine abandoned", abandonGrace)
 		}
 	}
-	if o.err != nil {
-		return o.res, o.err
-	}
-	if o.res.Interrupted && ctx.Err() == nil && attemptCtx.Err() != nil {
+
+	out.Result = o.res
+	switch {
+	case o.err != nil:
+		out.Err = o.err.Error()
+		out.Cancelled = ctx.Err() != nil
+	case o.res.Interrupted && ctx.Err() == nil && cellCtx.Err() != nil:
 		// The per-cell deadline (not the campaign context) interrupted
-		// the attempt: surface it as a structured cell failure carrying
-		// the partial counters.
-		return o.res, fmt.Errorf("campaign: cell timeout after %v (partial result: %d schedules)", r.CellTimeout, o.res.Schedules)
+		// the engine: a structured cell failure carrying the partial
+		// counters.
+		out.Err = fmt.Sprintf("campaign: cell timeout after %v (partial result: %d schedules)", r.CellTimeout, o.res.Schedules)
+	case o.res.Interrupted:
+		// Mid-cell campaign cancellation: keep the partial counters
+		// but mark the cell so downstream analysis never mistakes them
+		// for a finished exploration.
+		out.Cancelled = true
+	default:
+		if err := o.res.CheckInvariant(); err != nil {
+			out.Err = err.Error()
+		}
 	}
-	return o.res, nil
-}
-
-// retryDelay is the backoff before retry number attempt (1-based):
-// exponential in the attempt with a deterministic per-cell jitter, so
-// colliding retry storms decorrelate without making campaigns
-// nondeterministic in their timing decisions.
-func retryDelay(base time.Duration, index, attempt int) time.Duration {
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	d := base << uint(attempt-1)
-	// splitmix64 over (cell index, attempt) — deterministic jitter in
-	// [0, d/2].
-	z := uint64(index)*0x9e3779b97f4a7c15 + uint64(attempt)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return d + time.Duration(z%uint64(d/2+1))
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled; it reports whether
-// the full sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return out
 }
 
 // Quarantine returns the failed cells (Err set) in input order — the

@@ -11,24 +11,17 @@ import (
 )
 
 // TestChaosCampaignSurvives is the survivability acceptance test: a
-// campaign with a panicking cell, a hanging cell and a
-// transiently-failing cell completes every cell — the hostile ones as
-// structured errors or healed retries, the healthy ones untouched.
+// campaign with a panicking cell and a hanging cell completes every
+// cell — the hostile ones as structured errors, the healthy ones
+// untouched.
 func TestChaosCampaignSurvives(t *testing.T) {
 	cells := []Cell{
 		{Bench: "counter-racy-2x2", Engine: "dfs", ScheduleLimit: 500, MaxSteps: 2000},
 		{Bench: "counter-racy-2x2", Engine: "chaos:panic", ScheduleLimit: 10, MaxSteps: 2000},
 		{Bench: "counter-racy-2x2", Engine: "chaos:hang", ScheduleLimit: 10, MaxSteps: 2000},
-		{Bench: "counter-racy-2x2", Engine: "chaos:flaky:2", ScheduleLimit: 500, MaxSteps: 2000},
 		{Bench: "philosophers-3", Engine: "dfs", ScheduleLimit: 500, MaxSteps: 2000},
 	}
-	r := Runner{
-		Workers:      2,
-		CellTimeout:  300 * time.Millisecond,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-		AbandonGrace: 50 * time.Millisecond,
-	}
+	r := Runner{Workers: 2, CellTimeout: 300 * time.Millisecond}
 	results, err := r.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -37,37 +30,22 @@ func TestChaosCampaignSurvives(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(results), len(cells))
 	}
 
-	panicCell, hangCell, flakyCell := results[1], results[2], results[3]
+	panicCell, hangCell := results[1], results[2]
 	if panicCell.Err == "" || !strings.Contains(panicCell.Err, "engine panic") {
 		t.Errorf("panic cell: Err = %q, want an engine-panic error", panicCell.Err)
 	}
-	if panicCell.Attempts != 1 {
-		t.Errorf("panic cell: Attempts = %d, want 1 (deterministic failures are not retried)", panicCell.Attempts)
-	}
 	if hangCell.Err == "" || !strings.Contains(hangCell.Err, "deadline") {
 		t.Errorf("hang cell: Err = %q, want a deadline error", hangCell.Err)
-	}
-	if hangCell.Attempts != 1 {
-		t.Errorf("hang cell: Attempts = %d, want 1 (timeouts are not retried)", hangCell.Attempts)
-	}
-	if flakyCell.Err != "" {
-		t.Errorf("flaky cell failed despite retry budget: %q", flakyCell.Err)
-	}
-	if flakyCell.Attempts != 3 {
-		t.Errorf("flaky cell: Attempts = %d, want 3 (two flakes, then success)", flakyCell.Attempts)
-	}
-	if flakyCell.Result.Schedules == 0 {
-		t.Error("flaky cell healed but explored nothing")
 	}
 
 	// The healthy cells are byte-identical to a run with no hostile
 	// cells at all: containment must never leak into neighbours.
 	baseline, err := (&Runner{Workers: 2}).Run(context.Background(),
-		[]Cell{cells[0], cells[4]})
+		[]Cell{cells[0], cells[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range []CellResult{results[0], results[4]} {
+	for i, res := range []CellResult{results[0], results[3]} {
 		if !reflect.DeepEqual(res.Result, baseline[i].Result) {
 			t.Errorf("healthy cell %s: result differs from hostile-free run:\n with=%+v\n without=%+v",
 				res.Cell.Bench, res.Result, baseline[i].Result)
@@ -109,35 +87,10 @@ func TestCellTimeoutReportsPartialResult(t *testing.T) {
 	if res.Cancelled {
 		t.Error("a per-cell deadline is not a campaign cancellation")
 	}
-	if res.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1", res.Attempts)
-	}
-}
-
-// TestRetryRespectsCampaignCancel: retry sleeps give up promptly when
-// the campaign context dies.
-func TestRetryRespectsCampaignCancel(t *testing.T) {
-	cells := []Cell{
-		{Bench: "counter-racy-2x2", Engine: "chaos:flaky:1000", ScheduleLimit: 10, MaxSteps: 2000},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	r := Runner{Workers: 1, Retries: 1000, RetryBackoff: 10 * time.Millisecond}
-	results, err := r.Run(ctx, cells)
-	if err == nil {
-		t.Fatal("want the context error surfaced from Run")
-	}
-	if len(results) != 1 || !results[0].Cancelled {
-		t.Fatalf("results = %+v, want one cancelled cell", results)
-	}
 }
 
 // TestZeroValueRunnerKeepsLegacyBehaviour: without containment knobs,
-// a failing engine build is still a per-cell error and healthy cells
-// report Attempts.
+// a healthy cell runs to completion with no error.
 func TestZeroValueRunnerKeepsLegacyBehaviour(t *testing.T) {
 	cells := []Cell{
 		{Bench: "counter-racy-2x2", Engine: "dfs", ScheduleLimit: 100, MaxSteps: 2000},
@@ -146,8 +99,8 @@ func TestZeroValueRunnerKeepsLegacyBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != "" || results[0].Attempts != 1 {
-		t.Fatalf("zero-value runner: Err=%q Attempts=%d", results[0].Err, results[0].Attempts)
+	if results[0].Err != "" || results[0].Result.Schedules == 0 {
+		t.Fatalf("zero-value runner: Err=%q Schedules=%d", results[0].Err, results[0].Result.Schedules)
 	}
 }
 

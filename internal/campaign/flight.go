@@ -12,19 +12,16 @@ import (
 
 // FlightArtifact is the structured dump the runner writes when a cell
 // with an armed flight recorder fails (quarantine, cell timeout,
-// engine panic, exhausted retries): the cell, its error, per-attempt
-// timings, the final counter snapshot, and the ring of most recent
-// executions — a debuggable trace where there used to be one Err
-// line. The artifact lands in Runner.FlightDir as
+// engine panic): the cell, its error, the final counter snapshot, and
+// the ring of most recent executions — a debuggable trace where there
+// used to be one Err line. The artifact lands in Runner.FlightDir as
 // flight__<bench>__<engine>.json (engine spec sanitised like repro
 // artifact names).
 type FlightArtifact struct {
-	Cell      Cell                  `json:"cell"`
-	Err       string                `json:"error"`
-	Attempts  int                   `json:"attempts"`
-	AttemptMS []int64               `json:"attempt_ms,omitempty"`
-	Progress  explore.Progress      `json:"progress"`
-	Entries   []explore.FlightEntry `json:"entries"`
+	Cell     Cell                  `json:"cell"`
+	Err      string                `json:"error"`
+	Progress explore.Progress      `json:"progress"`
+	Entries  []explore.FlightEntry `json:"entries"`
 }
 
 // sanitizeSpec makes an engine spec filename-safe, matching the repro
@@ -43,11 +40,9 @@ func FlightPath(dir string, c Cell) string {
 // to the cell's Err rather than masking the original failure.
 func dumpFlight(dir string, out *CellResult, ctr *explore.Counters, flight *explore.FlightRecorder) {
 	art := FlightArtifact{
-		Cell:      out.Cell,
-		Err:       out.Err,
-		Attempts:  out.Attempts,
-		AttemptMS: out.AttemptMS,
-		Entries:   flight.Snapshot(),
+		Cell:    out.Cell,
+		Err:     out.Err,
+		Entries: flight.Snapshot(),
 	}
 	if ctr != nil {
 		art.Progress = ctr.Snapshot()

@@ -19,10 +19,10 @@ const HeartbeatType = "heartbeat"
 const DefaultHeartbeatEvery = time.Second
 
 // Heartbeat is one liveness record for an in-flight campaign cell:
-// which cell is running, which attempt it is on, how much work it has
-// done and how fast. Heartbeats flow through Runner.OnHeartbeat
-// (serialised with OnResult, so JSONL streams stay line-atomic) and
-// are pure telemetry — dropping them changes nothing.
+// which cell is running, how much work it has done and how fast.
+// Heartbeats flow through Runner.OnHeartbeat (serialised with
+// OnResult, so JSONL streams stay line-atomic) and are pure telemetry
+// — dropping them changes nothing.
 type Heartbeat struct {
 	// Type is always HeartbeatType; it distinguishes heartbeat lines
 	// from cell-result lines in a mixed JSONL stream.
@@ -32,11 +32,8 @@ type Heartbeat struct {
 	Index  int        `json:"index"`
 	Bench  string     `json:"bench"`
 	Engine EngineSpec `json:"engine"`
-	// Attempt is the cell's current attempt number (1-based; > 1
-	// while retrying transient failures).
-	Attempt int `json:"attempt"`
 	// Schedules, Events and MaxDepth are the cell's live exploration
-	// counters so far (across all its attempts).
+	// counters so far.
 	Schedules int64 `json:"schedules"`
 	Events    int64 `json:"events"`
 	MaxDepth  int64 `json:"max_depth,omitempty"`
@@ -50,14 +47,13 @@ type Heartbeat struct {
 }
 
 // makeHeartbeat samples one heartbeat from a cell's live counters.
-func makeHeartbeat(index int, c Cell, attempt int, ctr *explore.Counters, start time.Time) Heartbeat {
+func makeHeartbeat(index int, c Cell, ctr *explore.Counters, start time.Time) Heartbeat {
 	elapsed := time.Since(start)
 	h := Heartbeat{
 		Type:      HeartbeatType,
 		Index:     index,
 		Bench:     c.Bench,
 		Engine:    c.Engine,
-		Attempt:   attempt,
 		ElapsedMS: elapsed.Milliseconds(),
 	}
 	if ctr != nil {

@@ -139,9 +139,6 @@ func TestRunnerHeartbeats(t *testing.T) {
 		if h.Index != 0 || h.Bench != "synth-10" || h.Engine != "dfs" {
 			t.Fatalf("heartbeat identity wrong: %+v", h)
 		}
-		if h.Attempt < 1 {
-			t.Fatalf("heartbeat Attempt = %d, want >= 1", h.Attempt)
-		}
 		if h.Schedules < last {
 			t.Fatalf("heartbeat schedules went backwards: %d after %d", h.Schedules, last)
 		}
@@ -224,7 +221,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Cell != failed.Cell || art.Err != failed.Err || art.Attempts != failed.Attempts {
+	if art.Cell != failed.Cell || art.Err != failed.Err {
 		t.Errorf("artifact disagrees with the result: %+v vs %+v", art, failed)
 	}
 	if art.Progress.Program != failed.Cell.Bench {
@@ -244,33 +241,5 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	}
 	if filepath.Base(want) != entries[0].Name() {
 		t.Errorf("artifact name %q, want %q", entries[0].Name(), filepath.Base(want))
-	}
-}
-
-// TestAttemptTimings: every attempt leaves a wall-clock entry, so
-// AttemptMS matches Attempts even across retries.
-func TestAttemptTimings(t *testing.T) {
-	cells := []Cell{
-		{Bench: "counter-racy-2x2", Engine: "chaos:flaky:2", ScheduleLimit: 200, MaxSteps: 2000},
-	}
-	r := Runner{Workers: 1, Retries: 2, RetryBackoff: time.Millisecond}
-	results, err := r.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := results[0]
-	if res.Err != "" {
-		t.Fatalf("flaky cell failed despite retries: %q", res.Err)
-	}
-	if res.Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", res.Attempts)
-	}
-	if len(res.AttemptMS) != res.Attempts {
-		t.Fatalf("AttemptMS has %d entries, want %d", len(res.AttemptMS), res.Attempts)
-	}
-	for i, ms := range res.AttemptMS {
-		if ms < 0 {
-			t.Errorf("attempt %d took %dms", i, ms)
-		}
 	}
 }

@@ -124,18 +124,16 @@ func init() {
 		},
 	})
 	Register(Info{
-		Name: "chaos", Usage: "chaos[:panic|:stall|:hang|:flaky[:N]]",
-		Summary: "fault injection: panics, stalls, hangs or fails transiently to exercise campaign containment (no grid contribution)",
+		Name: "chaos", Usage: "chaos[:panic|:stall|:hang]",
+		Summary: "fault injection: panics, stalls or hangs to exercise campaign containment; a bare chaos is a plain DFS (no grid contribution)",
 		Build: func(argv []string) (explore.Engine, error) {
-			mode := explore.ChaosFlaky
-			if len(argv) > 0 {
-				mode = argv[0]
+			switch len(argv) {
+			case 0:
+				return explore.NewChaos("")
+			case 1:
+				return explore.NewChaos(argv[0])
 			}
-			n, err := IntArg(argv, 1, 0)
-			if err != nil {
-				return nil, err
-			}
-			return explore.NewChaos(mode, n)
+			return nil, fmt.Errorf("takes at most one argument, got %v", argv)
 		},
 	})
 }

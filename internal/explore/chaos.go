@@ -2,42 +2,21 @@ package explore
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/model"
 )
 
-// TransientError marks a fault as retryable: a campaign worker that
-// recovers a panic whose value is (or wraps) a TransientError treats
-// the attempt as transient infrastructure failure and retries the cell
-// within its retry budget, instead of quarantining it. Engines and
-// embedder callbacks panic with it to signal "try again".
-type TransientError struct {
-	Msg string
-}
-
-// Error implements error.
-func (e TransientError) Error() string { return "transient: " + e.Msg }
-
 // chaosEngine is the fault-injection engine behind the "chaos" spec:
-// it misbehaves on purpose — panicking, stalling until cancelled,
-// hanging past cancellation, or failing transiently N times before
-// delegating to a real DFS — so the campaign runner's containment
-// (panic recovery, cell deadlines, bounded retry) can be exercised and
-// tested without a hostile program. It contributes nothing to the
-// default grid.
+// it misbehaves on purpose — panicking, stalling until cancelled or
+// hanging past cancellation — so the campaign runner's containment
+// (panic recovery, cell deadlines, abandoned goroutines) can be
+// exercised and tested without a hostile program. With no mode it is
+// a plain DFS. It contributes nothing to the default grid.
 type chaosEngine struct {
 	mode string
-	n    int
-	// calls counts Explore invocations on this instance. The flaky
-	// mode keys off it, so retry semantics require the campaign runner
-	// to build the engine once per cell and reuse it across attempts.
-	// Atomic: an abandoned attempt's goroutine may still be running
-	// when the next attempt starts.
-	calls atomic.Int64
 }
 
-// Chaos modes.
+// Chaos modes; the empty mode injects no fault.
 const (
 	// ChaosPanic panics deterministically inside Explore.
 	ChaosPanic = "panic"
@@ -46,26 +25,19 @@ const (
 	// deadline but shuts down cleanly.
 	ChaosStall = "stall"
 	// ChaosHang blocks forever, ignoring cancellation — a cell whose
-	// attempt goroutine must be abandoned by the runner's watchdog.
+	// goroutine must be abandoned by the runner's watchdog.
 	ChaosHang = "hang"
-	// ChaosFlaky panics with a TransientError on the first N Explore
-	// calls of the instance, then delegates to a fresh DFS.
-	ChaosFlaky = "flaky"
 )
 
 // NewChaos returns a fault-injection engine. Modes: ChaosPanic,
-// ChaosStall, ChaosHang, ChaosFlaky (n = number of leading transient
-// failures; the other modes ignore n).
-func NewChaos(mode string, n int) (Engine, error) {
+// ChaosStall, ChaosHang, or "" for a fault-free DFS.
+func NewChaos(mode string) (Engine, error) {
 	switch mode {
-	case ChaosPanic, ChaosStall, ChaosHang, ChaosFlaky:
+	case "", ChaosPanic, ChaosStall, ChaosHang:
 	default:
-		return nil, fmt.Errorf("chaos mode %q (want panic, stall, hang or flaky)", mode)
+		return nil, fmt.Errorf("chaos mode %q (want panic, stall or hang)", mode)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("chaos failure count %d (want >= 0)", n)
-	}
-	return &chaosEngine{mode: mode, n: n}, nil
+	return &chaosEngine{mode: mode}, nil
 }
 
 // Name implements Engine.
@@ -73,7 +45,6 @@ func (e *chaosEngine) Name() string { return "chaos" }
 
 // Explore implements Engine by misbehaving according to the mode.
 func (e *chaosEngine) Explore(src model.Source, opt Options) Result {
-	call := e.calls.Add(1)
 	switch e.mode {
 	case ChaosPanic:
 		panic(fmt.Sprintf("chaos: injected fault in %s", src.Name()))
@@ -84,10 +55,6 @@ func (e *chaosEngine) Explore(src model.Source, opt Options) Result {
 		return Result{Program: src.Name(), Engine: e.Name(), Interrupted: true}
 	case ChaosHang:
 		<-make(chan struct{})
-	case ChaosFlaky:
-		if call <= int64(e.n) {
-			panic(TransientError{Msg: fmt.Sprintf("chaos: injected flake %d/%d in %s", call, e.n, src.Name())})
-		}
 	}
 	res := NewDFS().Explore(src, opt)
 	res.Engine = e.Name()

@@ -53,8 +53,6 @@ func NewLazyDPOR() Engine { return &dporEngine{lazyCS: true} }
 // Name implements Engine.
 func (e *dporEngine) Name() string {
 	switch {
-	case e.lazyCS && e.sleep:
-		return "lazy-dpor+sleep"
 	case e.lazyCS:
 		return "lazy-dpor"
 	case e.sleep:
@@ -80,17 +78,10 @@ type csSummary struct {
 	clean         bool // complete, no nested sync, no spawn/join
 }
 
-// summarizeCS scans the critical section opened by the lock event at
+// summarize scans the critical section opened by the lock event at
 // trace position lockIdx (events of the locking thread only, up to the
-// matching unlock).
-func summarizeCS(trace []event.Event, lockIdx int) csSummary {
-	var cs csSummary
-	cs.summarize(trace, lockIdx)
-	return cs
-}
-
-// summarize is summarizeCS into cs, reusing the storage of its sets:
-// the lazy engine summarises two sections per deferred lock race.
+// matching unlock) into cs, reusing the storage of its sets: the lazy
+// engine summarises two sections per deferred lock race.
 func (cs *csSummary) summarize(trace []event.Event, lockIdx int) {
 	lock := trace[lockIdx]
 	if cs.reads == nil {

@@ -178,7 +178,8 @@ func TestSummarizeCS(t *testing.T) {
 		mkEv(0, 2, wr),
 		mkEv(0, 3, unlock),
 	}
-	cs := summarizeCS(tr, 0)
+	var cs csSummary
+	cs.summarize(tr, 0)
 	if !cs.clean {
 		t.Fatal("section is clean")
 	}
@@ -197,13 +198,13 @@ func TestSummarizeCS(t *testing.T) {
 		mkEv(0, 0, lock),
 		mkEv(0, 1, event.Op{Kind: event.KindLock, Obj: 1}),
 	}
-	if summarizeCS(nested, 0).clean {
+	if cs.summarize(nested, 0); cs.clean {
 		t.Error("nested lock must be unclean")
 	}
 
 	// Truncated section (no unlock) is unclean.
 	trunc := []event.Event{mkEv(0, 0, lock), mkEv(0, 1, rd)}
-	if summarizeCS(trunc, 0).clean {
+	if cs.summarize(trunc, 0); cs.clean {
 		t.Error("unterminated section must be unclean")
 	}
 }

@@ -149,15 +149,12 @@ func TestPanicCountsAndPrecedence(t *testing.T) {
 
 // TestChaosEngineModes pins the fault-injection engine's contract.
 func TestChaosEngineModes(t *testing.T) {
-	if _, err := NewChaos("nonsense", 0); err == nil {
+	if _, err := NewChaos("nonsense"); err == nil {
 		t.Fatal("NewChaos accepted an unknown mode")
 	}
-	if _, err := NewChaos(ChaosFlaky, -1); err == nil {
-		t.Fatal("NewChaos accepted a negative flake count")
-	}
 
-	// panic mode panics with a non-transient value.
-	e, err := NewChaos(ChaosPanic, 0)
+	// panic mode panics with a value that names the chaos engine.
+	e, err := NewChaos(ChaosPanic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +164,6 @@ func TestChaosEngineModes(t *testing.T) {
 			if r == nil {
 				t.Fatal("chaos:panic did not panic")
 			}
-			if _, ok := r.(TransientError); ok {
-				t.Fatal("chaos:panic must not look transient")
-			}
 			if !strings.Contains(fmt.Sprint(r), "chaos") {
 				t.Fatalf("panic value %v does not identify chaos", r)
 			}
@@ -177,30 +171,18 @@ func TestChaosEngineModes(t *testing.T) {
 		e.Explore(divergeRacy(), Options{})
 	}()
 
-	// flaky:N panics with TransientError N times, then delegates to DFS.
-	e, err = NewChaos(ChaosFlaky, 2)
+	// With no mode the engine is a plain DFS under the chaos name.
+	e, err = NewChaos("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		func() {
-			defer func() {
-				r := recover()
-				if _, ok := r.(TransientError); !ok {
-					t.Fatalf("flaky call %d: recovered %v, want TransientError", i+1, r)
-				}
-			}()
-			e.Explore(panicRacy(), Options{})
-		}()
-	}
-	res := e.Explore(panicRacy(), Options{})
-	if res.Engine != "chaos" || res.Panics != 1 {
-		t.Fatalf("flaky third call: engine=%q panics=%d, want a real DFS result", res.Engine, res.Panics)
+	if res := e.Explore(panicRacy(), Options{}); res.Engine != "chaos" || res.Panics != 1 {
+		t.Fatalf("fault-free chaos: engine=%q panics=%d, want a real DFS result", res.Engine, res.Panics)
 	}
 
 	// stall mode blocks until the context is cancelled, then reports
 	// an interrupted empty result.
-	e, err = NewChaos(ChaosStall, 0)
+	e, err = NewChaos(ChaosStall)
 	if err != nil {
 		t.Fatal(err)
 	}

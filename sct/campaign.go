@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/campaign"
-	"repro/internal/explore"
 )
 
 // EngineSpec names an engine configuration in the registry's compact
@@ -65,7 +64,7 @@ func Grid(benches, engineSpecs []string, opts ...Option) ([]Cell, error) {
 		return nil, err
 	}
 	if err := cfg.reject("Grid", "containment is a runner property: pass it to NewCampaign",
-		"WithCellTimeout", "WithRetries"); err != nil {
+		"WithCellTimeout"); err != nil {
 		return nil, err
 	}
 	if err := cfg.reject("Grid", "observability is a runner property: pass WithHeartbeat/WithFlightRecorder to NewCampaign (WithObserver is Run-only)",
@@ -156,7 +155,7 @@ func NewCampaign(cells []Cell, opts ...Option) (*Campaign, error) {
 // run killed mid-write leaves a truncated final line, and resume
 // exists precisely for that crash (the affected cells simply run
 // again). Resume may be called multiple times (e.g. one file per
-// previous attempt) and returns how many cells this stream satisfied.
+// previous run) and returns how many cells this stream satisfied.
 //
 // The skipped cells' recorded results stay available through
 // [Campaign.Resumed], re-indexed to their position in this campaign's
@@ -260,7 +259,6 @@ func (c *Campaign) Results(ctx context.Context) iter.Seq[CellResult] {
 			runner := campaign.Runner{
 				Workers:        c.cfg.workers,
 				CellTimeout:    c.cfg.cellTimeout,
-				Retries:        c.cfg.retries,
 				HeartbeatEvery: c.cfg.heartbeatEvery,
 				FlightDir:      c.cfg.flightDir,
 				OnResult: func(r CellResult) {
@@ -314,17 +312,11 @@ func FirstError(results []CellResult) error {
 
 // Quarantine returns the cells that failed (CellResult.Err != ""), in
 // the order given — the campaign's survivability ledger: everything
-// here was contained (engine panic, cell deadline, exhausted retries)
-// without taking down the cells around it.
+// here was contained (engine panic, cell deadline) without taking down
+// the cells around it.
 func Quarantine(results []CellResult) []CellResult {
 	return campaign.Quarantine(results)
 }
-
-// TransientError is the retryable-fault marker: an engine (or a fault
-// injection layer) that panics with a value unwrapping to it signals
-// a transient condition, and a campaign runner configured via
-// [WithRetries] re-attempts the cell instead of quarantining it.
-type TransientError = explore.TransientError
 
 // ErrTruncatedTail is wrapped by [ReadResults] when a result stream
 // ends mid-line — the signature of a run killed during its final

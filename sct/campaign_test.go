@@ -258,6 +258,32 @@ func TestCampaignResumeIgnoresUnfinishedCells(t *testing.T) {
 	}
 }
 
+// TestOldCheckpointStillLoads: a checkpoint line written before cells
+// ran exactly once still carries "attempts" and "attempt_ms"; both
+// Resume and ReadResults ignore those fields and keep the cell.
+func TestOldCheckpointStillLoads(t *testing.T) {
+	const old = `{"index":0,"cell":{"bench":"counter-racy-2x2","engine":"dfs","schedule_limit":300,"max_steps":2000},` +
+		`"result":{"Program":"counter-racy-2x2","Engine":"dfs","Schedules":70},"elapsed_ms":7,"attempts":2,"attempt_ms":[3,4]}` + "\n"
+	cells := testGrid(t)
+	camp, err := sct.NewCampaign(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := camp.Resume(strings.NewReader(old)); err != nil || n != 1 {
+		t.Fatalf("Resume of an old-format line: adopted %d, err %v; want 1, nil", n, err)
+	}
+	if got := camp.Resumed(); got[0].Cell != cells[0] || got[0].Result.Schedules != 70 {
+		t.Errorf("adopted %+v, want cell %+v with 70 schedules", got[0], cells[0])
+	}
+	results, err := sct.ReadResults(strings.NewReader(old))
+	if err != nil || len(results) != 1 {
+		t.Fatalf("ReadResults of an old-format line: %d results, err %v", len(results), err)
+	}
+	if results[0].Cell != cells[0] || results[0].Result.Schedules != 70 || results[0].ElapsedMS != 7 {
+		t.Errorf("read %+v, want cell %+v with 70 schedules in 7ms", results[0], cells[0])
+	}
+}
+
 // TestNewCampaignValidation: bad cells and bad options fail at
 // construction, not mid-run.
 func TestNewCampaignValidation(t *testing.T) {

@@ -84,11 +84,11 @@ func TestFacadeVsDirectEquivalence(t *testing.T) {
 		{"db:2", false, func() explore.Engine { return explore.NewDelayBounded(2) }},
 		{"chess-pb:3", false, func() explore.Engine { return explore.NewIterativePreemptionBounding(3) }},
 		{"chess-db:3", false, func() explore.Engine { return explore.NewIterativeDelayBounding(3) }},
-		// chaos:flaky:0 delegates to a fresh DFS immediately — the one
-		// chaos configuration that behaves like a real engine, which is
-		// what the facade pin can meaningfully compare.
-		{"chaos:flaky:0", false, func() explore.Engine {
-			e, err := explore.NewChaos(explore.ChaosFlaky, 0)
+		// A bare chaos delegates to a fresh DFS — the one chaos
+		// configuration that behaves like a real engine, which is what
+		// the facade pin can meaningfully compare.
+		{"chaos", false, func() explore.Engine {
+			e, err := explore.NewChaos("")
 			if err != nil {
 				panic(err)
 			}

@@ -122,8 +122,8 @@ func TestStallTimeoutOption(t *testing.T) {
 
 // TestContainmentOptionRouting pins which call sites accept the
 // containment options: stall timeouts are exploration properties
-// (Run and Grid), cell timeouts and retries are runner properties
-// (NewCampaign only).
+// (Run and Grid), cell timeouts are runner properties (NewCampaign
+// only).
 func TestContainmentOptionRouting(t *testing.T) {
 	ctx := context.Background()
 	src := panicky()
@@ -131,10 +131,6 @@ func TestContainmentOptionRouting(t *testing.T) {
 	if _, err := sct.Run(ctx, src, "dfs", sct.WithCellTimeout(time.Second)); err == nil ||
 		!strings.Contains(err.Error(), "WithCellTimeout") {
 		t.Errorf("Run with WithCellTimeout: %v, want rejection", err)
-	}
-	if _, err := sct.Run(ctx, src, "dfs", sct.WithRetries(2)); err == nil ||
-		!strings.Contains(err.Error(), "WithRetries") {
-		t.Errorf("Run with WithRetries: %v, want rejection", err)
 	}
 	if _, err := sct.Grid([]string{"counter-racy-2x2"}, []string{"dfs"},
 		sct.WithCellTimeout(time.Second)); err == nil ||
@@ -156,7 +152,7 @@ func TestContainmentOptionRouting(t *testing.T) {
 		t.Errorf("NewCampaign with WithStallTimeout: %v, want rejection", err)
 	}
 	if _, err := sct.NewCampaign(cells,
-		sct.WithCellTimeout(time.Second), sct.WithRetries(3)); err != nil {
+		sct.WithCellTimeout(time.Second)); err != nil {
 		t.Errorf("NewCampaign with containment options: %v, want accepted", err)
 	}
 }

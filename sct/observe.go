@@ -35,8 +35,8 @@ type Observer = explore.Observer
 type Counters = explore.Counters
 
 // Heartbeat is one liveness record for an in-flight campaign cell:
-// cell identity, attempt number, schedules/events so far, the
-// aggregate schedule rate and the resolved backend.
+// cell identity, schedules/events so far, the aggregate schedule rate
+// and the resolved backend.
 type Heartbeat = campaign.Heartbeat
 
 // FlightEntry is one recent execution retained by a cell's flight
@@ -46,8 +46,8 @@ type FlightEntry = explore.FlightEntry
 
 // FlightArtifact is the structured dump a failing campaign cell
 // leaves behind when [WithFlightRecorder] is armed: the cell, its
-// error, per-attempt timings, the final counter snapshot and the ring
-// of most recent executions.
+// error, the final counter snapshot and the ring of most recent
+// executions.
 type FlightArtifact = campaign.FlightArtifact
 
 // ReadFlight loads a flight artifact dumped by a campaign run with

@@ -24,7 +24,6 @@ type config struct {
 	onViolation   func(Witness)
 	stallTimeout  time.Duration
 	cellTimeout   time.Duration
-	retries       int
 
 	// Observability (see observe.go): observer rides Run's
 	// explore.Options; the heartbeat/flight knobs are campaign-runner
@@ -177,10 +176,10 @@ func WithStallTimeout(d time.Duration) Option {
 	}
 }
 
-// WithCellTimeout bounds each campaign cell attempt to d of
-// wall-clock time ([NewCampaign] only). An attempt that exceeds it is
-// cancelled and reported as a structured per-cell error carrying the
-// partial counters; an attempt that also ignores cancellation is
+// WithCellTimeout bounds each campaign cell to d of wall-clock time
+// ([NewCampaign] only). A cell that exceeds it is cancelled and
+// reported as a structured per-cell error carrying the partial
+// counters; an engine that also ignores cancellation is
 // abandoned on a watchdog goroutine so the campaign itself always
 // survives. 0 (the default) means no per-cell deadline.
 func WithCellTimeout(d time.Duration) Option {
@@ -190,24 +189,6 @@ func WithCellTimeout(d time.Duration) Option {
 			return fmt.Errorf("negative cell timeout %v", d)
 		}
 		c.cellTimeout = d
-		return nil
-	}
-}
-
-// WithRetries lets each campaign cell retry up to n extra attempts
-// ([NewCampaign] only) when the engine fails transiently — a panic
-// whose value unwraps to a transient-fault marker (see
-// [TransientError]). Retries back off exponentially with jitter;
-// deterministic failures are never retried. CellResult.Attempts
-// records how many attempts the cell consumed. 0 (the default)
-// disables retry.
-func WithRetries(n int) Option {
-	return func(c *config) error {
-		c.mark("WithRetries")
-		if n < 0 {
-			return fmt.Errorf("negative retry count %d", n)
-		}
-		c.retries = n
 		return nil
 	}
 }

@@ -158,7 +158,7 @@ func Run(ctx context.Context, src Source, engine string, opts ...Option) (*Repor
 		return nil, err
 	}
 	if err := cfg.reject("Run", "containment is a campaign-runner property: pass it to NewCampaign",
-		"WithCellTimeout", "WithRetries"); err != nil {
+		"WithCellTimeout"); err != nil {
 		return nil, err
 	}
 	if err := cfg.reject("Run", "heartbeats and flight recorders are campaign-runner properties: pass them to NewCampaign (Run observes via WithObserver)",
