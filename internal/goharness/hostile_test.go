@@ -1,6 +1,7 @@
 package goharness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -167,5 +168,96 @@ func TestAbortTimeoutAbandonsStuckBody(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("AbortTimeout hung on a stuck body")
+	}
+}
+
+// goexitProgram: t0 writes x and then calls runtime.Goexit (as a
+// t.FailNow inside a body would); t1 writes y.
+func goexitProgram() *Program {
+	p := New("goexit").AutoStart()
+	x := p.Var("x")
+	y := p.Var("y")
+	p.Thread(func(g *G) {
+		g.Write(x, 1)
+		runtime.Goexit()
+		g.Write(x, 2) // unreachable
+	})
+	p.Thread(func(g *G) {
+		g.Write(y, 1)
+	})
+	return p
+}
+
+// TestGoexitTerminatesThread pins the runtime.Goexit contract: a body
+// that calls Goexit after a visible operation just terminates its
+// thread. The replay returns an outcome with no failure, with and
+// without the watchdog, and 100 replays leave no goroutine behind.
+//
+// One case stays unsupported: a body that calls Goexit while it is
+// being aborted with the watchdog off (say, a deferred recover that
+// turns the abort into a Goexit). The untimed Abort of a body that
+// swallows the abort hangs the same way; WithStallTimeout covers both
+// (TestGoexitDuringTimedAbort).
+func TestGoexitTerminatesThread(t *testing.T) {
+	p := goexitProgram()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		opt := exec.Options{}
+		if i%2 == 1 {
+			opt.StallTimeout = 10 * time.Second
+		}
+		out := exec.Replay(p, []event.ThreadID{0, 0, 1}, opt)
+		if len(out.Failures) > 0 || out.Deadlock || out.Diverged {
+			t.Fatalf("run %d: failures=%v deadlock=%v diverged=%v", i, out.Failures, out.Deadlock, out.Diverged)
+		}
+		if len(out.Trace) != 2 || out.Trace[0].Thread != 0 || out.Trace[1].Thread != 1 {
+			t.Fatalf("run %d: trace %v, want t0's write then t1's", i, out.Trace)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestGoexitDuringTimedAbort: a body that turns the abort into a
+// runtime.Goexit is released by AbortTimeout without waiting out the
+// budget, and its goroutines exit.
+func TestGoexitDuringTimedAbort(t *testing.T) {
+	p := New("goexit-abort").AutoStart()
+	x := p.Var("x")
+	p.Thread(func(g *G) {
+		defer func() {
+			if recover() != nil {
+				runtime.Goexit()
+			}
+		}()
+		g.Read(x)
+	})
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		c := p.Start(0).(*coroutine)
+		if op, ok := c.Peek(); !ok || op.Kind != event.KindRead {
+			t.Fatalf("Peek = (%+v, %v), want read", op, ok)
+		}
+		start := time.Now()
+		c.AbortTimeout(10 * time.Second)
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("AbortTimeout took %v", elapsed)
+		}
+		if c.diverged {
+			t.Fatal("a body that exits during the abort was fenced as diverged")
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to
+// before within two seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }
