@@ -540,21 +540,21 @@ func BenchmarkVClock(b *testing.B) {
 	})
 }
 
-// BenchmarkGoroutineHarness measures the channel-handshake frontend
-// against the interpreter on the same logical program.
+// BenchmarkGoroutineHarness measures the goroutine-harness frontend,
+// whose thread bodies run as runtime coroutines, against the
+// interpreter on the same logical program. ns/event is the time per
+// executed event: the per-event cost of each frontend's handoff.
 func BenchmarkGoroutineHarness(b *testing.B) {
-	bm := mustBench(b, "coarse-disjoint-2x2")
-	b.Run("interpreter", func(b *testing.B) {
+	run := func(b *testing.B, src model.Source) {
+		b.ReportAllocs()
+		events := 0
 		for i := 0; i < b.N; i++ {
-			exec.Run(bm.Program, exec.FirstEnabled{}, exec.Options{})
+			events += len(exec.Run(src, exec.FirstEnabled{}, exec.Options{}).Trace)
 		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		p := harnessCoarse()
-		for i := 0; i < b.N; i++ {
-			exec.Run(p, exec.FirstEnabled{}, exec.Options{})
-		}
-	})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
+	b.Run("interpreter", func(b *testing.B) { run(b, mustBench(b, "coarse-disjoint-2x2").Program) })
+	b.Run("goroutines", func(b *testing.B) { run(b, harnessCoarse()) })
 }
 
 // BenchmarkCorpusConstruction measures building the full corpus (the

@@ -15,6 +15,7 @@
 package engines
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -32,7 +33,9 @@ type Builder func(args []string) (explore.Engine, error)
 type Info struct {
 	// Name is the canonical spec name ("dpor+sleep", "pb", "pdpor").
 	Name string
-	// Usage documents the spec grammar ("pb:N[:hbr|:lazy]").
+	// Usage documents the spec grammar ("pb:N[:hbr|:lazy]"), empty
+	// when the name alone is the spec. Build rejects a spec with more
+	// arguments than the grammar has slots (see argSlots).
 	Usage string
 	// Summary is a one-line description for listings.
 	Summary string
@@ -130,11 +133,24 @@ func Build(spec string) (explore.Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("engines: unknown engine spec %q (registered: %v)", spec, Names())
 	}
+	if n, ok := argSlots(info.Usage); ok && len(argv) > n {
+		return nil, fmt.Errorf("engines: bad engine spec %q: more than %d argument(s) for %q", spec, n, cmp.Or(info.Usage, name))
+	}
 	eng, err := info.Build(argv)
 	if err != nil {
 		return nil, fmt.Errorf("engines: bad engine spec %q: %w", spec, err)
 	}
 	return eng, nil
+}
+
+// argSlots counts the argument slots of a Usage grammar: every colon
+// opens one, except one that starts an alternative ("|:lazy"). A
+// free-form <placeholder>, which may hold colons, has no fixed count.
+func argSlots(usage string) (n int, ok bool) {
+	if strings.Contains(usage, "<") {
+		return 0, false
+	}
+	return strings.Count(usage, ":") - strings.Count(usage, "|:"), true
 }
 
 // IntArg parses argv[i] as an int, with a default when the argument
@@ -150,12 +166,8 @@ func IntArg(argv []string, i, dflt int) (int, error) {
 	return n, nil
 }
 
-// NoArgs returns a Builder for engines whose spec takes no arguments.
+// NoArgs adapts a constructor to a Builder, for engines whose spec
+// takes no arguments (an empty Usage).
 func NoArgs(build func() explore.Engine) Builder {
-	return func(args []string) (explore.Engine, error) {
-		if len(args) > 0 {
-			return nil, fmt.Errorf("takes no arguments, got %v", args)
-		}
-		return build(), nil
-	}
+	return func([]string) (explore.Engine, error) { return build(), nil }
 }

@@ -127,13 +127,10 @@ func init() {
 		Name: "chaos", Usage: "chaos[:panic|:stall|:hang]",
 		Summary: "fault injection: panics, stalls or hangs to exercise campaign containment; a bare chaos is a plain DFS (no grid contribution)",
 		Build: func(argv []string) (explore.Engine, error) {
-			switch len(argv) {
-			case 0:
+			if len(argv) == 0 {
 				return explore.NewChaos("")
-			case 1:
-				return explore.NewChaos(argv[0])
 			}
-			return nil, fmt.Errorf("takes at most one argument, got %v", argv)
+			return explore.NewChaos(argv[0])
 		},
 	})
 }

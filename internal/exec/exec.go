@@ -98,8 +98,11 @@ type Options struct {
 	Ctx context.Context
 	// StallTimeout arms the divergence watchdog on frontends whose
 	// thread bodies can diverge in local computation (goharness): a
-	// thread silent for this long is fenced and the execution ends as
-	// diverged. 0 disables the watchdog.
+	// thread body that does not switch back to the scheduler within
+	// this long is fenced (abandoned with the helper goroutine that
+	// switched into it) and the execution ends as diverged. 0
+	// disables the watchdog; then each switch into a body is a plain
+	// coroutine switch on the scheduler's goroutine.
 	StallTimeout time.Duration
 }
 

@@ -1,8 +1,11 @@
 package explore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestDifferentialEngines is the broad cross-checking harness: for a
@@ -93,23 +96,27 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
+// frontendVariant is one logical program of the frontend oracles,
+// built through buildDSLVariant and buildHarnessVariant.
+type frontendVariant struct {
+	name    string
+	threads int
+	locked  bool
+	shared  bool
+}
+
+var frontendVariants = []frontendVariant{
+	{"locked-shared-2", 2, true, true},
+	{"racy-shared-2", 2, false, true},
+	{"locked-private-3", 3, true, false},
+	{"racy-private-2", 2, false, false},
+}
+
 // TestDifferentialFrontends builds the same logical programs through
 // progdsl and goharness and checks both frontends induce identical
 // schedule spaces under DPOR.
 func TestDifferentialFrontends(t *testing.T) {
-	type variant struct {
-		name    string
-		threads int
-		locked  bool
-		shared  bool
-	}
-	variants := []variant{
-		{"locked-shared-2", 2, true, true},
-		{"racy-shared-2", 2, false, true},
-		{"locked-private-3", 3, true, false},
-		{"racy-private-2", 2, false, false},
-	}
-	for _, v := range variants {
+	for _, v := range frontendVariants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			dsl := buildDSLVariant(v.name, v.threads, v.locked, v.shared)
@@ -122,6 +129,35 @@ func TestDifferentialFrontends(t *testing.T) {
 				dres.DistinctLazyHBRs != hres.DistinctLazyHBRs ||
 				dres.DistinctStates != hres.DistinctStates {
 				t.Errorf("frontends disagree:\n dsl=%v\n  gh=%v", dres.String(), hres.String())
+			}
+		})
+	}
+}
+
+// TestDifferentialWatchdog is the oracle for the watchdog-armed path:
+// with a stall timeout the harness switches into thread bodies from a
+// helper goroutine under a timer, which must change nothing a search
+// reports. Every harness variant gives a Result byte-identical to the
+// untimed run under dfs, dpor and random.
+func TestDifferentialWatchdog(t *testing.T) {
+	for _, v := range frontendVariants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			src := buildHarnessVariant(v.name, v.threads, v.locked, v.shared)
+			for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewRandomWalk(5)} {
+				opt := Options{MaxSteps: 2000, ScheduleLimit: 500, RecordStates: true}
+				plain, err := json.Marshal(eng.Explore(src, opt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.StallTimeout = 10 * time.Second
+				timed, err := json.Marshal(eng.Explore(src, opt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(plain, timed) {
+					t.Errorf("%s: the watchdog changed the Result:\n untimed=%s\n   timed=%s", eng.Name(), plain, timed)
+				}
 			}
 		})
 	}

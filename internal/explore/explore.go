@@ -49,12 +49,14 @@ type Options struct {
 
 	// StallTimeout arms the divergence watchdog on frontends whose
 	// thread bodies can get stuck in local computation (goharness): a
-	// thread silent for this long during a scheduling handshake is
-	// fenced, the execution is counted in Result.Divergences, and
-	// exploration continues with the remaining schedules. Discovered
-	// divergence points are memoised across the run's machines, so a
-	// stuck loop costs one timeout total, not one per schedule.
-	// 0 disables the watchdog (a diverging body hangs the search).
+	// thread body that does not switch back to the scheduler within
+	// this long is fenced (abandoned with the helper goroutine that
+	// switched into it), the execution is counted in
+	// Result.Divergences, and exploration continues with the
+	// remaining schedules. Discovered divergence points are memoised
+	// across the run's machines, so a stuck loop costs one timeout
+	// total, not one per schedule. 0 disables the watchdog (a
+	// diverging body hangs the search).
 	StallTimeout time.Duration
 
 	// Ctx, when non-nil, bounds the exploration by deadline or

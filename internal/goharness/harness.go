@@ -1,12 +1,19 @@
 // Package goharness runs real Go closures under the systematic
 // concurrency tester. Each thread of the program under test is a
-// goroutine that announces every visible operation (shared reads and
-// writes, lock/unlock, spawn/join, assertions) to the scheduler over a
-// channel handshake and blocks until the scheduler grants it. Only one
-// goroutine makes progress between scheduling decisions at a visible
-// operation, so the interleaving of visible operations — the only
-// interleaving that matters — is fully controlled and deterministic,
-// even though the Go runtime schedules the goroutines themselves.
+// runtime coroutine (iter.Pull): every visible operation (shared reads
+// and writes, lock/unlock, spawn/join, channel operations, assertions)
+// yields to the scheduler, whose next Peek switches back into the body
+// once the operation is granted. Exactly one body runs at a time, so
+// the interleaving of visible operations — the only interleaving that
+// matters — is fully controlled and deterministic.
+//
+// A panicking body announces the panic as its final visible
+// operation; one that calls runtime.Goexit terminates. With the stall
+// watchdog armed, switches run on a helper goroutine under a timer,
+// and a body that never switches back is abandoned with that helper
+// parked. Unsupported: a body that calls runtime.Goexit while being
+// aborted with the watchdog off, just as an untimed abort of a body
+// that swallows the abort hangs.
 //
 // This is the Go analogue of LAZYLOCKS' Java bytecode instrumentation:
 // the program text stays ordinary Go, and the harness supplies the
@@ -20,6 +27,7 @@ package goharness
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/event"
@@ -147,60 +155,64 @@ func (p *Program) InitiallyRunning() []event.ThreadID {
 	return out
 }
 
-// Start implements model.Source: it launches the thread body as a
-// goroutine parked at its first visible operation.
+// Start implements model.Source: it wraps the thread body in a
+// runtime coroutine (iter.Pull) that has not run yet; the first Peek
+// runs it to its first visible operation.
 func (p *Program) Start(t event.ThreadID) model.Coroutine {
-	c := &coroutine{
-		req:   make(chan event.Op),
-		grant: make(chan grant),
-		done:  make(chan struct{}),
-	}
+	c := &coroutine{}
 	body := p.bodies[t]
-	go func() {
-		defer close(c.done)
-		defer close(c.req)
+	c.next, c.stop = iter.Pull(func(yield func(event.Op) bool) {
+		returned := false
 		defer func() {
 			// Swallow the harness's own abort signal; announce a
-			// genuine panic to the scheduler as the thread's final
-			// visible operation instead of crashing the process —
-			// a crashing schedule is a finding, not a harness
-			// failure.
+			// genuine panic as the thread's final visible
+			// operation instead of crashing the process — a
+			// crashing schedule is a finding, not a harness
+			// failure. A body that neither returned nor panicked
+			// called runtime.Goexit: announce it before the Goexit
+			// completes, so settle can finish it elsewhere.
 			if r := recover(); r != nil {
 				if _, ok := r.(abortSignal); !ok {
-					c.announcePanic(r)
+					c.panicMsg = fmt.Sprint(r)
+					yield(event.Op{Kind: event.KindPanic})
 				}
+			} else if !returned {
+				c.exited = true
+				yield(event.Op{})
 			}
 		}()
-		body(&G{c: c, id: t})
-	}()
+		body(&G{c: c, yield: yield, id: t})
+		returned = true
+	})
 	return c
 }
 
 type abortSignal struct{}
 
-type grant struct {
-	val   int64
-	abort bool
-}
-
-// coroutine adapts the channel handshake to the model.Coroutine
-// peek/resume protocol.
+// coroutine adapts an iter.Pull coroutine to the model.Coroutine
+// peek/resume protocol. Peek is the only switch into the body: it
+// runs the body to its next visible operation. Resume stores the
+// granted value, which the body reads when the next Peek switches
+// back into it.
 type coroutine struct {
-	req     chan event.Op
-	grant   chan grant
-	done    chan struct{}
+	next    func() (event.Op, bool)
+	stop    func()
 	pending event.Op
+	val     int64
 	have    bool
 	closed  bool
 	// diverged is set by the stall watchdog (PeekTimeout/AbortTimeout
-	// giving up): the goroutine is stuck in local computation and is
-	// abandoned — never granted, never waited for again. The write
-	// happens on the scheduler side, which is the only side that ever
-	// reads it, so no synchronisation is needed.
+	// giving up): the body is stuck in local computation and is
+	// abandoned — never switched to, never waited for again. The
+	// write happens on the scheduler side, which is the only side
+	// that ever reads it, so no synchronisation is needed.
 	diverged bool
+	// exited is set by a body that called runtime.Goexit, just before
+	// its final switch back to the scheduler.
+	exited bool
 	// panicMsg is the rendered panic value of a body that panicked,
-	// written before the KindPanic announcement (the channel handshake
-	// orders it before the scheduler reads it).
+	// written before the KindPanic announcement (the coroutine
+	// switch orders it before the scheduler reads it).
 	panicMsg string
 }
 
@@ -211,24 +223,10 @@ var (
 	_ model.PanicMessager = (*coroutine)(nil)
 )
 
-// announcePanic surfaces a recovered panic value as the thread's final
-// visible operation. It runs on the thread goroutine, inside the
-// recover handler: after the scheduler grants (or aborts) the
-// announcement, the goroutine exits normally and the deferred closes
-// let the next Peek observe termination. If the scheduler has already
-// fenced this thread as diverged, nobody will read the announcement;
-// the goroutine then parks on the send forever, which is exactly the
-// abandoned-goroutine contract divergence already implies.
-func (c *coroutine) announcePanic(r any) {
-	c.panicMsg = fmt.Sprint(r)
-	c.req <- event.Op{Kind: event.KindPanic}
-	<-c.grant
-}
-
 // PanicMessage implements model.PanicMessager.
 func (c *coroutine) PanicMessage() string { return c.panicMsg }
 
-// Peek implements model.Coroutine. It blocks until the thread goroutine
+// Peek implements model.Coroutine. It runs the thread body until it
 // announces its next visible operation or terminates; the wait is
 // bounded by the thread's local computation, never by another thread.
 func (c *coroutine) Peek() (event.Op, bool) {
@@ -241,9 +239,19 @@ func (c *coroutine) Peek() (event.Op, bool) {
 	if c.have {
 		return c.pending, true
 	}
-	op, ok := <-c.req
-	if !ok {
+	return c.settle(c.next())
+}
+
+// settle records what a switch into the body announced. A body that
+// called runtime.Goexit is terminated; its Goexit completes on a
+// throwaway goroutine, since iter.Pull passes it on to whoever
+// finishes the coroutine.
+func (c *coroutine) settle(op event.Op, ok bool) (event.Op, bool) {
+	if !ok || c.exited {
 		c.closed = true
+		if ok {
+			go c.stop()
+		}
 		return event.Op{}, false
 	}
 	c.pending = op
@@ -251,36 +259,19 @@ func (c *coroutine) Peek() (event.Op, bool) {
 	return op, true
 }
 
-// PeekTimeout implements model.TimedPeeker: Peek, but a thread body
-// that stays silent for d is declared diverged — the goroutine is
-// abandoned mid-computation (it holds no harness resources; it parks
-// on its next announcement, which nobody will ever read) and the
-// sentinel divergence op is announced in its stead.
+// PeekTimeout implements model.TimedPeeker: Peek, but a body that
+// stays silent for d is declared diverged and the sentinel divergence
+// op is announced in its stead.
 func (c *coroutine) PeekTimeout(d time.Duration) (event.Op, bool) {
-	if c.closed {
-		return event.Op{}, false
+	if c.closed || c.diverged || c.have {
+		return c.Peek()
 	}
-	if c.diverged {
+	var op event.Op
+	var ok bool
+	if !c.watch(d, func() { op, ok = c.next() }) {
 		return event.Op{Kind: event.KindDiverge}, true
 	}
-	if c.have {
-		return c.pending, true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case op, ok := <-c.req:
-		if !ok {
-			c.closed = true
-			return event.Op{}, false
-		}
-		c.pending = op
-		c.have = true
-		return op, true
-	case <-timer.C:
-		c.diverged = true
-		return event.Op{Kind: event.KindDiverge}, true
-	}
+	return c.settle(op, ok)
 }
 
 // Resume implements model.Coroutine.
@@ -289,88 +280,71 @@ func (c *coroutine) Resume(result int64) {
 		panic("goharness: Resume without pending operation")
 	}
 	c.have = false
-	c.grant <- grant{val: result}
+	c.val = result
 }
 
-// Abort implements model.Abortable: it unwinds the thread goroutine at
-// its current visible operation and waits for it to exit, so abandoned
-// executions leak nothing.
+// Abort implements model.Abortable: it unwinds the thread body at its
+// current visible operation and returns once the body has exited, so
+// abandoned executions leak nothing.
 func (c *coroutine) Abort() {
 	if c.closed || c.diverged {
 		return
 	}
-	if !c.have {
-		// The goroutine is either about to announce an operation
-		// or about to terminate; consume whichever happens.
-		op, ok := <-c.req
-		if !ok {
-			c.closed = true
-			return
-		}
-		c.pending = op
-		c.have = true
-	}
 	c.have = false
-	c.grant <- grant{abort: true}
-	<-c.done
 	c.closed = true
+	c.stop()
 }
 
-// AbortTimeout implements model.TimedAborter: Abort, but with d of
-// total wall-clock budget. A body that never reaches its next
-// scheduling point — or swallows the abort with its own recover — is
-// fenced as diverged and abandoned instead of hanging the scheduler.
+// AbortTimeout implements model.TimedAborter: Abort with d of
+// wall-clock budget. A body that swallows the abort with its own
+// recover and never returns is fenced as diverged and abandoned
+// instead of hanging the scheduler.
 func (c *coroutine) AbortTimeout(d time.Duration) {
 	if c.closed || c.diverged {
 		return
 	}
+	c.have = false
+	c.closed = c.watch(d, c.stop)
+}
+
+// watch runs a switch into the body on a helper goroutine and reports
+// whether it came back within d. If not, the body is abandoned
+// mid-computation (it holds no harness resources), the coroutine is
+// fenced as diverged, and the helper stays parked in the switch.
+func (c *coroutine) watch(d time.Duration, f func()) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done) // also when f ends in the body's runtime.Goexit
+		f()
+	}()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	if !c.have {
-		select {
-		case op, ok := <-c.req:
-			if !ok {
-				c.closed = true
-				return
-			}
-			c.pending = op
-			c.have = true
-		case <-timer.C:
-			c.diverged = true
-			return
-		}
-	}
-	c.have = false
 	select {
-	case c.grant <- grant{abort: true}:
+	case <-done:
+		return true
 	case <-timer.C:
 		c.diverged = true
-		return
-	}
-	select {
-	case <-c.done:
-		c.closed = true
-	case <-timer.C:
-		c.diverged = true
+		return false
 	}
 }
 
-// G is the handle a thread body uses for all visible operations.
+// G is the handle a thread body uses for all visible operations. Each
+// one is a switch back to the scheduler, so a body must call G only
+// from its own goroutine.
 type G struct {
-	c  *coroutine
-	id event.ThreadID
+	c     *coroutine
+	yield func(event.Op) bool
+	id    event.ThreadID
 }
 
 // ID returns the thread's identifier.
 func (g *G) ID() event.ThreadID { return g.id }
 
 func (g *G) visible(op event.Op) int64 {
-	g.c.req <- op
-	gr := <-g.c.grant
-	if gr.abort {
+	if !g.yield(op) {
 		panic(abortSignal{})
 	}
-	return gr.val
+	return g.c.val
 }
 
 // Read returns the current value of v (a visible operation).
@@ -445,31 +419,16 @@ func (g *G) Close(c Chan) {
 // channel; case nondeterminism is explored through arrival
 // interleavings. Case channels must be distinct.
 func (g *G) Select(cs ...Chan) (idx int, val int64, ok bool) {
-	ch, val, ok := g.selectOn(cs, false)
-	for i, c := range cs {
-		if int32(c) == ch {
-			return i, val, ok
-		}
-	}
-	panic(fmt.Sprintf("goharness: select committed to undeclared case channel c%d", ch))
+	return g.selectOn(cs, false)
 }
 
 // TrySelect is Select with a default case: when no case channel is
 // ready it returns idx = -1 immediately instead of blocking.
 func (g *G) TrySelect(cs ...Chan) (idx int, val int64, ok bool) {
-	ch, val, ok := g.selectOn(cs, true)
-	if ch < 0 {
-		return -1, 0, false
-	}
-	for i, c := range cs {
-		if int32(c) == ch {
-			return i, val, ok
-		}
-	}
-	panic(fmt.Sprintf("goharness: select committed to undeclared case channel c%d", ch))
+	return g.selectOn(cs, true)
 }
 
-func (g *G) selectOn(cs []Chan, hasDefault bool) (int32, int64, bool) {
+func (g *G) selectOn(cs []Chan, hasDefault bool) (int, int64, bool) {
 	if len(cs) == 0 {
 		panic("goharness: select with no cases")
 	}
@@ -481,7 +440,16 @@ func (g *G) selectOn(cs []Chan, hasDefault bool) (int32, int64, bool) {
 		mask |= 1 << int32(c)
 	}
 	r := g.visible(event.Op{Kind: event.KindSelect, Obj: -1, Val: event.MakeSelectVal(mask, hasDefault)})
-	return event.UnpackSelectResult(r)
+	ch, val, ok := event.UnpackSelectResult(r)
+	if ch < 0 && hasDefault {
+		return -1, 0, false
+	}
+	for i, c := range cs {
+		if int32(c) == ch {
+			return i, val, ok
+		}
+	}
+	panic(fmt.Sprintf("goharness: select committed to undeclared case channel c%d", ch))
 }
 
 // Assert records ok as a visible assertion; a false value is a safety

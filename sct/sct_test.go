@@ -196,6 +196,16 @@ func TestNewEngineRejectsBadSpecs(t *testing.T) {
 		{"chess-db:-1", "bound -1 (want >= 0)"},
 		{"pb:x", "argument 1"},
 		{"pb:1:bogus", `cache mode "bogus"`},
+		{"random:7:junk", `more than 1 argument(s) for "random[:seed]"`},
+		{"pct:3:1:zzz", `more than 2 argument(s) for "pct:d[:seed]"`},
+		{"pos:1:2", `more than 1 argument(s) for "pos[:seed]"`},
+		{"pb:2:hbr:x", `more than 2 argument(s) for "pb:N[:hbr|:lazy]"`},
+		{"db:2:1", "more than 1 argument(s)"},
+		{"chess-pb:3:1", "more than 1 argument(s)"},
+		{"chess-db:3:1", "more than 1 argument(s)"},
+		{"chaos:panic:1", "more than 1 argument(s)"},
+		{"pdpor:2:1", "more than 1 argument(s)"},
+		{"dpor:extra", `more than 0 argument(s) for "dpor"`},
 		{"nope", "unknown engine spec"},
 	} {
 		_, err := sct.NewEngine(tc.spec)
@@ -207,9 +217,10 @@ func TestNewEngineRejectsBadSpecs(t *testing.T) {
 			t.Errorf("NewEngine(%q) error %q, want it to name the spec and %q", tc.spec, msg, tc.want)
 		}
 	}
-	for _, spec := range []string{"pb:0", "pb:0:lazy", "db:0", "chess-pb:0", "chess-db:0"} {
+	for _, spec := range []string{"pb:0", "pb:0:lazy", "db:0", "chess-pb:0", "chess-db:0",
+		"random:7", "pct:3:1", "pos:1", "pdpor:2"} {
 		if _, err := sct.NewEngine(spec); err != nil {
-			t.Errorf("NewEngine(%q): %v (a zero bound is a valid search)", spec, err)
+			t.Errorf("NewEngine(%q): %v (a zero bound is a valid search, and every argument is within the grammar)", spec, err)
 		}
 	}
 }
