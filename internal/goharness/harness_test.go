@@ -131,13 +131,7 @@ func TestResetReleasesGoroutines(t *testing.T) {
 		fresh.Abort()
 	}
 	m.Abort()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines grew across 200 resets: before=%d after=%d", before, after)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestExplorationOverHarness runs a full DPOR exploration over a
