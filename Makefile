@@ -80,7 +80,7 @@ repro-smoke:
 # panicking and diverging benchmarks explored by DFS under the stall
 # watchdog and a per-cell deadline.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Chaos|Hostile|Diverge|Panic|Stall|Truncated|Quarantine' \
+	$(GO) test -race -count=1 -run 'Chaos|Hostile|Diverge|Panic|Stall|Truncated' \
 		./internal/model/ ./internal/explore/ ./internal/campaign/ ./internal/goharness/ ./sct/
 	$(GO) run ./cmd/eval -fig campaign -bench hostile -engines dfs \
 		-limit 2000 -stall-timeout 100ms -cell-timeout 60s
@@ -96,7 +96,7 @@ chaos-smoke:
 # every planted bug (assertion, send-on-closed panic, lost-wakeup
 # deadlock) and render the new event kinds.
 chan-smoke:
-	$(GO) test -race -count=1 -run 'Chan|Select' \
+	$(GO) test -race -count=1 -run 'Chan' \
 		./internal/model/ ./internal/hb/ ./internal/explore/ ./internal/trace/ \
 		./internal/goharness/ ./internal/progdsl/ ./internal/repro/ ./sct/
 	$(GO) test -race -count=1 -run 'TestBackendAblationExact|TestChanEquivalenceCorpus' ./internal/explore/
@@ -112,7 +112,7 @@ chan-smoke:
 OBS_STREAM ?= /tmp/obs-smoke.jsonl
 obs-smoke:
 	$(GO) test -count=1 -run 'TestObsSmoke$$|TestObsFlagValidation$$' ./cmd/eval/
-	$(GO) test -count=1 -run 'TestRunnerHeartbeats|TestMixedStream|TestFlightDump|TestAttemptTimings|TestCampaignMixedStreamResume|TestCampaignFlightRecorder|TestHeartbeatIndexRemapping' \
+	$(GO) test -count=1 -run 'TestRunnerHeartbeats|TestMixedStream|TestFlightDump|TestCampaignMixedStreamResume|TestCampaignFlightRecorder|TestHeartbeatIndexRemapping' \
 		./internal/campaign/ ./sct/
 	$(GO) run ./cmd/eval -fig campaign -bench synth-10 -engines dfs -limit 100000 \
 		-json -quiet -progress -heartbeat 50ms -metrics 127.0.0.1:0 > $(OBS_STREAM)

@@ -30,6 +30,7 @@ import (
 	"repro/internal/hb"
 	"repro/internal/model"
 	"repro/internal/vclock"
+	"repro/sct"
 )
 
 // benchLimit keeps benchmark iterations snappy; cmd/eval regenerates
@@ -110,15 +111,41 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
+// figureSweep runs the full corpus × engines through one sct
+// campaign on one worker — the path cmd/eval's figure modes take —
+// and returns the cells for figures' builders.
+func figureSweep(b *testing.B, limit int, engines ...string) []sct.CellResult {
+	b.Helper()
+	var names []string
+	for _, bm := range bench.All() {
+		names = append(names, bm.Name)
+	}
+	cells, err := sct.Grid(names, engines, sct.WithBounds(limit, 2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	camp, err := sct.NewCampaign(cells, sct.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var results []sct.CellResult
+	for r := range camp.Results(context.Background()) {
+		results = append(results, r)
+	}
+	if err := camp.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return results
+}
+
 // BenchmarkFig2FullSweep runs the complete full-corpus Figure 2 sweep
 // (at the reduced benchmark limit) and reports the paper's summary
 // statistics as metrics.
 func BenchmarkFig2FullSweep(b *testing.B) {
-	all := bench.All()
 	var rows []figures.Fig2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.Fig2(all, figures.Options{ScheduleLimit: benchLimit, MaxSteps: 2000})
+		rows, err = figures.Fig2FromCells(figureSweep(b, benchLimit, figures.Fig2Engine))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,11 +158,10 @@ func BenchmarkFig2FullSweep(b *testing.B) {
 // BenchmarkFig3FullSweep runs the complete Figure 3 sweep at a small
 // budget and reports the summary statistics.
 func BenchmarkFig3FullSweep(b *testing.B) {
-	all := bench.All()
 	var rows []figures.Fig3Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.Fig3(all, figures.Options{ScheduleLimit: 500, MaxSteps: 2000})
+		rows, err = figures.Fig3FromCells(figureSweep(b, 500, figures.Fig3Regular, figures.Fig3Lazy))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -133,6 +133,79 @@ func TestFig2Smoke(t *testing.T) {
 	}
 }
 
+// TestFigureLimitZeroIsUnlimited: -limit 0 means unlimited in the
+// figure modes as in campaign mode, so DPOR exhausts coarse-tail-3x3
+// instead of stopping at a substituted limit.
+func TestFigureLimitZeroIsUnlimited(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores 224,274 schedules; slow under -race")
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-fig", "2",
+		"-bench", "coarse-tail-3x3",
+		"-limit", "0",
+		"-scatter=false", "-quiet",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("eval exited %d\nstderr: %s", code, stderr.String())
+	}
+	// id, name, schedules, hbrs, lazy_hbrs, states, hit_limit.
+	if want := "20\tcoarse-tail-3x3\t224274\t10080\t1680\t3\tfalse\n"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("want row %q in output:\n%s", want, stdout.String())
+	}
+}
+
+// TestFigureTimeoutPrintsNothing: a -timeout that ends a figure
+// campaign early exits 1 and prints no figure built from partial
+// cells.
+func TestFigureTimeoutPrintsNothing(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-fig", "all", "-bench", "coarse-tail-3x3", "-limit", "0", "-timeout", "20ms", "-quiet"}, &stdout, &stderr)
+	if code != 1 || stdout.Len() != 0 {
+		t.Errorf("exit %d with stdout %q, want exit 1 and no output\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestFigureJSONStreamsCells: -json means the same in the figure modes
+// as in campaign and firstbug mode: the cells stream out instead of
+// being rendered, and the figures rebuild from the stream.
+func TestFigureJSONStreamsCells(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-fig", "3", "-bench", "peterson-2", "-limit", "300", "-json", "-quiet"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("eval exited %d\nstderr: %s", code, stderr.String())
+	}
+	results, err := sct.ReadResults(&stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := figures.Fig3FromCells(results)
+	if err != nil || len(rows) != 1 || rows[0].Name != "peterson-2" {
+		t.Errorf("Figure 3 from the -json stream: rows %+v, err %v", rows, err)
+	}
+}
+
+// TestParallelSweepMatchesSequential: both figures from one campaign
+// print byte-identical output on one worker and on every core
+// (-parallel 0).
+func TestParallelSweepMatchesSequential(t *testing.T) {
+	figs := func(par string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-fig", "all", "-limit", "300", "-parallel", par, "-quiet"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-parallel %s: eval exited %d\nstderr: %s", par, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	seq, par := figs("1"), figs("0")
+	if !strings.Contains(seq, "== Figure 2") || !strings.Contains(seq, "== Figure 3") {
+		t.Fatalf("-fig all output lacks a figure:\n%s", seq)
+	}
+	if seq != par {
+		t.Errorf("-parallel 1 and -parallel 0 differ:\n--- 1 ---\n%s\n--- 0 ---\n%s", seq, par)
+	}
+}
+
 // TestCampaignJSONFeedsFigures: the streamed campaign JSON rebuilds
 // Figure 2 rows identical to the direct pipeline — the paper's
 // evaluation can be split into a cluster-style produce/consume pair.
@@ -383,5 +456,8 @@ func TestBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-fig", "campaign", "-bench", "counter-racy-2x2", "-repro", t.TempDir()}, &stdout, &stderr); code != 2 {
 		t.Error("-repro outside firstbug mode must be a usage error, not a silent no-op")
+	}
+	if code := run([]string{"-fig", "4", "-bench", "counter-racy-2x2"}, &stdout, &stderr); code != 2 {
+		t.Error("an unknown -fig mode must be a usage error, not a silent exit 0")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // evalCounters is the process-wide aggregate the -metrics endpoint
 // serves under /debug/vars: completed-cell totals across every
-// campaign/firstbug run in this process. It is fed from the result
+// campaign run in this process, in any mode. It is fed from the result
 // stream, so it counts finished work; heartbeats cover the in-flight
 // cells.
 var evalCounters struct {

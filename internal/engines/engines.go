@@ -1,9 +1,9 @@
 // Package engines is the single engine registry behind the public sct
 // facade: every exploration engine the harness knows is registered
 // here under its canonical spec name, and every consumer — the
-// campaign runner's EngineSpec grammar, the figure pipelines and the
-// sct facade itself — builds engines through this one table instead
-// of a private string switch.
+// campaign runner's EngineSpec grammar and the sct facade itself —
+// builds engines through this one table instead of a private string
+// switch.
 //
 // A spec is a colon-separated name plus optional arguments
 // ("dpor+sleep", "pb:2:lazy", "pdpor:4"); Build parses it and hands

@@ -1,4 +1,5 @@
-// Package figures regenerates the paper's evaluation artifacts:
+// Package figures assembles and renders the paper's evaluation
+// artifacts from campaign cell results:
 //
 //   - Figure 2: for every benchmark, the number of distinct terminal
 //     HBRs (x) vs distinct terminal lazy HBRs (y) explored by DPOR
@@ -8,111 +9,56 @@
 //   - Figure 3: the number of distinct terminal lazy HBRs reached by
 //     regular HBR caching (x) vs lazy HBR caching (y), plus the
 //     below-diagonal count and the additional-coverage percentage.
+//   - The bug-finding table (firstbug.go).
 //
-// Output formats: TSV rows (machine-readable), an ASCII log-log
+// The package runs nothing: cmd/eval runs the cells through the sct
+// campaign, and the builders here take its results (or a JSONL stream
+// parsed back with sct.ReadResults), which they validate as outside
+// input. Output formats: TSV rows (machine-readable), an ASCII log-log
 // scatter (the figures' shape at a glance) and markdown tables for
 // EXPERIMENTS.md.
 package figures
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
-	"repro/internal/engines"
 )
 
-// The engine lists behind each figure come from the shared engine
-// registry (internal/engines) — the same canonical catalogue the
-// campaign grammar, cmd/eval's default grid and the sct facade use —
-// so a renamed or missing engine fails loudly at init, not as a
-// half-empty figure.
-var (
-	fig2Engines = registrySpecs("dpor")
-	fig3Engines = registrySpecs("hbr-caching", "lazy-hbr-caching")
+// The registry engine specs behind each figure: Figure 2 is one
+// Fig2Engine cell per benchmark, Figure 3 one Fig3Regular and one
+// Fig3Lazy cell per benchmark.
+const (
+	Fig2Engine  = "dpor"
+	Fig3Regular = "hbr-caching"
+	Fig3Lazy    = "lazy-hbr-caching"
 )
 
-// registrySpecs resolves engine names against the registry; an
-// unregistered name is a programmer error.
-func registrySpecs(names ...string) []campaign.EngineSpec {
-	out := make([]campaign.EngineSpec, len(names))
-	for i, n := range names {
-		if _, ok := engines.Lookup(n); !ok {
-			panic(fmt.Sprintf("figures: engine %q is not registered", n))
-		}
-		out[i] = campaign.EngineSpec(n)
+// limitText renders a schedule limit for the markdown notes; 0 is no
+// limit.
+func limitText(limit int) string {
+	if limit == 0 {
+		return "unlimited"
 	}
-	return out
+	return strconv.Itoa(limit)
 }
 
-// Options configures a figure sweep.
-type Options struct {
-	// ScheduleLimit per benchmark; the paper uses 100,000.
-	ScheduleLimit int
-	// MaxSteps bounds each execution.
-	MaxSteps int
-	// Progress, when non-nil, receives one line per benchmark.
-	Progress io.Writer
-	// Parallelism is the number of benchmark cells explored
-	// concurrently through the campaign runner (explorations are
-	// single-threaded and independent, so the sweep is
-	// embarrassingly parallel). 0 or 1 runs sequentially; negative
-	// uses GOMAXPROCS.
-	Parallelism int
-	// Ctx, when non-nil, bounds the whole sweep by deadline or
-	// cancellation.
-	Ctx context.Context
-}
-
-func (o Options) workers() int {
-	switch {
-	case o.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism == 0:
-		return 1
-	default:
-		return o.Parallelism
+// cellBench checks one streamed cell result and resolves its
+// benchmark.
+func cellBench(r campaign.CellResult) (bench.Benchmark, error) {
+	if r.Err != "" {
+		return bench.Benchmark{}, fmt.Errorf("figures: %s/%s: %s", r.Cell.Bench, r.Cell.Engine, r.Err)
 	}
-}
-
-func (o Options) limit() int {
-	if o.ScheduleLimit <= 0 {
-		return 100000
+	bm, ok := bench.ByName(r.Cell.Bench)
+	if !ok {
+		return bench.Benchmark{}, fmt.Errorf("figures: unknown benchmark %q in cell stream", r.Cell.Bench)
 	}
-	return o.ScheduleLimit
-}
-
-// runCampaign executes one cell per (benchmark, engine) pair through
-// the campaign worker pool and returns the results in input order.
-func runCampaign(benches []bench.Benchmark, engines []campaign.EngineSpec, opt Options) ([]campaign.CellResult, error) {
-	names := make([]string, len(benches))
-	for i, b := range benches {
-		names[i] = b.Name
-	}
-	cells := campaign.Grid(names, engines, opt.limit(), opt.MaxSteps)
-	runner := campaign.Runner{Workers: opt.workers()}
-	if opt.Progress != nil {
-		total := len(cells)
-		runner.OnResult = func(r campaign.CellResult) {
-			fmt.Fprintf(opt.Progress, "%4d/%d %-24s %-18s schedules=%-7d hbrs=%-6d lazy=%-6d states=%-6d limit=%v\n",
-				r.Index+1, total, r.Cell.Bench, r.Cell.Engine, r.Result.Schedules,
-				r.Result.DistinctHBRs, r.Result.DistinctLazyHBRs, r.Result.DistinctStates, r.Result.HitLimit)
-		}
-	}
-	results, err := runner.Run(opt.Ctx, cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	if err := campaign.FirstError(results); err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	return results, nil
+	return bm, nil
 }
 
 // Fig2Row is one benchmark's Figure 2 point.
@@ -129,30 +75,25 @@ type Fig2Row struct {
 	HitLimit bool
 }
 
-// Fig2 runs DPOR over the given benchmarks through the campaign
-// runner (in parallel when configured) and returns one row each, in
-// input order.
-func Fig2(benches []bench.Benchmark, opt Options) ([]Fig2Row, error) {
-	results, err := runCampaign(benches, fig2Engines, opt)
-	if err != nil {
-		return nil, err
-	}
-	return Fig2FromCells(results)
-}
-
-// Fig2FromCells builds Figure 2 rows from streamed campaign cell
-// results (one "dpor" cell per benchmark, any order — e.g. parsed
-// back from a `eval -fig campaign -json` run).
+// Fig2FromCells builds Figure 2 rows from campaign cell results: one
+// Fig2Engine cell per benchmark, in any order (e.g. parsed back from
+// an `eval -fig campaign -json` run). A cell of another engine or a
+// second cell for one benchmark is an error.
 func Fig2FromCells(results []campaign.CellResult) ([]Fig2Row, error) {
 	rows := make([]Fig2Row, 0, len(results))
+	seen := make(map[string]bool, len(results))
 	for _, r := range results {
-		if r.Err != "" {
-			return nil, fmt.Errorf("figures: %s/%s: %s", r.Cell.Bench, r.Cell.Engine, r.Err)
+		bm, err := cellBench(r)
+		if err != nil {
+			return nil, err
 		}
-		bm, ok := bench.ByName(r.Cell.Bench)
-		if !ok {
-			return nil, fmt.Errorf("figures: unknown benchmark %q in cell stream", r.Cell.Bench)
+		if r.Cell.Engine != Fig2Engine {
+			return nil, fmt.Errorf("figures: unexpected engine %q in Figure 2 cell stream (want %q)", r.Cell.Engine, Fig2Engine)
 		}
+		if seen[bm.Name] {
+			return nil, fmt.Errorf("figures: benchmark %q has more than one Figure 2 cell", bm.Name)
+		}
+		seen[bm.Name] = true
 		rows = append(rows, Fig2Row{
 			ID:        bm.ID,
 			Name:      bm.Name,
@@ -215,44 +156,32 @@ type Fig3Row struct {
 	HitLimitLazy   bool
 }
 
-// Fig3 runs both caching engines over the benchmarks through the
-// campaign runner (each engine is its own cell, so one benchmark's two
-// runs can proceed on different workers), in input order.
-func Fig3(benches []bench.Benchmark, opt Options) ([]Fig3Row, error) {
-	results, err := runCampaign(benches, fig3Engines, opt)
-	if err != nil {
-		return nil, err
-	}
-	return Fig3FromCells(results)
-}
-
-// Fig3FromCells builds Figure 3 rows from streamed campaign cell
-// results: for every benchmark, one "hbr-caching" and one
-// "lazy-hbr-caching" cell, in any order.
+// Fig3FromCells builds Figure 3 rows from campaign cell results: for
+// every benchmark, one Fig3Regular and one Fig3Lazy cell, in any
+// order. A cell of another engine, a second cell for one (benchmark,
+// engine) pair or a benchmark missing one of its two cells is an
+// error.
 func Fig3FromCells(results []campaign.CellResult) ([]Fig3Row, error) {
 	byBench := map[string]*Fig3Row{}
 	for _, r := range results {
-		if r.Err != "" {
-			return nil, fmt.Errorf("figures: %s/%s: %s", r.Cell.Bench, r.Cell.Engine, r.Err)
-		}
-		bm, ok := bench.ByName(r.Cell.Bench)
-		if !ok {
-			return nil, fmt.Errorf("figures: unknown benchmark %q in cell stream", r.Cell.Bench)
+		bm, err := cellBench(r)
+		if err != nil {
+			return nil, err
 		}
 		row := byBench[bm.Name]
 		if row == nil {
 			row = &Fig3Row{ID: bm.ID, Name: bm.Name, RegularCaching: -1, LazyCaching: -1}
 			byBench[bm.Name] = row
 		}
-		switch r.Cell.Engine {
-		case fig3Engines[0]:
-			row.RegularCaching = r.Result.DistinctLazyHBRs
-			row.HitLimitReg = r.Result.HitLimit
-		case fig3Engines[1]:
-			row.LazyCaching = r.Result.DistinctLazyHBRs
-			row.HitLimitLazy = r.Result.HitLimit
+		switch eng := r.Cell.Engine; {
+		case eng == Fig3Regular && row.RegularCaching < 0:
+			row.RegularCaching, row.HitLimitReg = r.Result.DistinctLazyHBRs, r.Result.HitLimit
+		case eng == Fig3Lazy && row.LazyCaching < 0:
+			row.LazyCaching, row.HitLimitLazy = r.Result.DistinctLazyHBRs, r.Result.HitLimit
+		case eng == Fig3Regular || eng == Fig3Lazy:
+			return nil, fmt.Errorf("figures: benchmark %q has more than one %s cell", bm.Name, eng)
 		default:
-			return nil, fmt.Errorf("figures: unexpected engine %q in Figure 3 cell stream", r.Cell.Engine)
+			return nil, fmt.Errorf("figures: unexpected engine %q in Figure 3 cell stream", eng)
 		}
 	}
 	rows := make([]Fig3Row, 0, len(byBench))
@@ -430,8 +359,8 @@ func MarkdownFig2(rows []Fig2Row, limit int) string {
 			r.ID, r.Name, r.Schedules, r.HBRs, r.LazyHBRs, r.States, r.HitLimit)
 	}
 	s := SummarizeFig2(rows)
-	fmt.Fprintf(&b, "\nSchedule limit %d. %d/%d benchmarks below the diagonal; across them %d of %d unique HBRs (%.0f%%) were lazy-redundant.\n",
-		limit, s.BelowDiagonal, s.Benchmarks, s.RedundantBelow, s.HBRsBelow, s.RedundantPct())
+	fmt.Fprintf(&b, "\nSchedule limit %s. %d/%d benchmarks below the diagonal; across them %d of %d unique HBRs (%.0f%%) were lazy-redundant.\n",
+		limitText(limit), s.BelowDiagonal, s.Benchmarks, s.RedundantBelow, s.HBRsBelow, s.RedundantPct())
 	return b.String()
 }
 
@@ -445,7 +374,7 @@ func MarkdownFig3(rows []Fig3Row, limit int) string {
 			r.ID, r.Name, r.RegularCaching, r.LazyCaching, r.HitLimitReg, r.HitLimitLazy)
 	}
 	s := SummarizeFig3(rows)
-	fmt.Fprintf(&b, "\nSchedule limit %d. Lazy caching reached more terminal lazy HBRs on %d/%d benchmarks (regular caching never on any: %d), exploring %d (%.0f%%) more across them.\n",
-		limit, s.LazyWins, s.Benchmarks, s.RegularWins, s.ExtraLazyHBRs, s.ExtraPct())
+	fmt.Fprintf(&b, "\nSchedule limit %s. Lazy caching reached more terminal lazy HBRs on %d/%d benchmarks (regular caching never on any: %d), exploring %d (%.0f%%) more across them.\n",
+		limitText(limit), s.LazyWins, s.Benchmarks, s.RegularWins, s.ExtraLazyHBRs, s.ExtraPct())
 	return b.String()
 }

@@ -1,37 +1,49 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/campaign"
+	"repro/sct"
 )
 
-// smallCorpus picks a representative slice of the corpus: coarse-lock
+// smallCorpus is a representative slice of the corpus: coarse-lock
 // (below diagonal), shared-data (diagonal) and a racy benchmark.
-func smallCorpus(t *testing.T) []bench.Benchmark {
+var smallCorpus = []string{
+	"coarse-disjoint-3x1",
+	"coarse-readonly-3",
+	"coarse-shared-3",
+	"bank-global-2",
+	"counter-racy-2x1",
+	"philosophers-2",
+}
+
+// sweep runs smallCorpus × engines through an sct campaign, as
+// cmd/eval does, and returns the finished cells.
+func sweep(t *testing.T, limit int, engines ...string) []campaign.CellResult {
 	t.Helper()
-	names := []string{
-		"coarse-disjoint-3x1",
-		"coarse-readonly-3",
-		"coarse-shared-3",
-		"bank-global-2",
-		"counter-racy-2x1",
-		"philosophers-2",
+	cells, err := sct.Grid(smallCorpus, engines, sct.WithBounds(limit, 500))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]bench.Benchmark, 0, len(names))
-	for _, n := range names {
-		b, ok := bench.ByName(n)
-		if !ok {
-			t.Fatalf("missing benchmark %s", n)
-		}
-		out = append(out, b)
+	camp, err := sct.NewCampaign(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []campaign.CellResult
+	for r := range camp.Results(context.Background()) {
+		out = append(out, r)
+	}
+	if err := camp.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
 func TestFig2SmallSweep(t *testing.T) {
-	rows, err := Fig2(smallCorpus(t), Options{ScheduleLimit: 5000, MaxSteps: 500})
+	rows, err := Fig2FromCells(sweep(t, 5000, Fig2Engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +78,7 @@ func TestFig2SmallSweep(t *testing.T) {
 }
 
 func TestFig3SmallSweep(t *testing.T) {
-	rows, err := Fig3(smallCorpus(t), Options{ScheduleLimit: 50, MaxSteps: 500})
+	rows, err := Fig3FromCells(sweep(t, 50, Fig3Regular, Fig3Lazy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +127,16 @@ func TestRendering(t *testing.T) {
 	if !strings.Contains(md3, "1/2 benchmarks") {
 		t.Errorf("MarkdownFig3 summary wrong:\n%s", md3)
 	}
+	// A schedule limit of 0 is no limit, and the notes say so.
+	if md := MarkdownFig2(rows2, 0); !strings.Contains(md, "Schedule limit unlimited.") {
+		t.Errorf("MarkdownFig2 limit 0 not rendered as unlimited:\n%s", md)
+	}
+	if md := MarkdownFig3(rows3, 0); !strings.Contains(md, "Schedule limit unlimited.") {
+		t.Errorf("MarkdownFig3 limit 0 not rendered as unlimited:\n%s", md)
+	}
+	if !strings.Contains(md, "Schedule limit 1000.") {
+		t.Errorf("MarkdownFig2 limit 1000 line missing:\n%s", md)
+	}
 
 	sc := Scatter(Fig2Points(rows2), 40, 12, "x", "y")
 	if !strings.Contains(sc, "1") || !strings.Contains(sc, ".") {
@@ -154,54 +176,47 @@ func TestSummaryArithmetic(t *testing.T) {
 	}
 }
 
-// TestParallelSweepMatchesSequential: the parallel sweep must produce
-// byte-identical rows in the same order as the sequential one.
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	corpus := smallCorpus(t)
-	seqOpt := Options{ScheduleLimit: 300, MaxSteps: 500, Parallelism: 1}
-	parOpt := Options{ScheduleLimit: 300, MaxSteps: 500, Parallelism: 4}
-
-	seq2, err := Fig2(corpus, seqOpt)
-	if err != nil {
-		t.Fatal(err)
+// TestFromCellsRejects: the figure builders read streams parsed back
+// from JSONL, so a stream that does not describe exactly one figure is
+// an error, not a silently doubled or overwritten row.
+func TestFromCellsRejects(t *testing.T) {
+	cell := func(bench, engine string) campaign.CellResult {
+		return campaign.CellResult{Cell: campaign.Cell{Bench: bench, Engine: campaign.EngineSpec(engine)}}
 	}
-	par2, err := Fig2(corpus, parOpt)
-	if err != nil {
-		t.Fatal(err)
+	failed := cell("peterson-2", Fig2Engine)
+	failed.Err = "boom"
+	cases := []struct {
+		name  string
+		fig   int
+		cells []campaign.CellResult
+		want  string
+	}{
+		{"fig2 other engine", 2, []campaign.CellResult{cell("peterson-2", "lazy-dpor")}, `unexpected engine "lazy-dpor"`},
+		{"fig2 duplicate bench", 2, []campaign.CellResult{cell("peterson-2", Fig2Engine), cell("peterson-2", Fig2Engine)}, "more than one Figure 2 cell"},
+		{"fig2 failed cell", 2, []campaign.CellResult{failed}, "boom"},
+		{"fig2 unknown bench", 2, []campaign.CellResult{cell("no-such-bench", Fig2Engine)}, "unknown benchmark"},
+		{"fig3 duplicate regular", 3, []campaign.CellResult{cell("peterson-2", Fig3Regular), cell("peterson-2", Fig3Lazy), cell("peterson-2", Fig3Regular)}, "more than one hbr-caching cell"},
+		{"fig3 duplicate lazy", 3, []campaign.CellResult{cell("peterson-2", Fig3Lazy), cell("peterson-2", Fig3Lazy)}, "more than one lazy-hbr-caching cell"},
+		{"fig3 other engine", 3, []campaign.CellResult{cell("peterson-2", Fig2Engine)}, `unexpected engine "dpor"`},
+		{"fig3 missing half", 3, []campaign.CellResult{cell("peterson-2", Fig3Lazy)}, "missing one of its two caching cells"},
 	}
-	if len(seq2) != len(par2) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq2), len(par2))
-	}
-	for i := range seq2 {
-		if seq2[i] != par2[i] {
-			t.Errorf("fig2 row %d differs:\n seq=%+v\n par=%+v", i, seq2[i], par2[i])
+	for _, tc := range cases {
+		var err error
+		if tc.fig == 2 {
+			_, err = Fig2FromCells(tc.cells)
+		} else {
+			_, err = Fig3FromCells(tc.cells)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-
-	seq3, err := Fig3(corpus, seqOpt)
-	if err != nil {
-		t.Fatal(err)
+	// One cell per benchmark (Figure 2) and one per (benchmark,
+	// engine) pair (Figure 3) is accepted.
+	if _, err := Fig2FromCells([]campaign.CellResult{cell("peterson-2", Fig2Engine), cell("dcl-2", Fig2Engine)}); err != nil {
+		t.Errorf("valid Figure 2 stream rejected: %v", err)
 	}
-	par3, err := Fig3(corpus, parOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq3 {
-		if seq3[i] != par3[i] {
-			t.Errorf("fig3 row %d differs:\n seq=%+v\n par=%+v", i, seq3[i], par3[i])
-		}
-	}
-}
-
-// TestParallelismDefaults pins the worker-count resolution.
-func TestParallelismDefaults(t *testing.T) {
-	if got := (Options{Parallelism: 0}).workers(); got != 1 {
-		t.Errorf("Parallelism 0 → %d workers, want 1", got)
-	}
-	if got := (Options{Parallelism: 3}).workers(); got != 3 {
-		t.Errorf("Parallelism 3 → %d workers", got)
-	}
-	if got := (Options{Parallelism: -1}).workers(); got < 1 {
-		t.Errorf("Parallelism -1 → %d workers", got)
+	if _, err := Fig3FromCells([]campaign.CellResult{cell("peterson-2", Fig3Lazy), cell("peterson-2", Fig3Regular)}); err != nil {
+		t.Errorf("valid Figure 3 stream rejected: %v", err)
 	}
 }

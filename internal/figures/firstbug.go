@@ -229,7 +229,7 @@ func MarkdownFirstBug(t FirstBugTable, limit int) string {
 		}
 		fmt.Fprintf(&b, " %s |\n", strings.Join(kinds, ", "))
 	}
-	fmt.Fprintf(&b, "\nSchedule limit %d; cells show schedules executed until the first bug (\"-\" = space exhausted bug-free, \">limit\" = budget exhausted without a bug).\n\n", limit)
+	fmt.Fprintf(&b, "\nSchedule limit %s; cells show schedules executed until the first bug (\"-\" = space exhausted bug-free, \">limit\" = budget exhausted without a bug).\n\n", limitText(limit))
 	b.WriteString(firstBugSummaryText(t))
 	return b.String()
 }

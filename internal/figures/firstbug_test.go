@@ -66,6 +66,9 @@ func TestFirstBugTableAssembly(t *testing.T) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
 	}
+	if md := MarkdownFirstBug(table, 0); !strings.Contains(md, "Schedule limit unlimited;") {
+		t.Errorf("markdown limit 0 not rendered as unlimited:\n%s", md)
+	}
 	if sum := SummaryFirstBug(table); !strings.Contains(sum, "found 1/2 bugs") || !strings.Contains(sum, "found 2/2 bugs") {
 		t.Errorf("summary rendering wrong:\n%s", sum)
 	}
