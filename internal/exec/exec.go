@@ -173,7 +173,10 @@ func (o *Outcome) ViolationKind() string {
 // storage a later run reuses: its trace, choices, failures and races
 // are its own, and the clocks RecordClocks retains are pinned by the
 // tracker (Tracker.Apply), so they stay intact across later runs. A
-// Runner is not safe for concurrent use.
+// run can end with thread bodies still live (a deadlock leaves its
+// blocked threads mid-body); the next run resets them, and Close
+// releases them once the runner is done. A Runner is not safe for
+// concurrent use.
 type Runner struct {
 	src     model.Source
 	opt     Options
@@ -189,7 +192,19 @@ func NewRunner(src model.Source, opt Options) *Runner {
 
 // Run executes src to completion under ch.
 func Run(src model.Source, ch Chooser, opt Options) Outcome {
-	return NewRunner(src, opt).Run(ch)
+	r := NewRunner(src, opt)
+	defer r.Close()
+	return r.Run(ch)
+}
+
+// Close releases what the runner's machine still holds: the thread
+// bodies its last run left live, such as the blocked threads of a
+// deadlock. A later Run starts on a fresh machine.
+func (r *Runner) Close() {
+	if r.m != nil {
+		r.m.Abort()
+		r.m, r.tr = nil, nil
+	}
 }
 
 // Run executes the runner's program to completion under ch.
@@ -272,5 +287,7 @@ func (r *Runner) Replay(choices []event.ThreadID) Outcome {
 // replayed outcome of a deterministic program is identical to the
 // original.
 func Replay(src model.Source, choices []event.ThreadID, opt Options) Outcome {
-	return NewRunner(src, opt).Replay(choices)
+	r := NewRunner(src, opt)
+	defer r.Close()
+	return r.Replay(choices)
 }

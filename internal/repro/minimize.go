@@ -65,6 +65,7 @@ func Minimize(src model.Source, a Artifact, replayBudget int) (Artifact, Minimiz
 	// runs on one runner; the outcomes it keeps share none of the
 	// runner's storage.
 	run := exec.NewRunner(src, exec.Options{MaxSteps: a.maxSteps()})
+	defer run.Close()
 	try := func(cand []event.ThreadID) (exec.Outcome, bool) {
 		if stats.Replays >= replayBudget {
 			return exec.Outcome{}, false
