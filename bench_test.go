@@ -569,18 +569,29 @@ func BenchmarkVClock(b *testing.B) {
 // BenchmarkGoroutineHarness measures the goroutine-harness frontend,
 // whose thread bodies run as runtime coroutines, against the
 // interpreter on the same logical program. ns/event is the time per
-// executed event: the per-event cost of each frontend's handoff.
+// executed event: the per-event cost of each frontend's handoff. The
+// one-shot rows build a machine per run; goroutines-reused runs one
+// exec.Runner again and again, resetting its machine between runs as
+// the engines do between schedules.
 func BenchmarkGoroutineHarness(b *testing.B) {
-	run := func(b *testing.B, src model.Source) {
+	run := func(b *testing.B, once func() exec.Outcome) {
 		b.ReportAllocs()
 		events := 0
 		for i := 0; i < b.N; i++ {
-			events += len(exec.Run(src, exec.FirstEnabled{}, exec.Options{}).Trace)
+			events += len(once().Trace)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	}
-	b.Run("interpreter", func(b *testing.B) { run(b, mustBench(b, "coarse-disjoint-2x2").Program) })
-	b.Run("goroutines", func(b *testing.B) { run(b, harnessCoarse()) })
+	oneShot := func(src model.Source) func() exec.Outcome {
+		return func() exec.Outcome { return exec.Run(src, exec.FirstEnabled{}, exec.Options{}) }
+	}
+	b.Run("interpreter", func(b *testing.B) { run(b, oneShot(mustBench(b, "coarse-disjoint-2x2").Program)) })
+	b.Run("goroutines", func(b *testing.B) { run(b, oneShot(harnessCoarse())) })
+	b.Run("goroutines-reused", func(b *testing.B) {
+		r := exec.NewRunner(harnessCoarse(), exec.Options{})
+		defer r.Close()
+		run(b, func() exec.Outcome { return r.Run(exec.FirstEnabled{}) })
+	})
 }
 
 // BenchmarkCorpusConstruction measures building the full corpus (the

@@ -237,7 +237,6 @@ func (r *Runner) Run(ch Chooser) Outcome {
 		if m.HasDiverged() {
 			out.Diverged = true
 			out.DivergedThread = m.DivergedThread()
-			m.Abort()
 			break
 		}
 		r.enabled = m.EnabledThreads(r.enabled)
@@ -247,13 +246,11 @@ func (r *Runner) Run(ch Chooser) Outcome {
 		}
 		if len(out.Trace) >= maxSteps {
 			out.Truncated = true
-			m.Abort()
 			break
 		}
 		if uint(len(out.Trace))&ctxCheckMask == 0 && ctx.Err() != nil {
 			out.Truncated = true
 			out.Interrupted = true
-			m.Abort()
 			break
 		}
 		t := ch.Choose(m, r.enabled, len(out.Trace))

@@ -1,19 +1,27 @@
 // Package goharness runs real Go closures under the systematic
-// concurrency tester. Each thread of the program under test is a
-// runtime coroutine (iter.Pull): every visible operation (shared reads
-// and writes, lock/unlock, spawn/join, channel operations, assertions)
-// yields to the scheduler, whose next Peek switches back into the body
-// once the operation is granted. Exactly one body runs at a time, so
-// the interleaving of visible operations — the only interleaving that
-// matters — is fully controlled and deterministic.
+// concurrency tester. Each thread of the program under test runs in a
+// worker, a runtime coroutine (iter.Pull): every visible operation
+// (shared reads and writes, lock/unlock, spawn/join, channel
+// operations, assertions) yields to the scheduler, whose next Peek
+// switches back into the body once the operation is granted. Exactly
+// one body runs at a time, so the interleaving of visible operations —
+// the only interleaving that matters — is fully controlled and
+// deterministic.
+//
+// A machine keeps one worker per thread slot for as long as it lives
+// (model.Rewinder): between executions the worker is parked, and a
+// rewind runs the body again from the start instead of starting a new
+// coroutine. The machine's owner releases the workers (Machine.Abort,
+// exec.Runner.Close). With the stall watchdog armed, workers are
+// started and aborted per execution instead.
 //
 // A panicking body announces the panic as its final visible
-// operation; one that calls runtime.Goexit terminates. With the stall
-// watchdog armed, switches run on a helper goroutine under a timer,
-// and a body that never switches back is abandoned with that helper
-// parked. Unsupported: a body that calls runtime.Goexit while being
-// aborted with the watchdog off, just as an untimed abort of a body
-// that swallows the abort hangs.
+// operation; one that calls runtime.Goexit terminates, and its worker
+// is not reused. With the stall watchdog armed, switches run on a
+// helper goroutine under a timer, and a body that never switches back
+// is abandoned with that helper parked. Unsupported: a body that calls
+// runtime.Goexit while being aborted with the watchdog off, just as an
+// untimed abort of a body that swallows the abort hangs.
 //
 // This is the Go analogue of LAZYLOCKS' Java bytecode instrumentation:
 // the program text stays ordinary Go, and the harness supplies the
@@ -155,52 +163,84 @@ func (p *Program) InitiallyRunning() []event.ThreadID {
 	return out
 }
 
-// Start implements model.Source: it wraps the thread body in a
-// runtime coroutine (iter.Pull) that has not run yet; the first Peek
-// runs it to its first visible operation.
+// Start implements model.Source: it wraps the thread body in a worker
+// coroutine (iter.Pull) that has not run yet; the first Peek runs the
+// body to its first visible operation.
 func (p *Program) Start(t event.ThreadID) model.Coroutine {
-	c := &coroutine{}
-	body := p.bodies[t]
-	c.next, c.stop = iter.Pull(func(yield func(event.Op) bool) {
-		returned := false
-		defer func() {
-			// Swallow the harness's own abort signal; announce a
-			// genuine panic as the thread's final visible
-			// operation instead of crashing the process — a
-			// crashing schedule is a finding, not a harness
-			// failure. A body that neither returned nor panicked
-			// called runtime.Goexit: announce it before the Goexit
-			// completes, so settle can finish it elsewhere.
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); !ok {
-					c.panicMsg = fmt.Sprint(r)
-					yield(event.Op{Kind: event.KindPanic})
-				}
-			} else if !returned {
-				c.exited = true
-				yield(event.Op{})
-			}
-		}()
-		body(&G{c: c, yield: yield, id: t})
-		returned = true
-	})
+	c := &coroutine{body: p.bodies[t], id: t}
+	c.next, c.stop = iter.Pull(c.work)
 	return c
 }
 
 type abortSignal struct{}
 
-// coroutine adapts an iter.Pull coroutine to the model.Coroutine
+// work is the worker coroutine's function. It runs the body once; a
+// worker asked to KeepAlive then parks at a yield instead of
+// returning, and runs the body again from the start when the next Peek
+// after a Rewind switches back into it.
+func (c *coroutine) work(yield func(event.Op) bool) {
+	g := &G{c: c, yield: yield, id: c.id}
+	for {
+		c.runBody(g)
+		if !c.keep {
+			return
+		}
+		c.parked = true
+		if !yield(event.Op{}) {
+			return // stopped while parked: the owner released it
+		}
+	}
+}
+
+// runBody runs the body once. It swallows the harness's own abort
+// signal and announces a genuine panic as the thread's final visible
+// operation instead of crashing the process — a crashing schedule is a
+// finding, not a harness failure. A body that neither returned nor
+// panicked called runtime.Goexit: it is announced before the Goexit
+// completes, so settle can finish it elsewhere, and runBody never
+// returns.
+func (c *coroutine) runBody(g *G) {
+	returned := false
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortSignal); !ok {
+				c.panicMsg = fmt.Sprint(r)
+				g.yield(event.Op{Kind: event.KindPanic})
+			}
+		} else if !returned {
+			c.exited = true
+			g.yield(event.Op{})
+		}
+	}()
+	c.body(g)
+	returned = true
+}
+
+// coroutine adapts a worker coroutine to the model.Coroutine
 // peek/resume protocol. Peek is the only switch into the body: it
 // runs the body to its next visible operation. Resume stores the
 // granted value, which the body reads when the next Peek switches
-// back into it.
+// back into it. A machine that reuses its coroutines (model.Rewinder)
+// keeps one worker per thread slot for its whole life: between
+// executions the worker is parked, and Rewind restarts it.
 type coroutine struct {
 	next    func() (event.Op, bool)
 	stop    func()
+	body    Body
+	id      event.ThreadID
 	pending event.Op
 	val     int64
 	have    bool
 	closed  bool
+	// keep is set by KeepAlive: the worker parks when its body ends
+	// instead of returning, and only Abort ends it.
+	keep bool
+	// parked is set by a kept worker whose body ended, just before it
+	// parks; Rewind clears it.
+	parked bool
+	// rewinding is set while Rewind unwinds a live body: every
+	// visible operation then panics the abort signal.
+	rewinding bool
 	// diverged is set by the stall watchdog (PeekTimeout/AbortTimeout
 	// giving up): the body is stuck in local computation and is
 	// abandoned — never switched to, never waited for again. The
@@ -221,6 +261,7 @@ var (
 	_ model.TimedPeeker   = (*coroutine)(nil)
 	_ model.TimedAborter  = (*coroutine)(nil)
 	_ model.PanicMessager = (*coroutine)(nil)
+	_ model.Rewinder      = (*coroutine)(nil)
 )
 
 // PanicMessage implements model.PanicMessager.
@@ -245,11 +286,11 @@ func (c *coroutine) Peek() (event.Op, bool) {
 // settle records what a switch into the body announced. A body that
 // called runtime.Goexit is terminated; its Goexit completes on a
 // throwaway goroutine, since iter.Pull passes it on to whoever
-// finishes the coroutine.
+// finishes the coroutine. A kept worker whose body ended is parked.
 func (c *coroutine) settle(op event.Op, ok bool) (event.Op, bool) {
-	if !ok || c.exited {
+	if !ok || c.exited || c.parked {
 		c.closed = true
-		if ok {
+		if ok && c.exited {
 			go c.stop()
 		}
 		return event.Op{}, false
@@ -258,6 +299,11 @@ func (c *coroutine) settle(op event.Op, ok bool) (event.Op, bool) {
 	c.have = true
 	return op, true
 }
+
+// live reports whether the worker's goroutine still has to be
+// released: it was not fenced, stopped, or handed to a throwaway
+// goroutine, and its body either runs or is parked.
+func (c *coroutine) live() bool { return !c.diverged && (!c.closed || c.parked) }
 
 // PeekTimeout implements model.TimedPeeker: Peek, but a body that
 // stays silent for d is declared diverged and the sentinel divergence
@@ -284,15 +330,15 @@ func (c *coroutine) Resume(result int64) {
 }
 
 // Abort implements model.Abortable: it unwinds the thread body at its
-// current visible operation and returns once the body has exited, so
-// abandoned executions leak nothing.
+// current visible operation, or ends a parked worker, and returns once
+// the worker has exited, so abandoned executions leak nothing.
 func (c *coroutine) Abort() {
-	if c.closed || c.diverged {
+	if !c.live() {
 		return
 	}
-	c.have = false
-	c.closed = true
+	c.have, c.closed = false, true
 	c.stop()
+	c.parked = false // a kept worker stopped mid-body parks on its way out
 }
 
 // AbortTimeout implements model.TimedAborter: Abort with d of
@@ -300,11 +346,43 @@ func (c *coroutine) Abort() {
 // recover and never returns is fenced as diverged and abandoned
 // instead of hanging the scheduler.
 func (c *coroutine) AbortTimeout(d time.Duration) {
-	if c.closed || c.diverged {
+	if !c.live() {
 		return
 	}
 	c.have = false
 	c.closed = c.watch(d, c.stop)
+}
+
+// KeepAlive implements model.Rewinder: from now on the worker parks
+// when its body ends instead of exiting.
+func (c *coroutine) KeepAlive() { c.keep = true }
+
+// Rewind implements model.Rewinder. A live body is unwound first: it
+// is resumed with every visible operation panicking the abort signal,
+// not stopped, so its worker survives and parks. The next Peek then
+// runs the body again from the start. A worker that was stopped,
+// fenced, or whose body called runtime.Goexit is not reusable.
+func (c *coroutine) Rewind() bool {
+	if !c.keep || !c.live() {
+		return false
+	}
+	if !c.parked {
+		c.rewinding = true
+		for !c.parked && !c.exited {
+			if _, ok := c.next(); !ok {
+				c.rewinding, c.closed = false, true
+				return false
+			}
+		}
+		c.rewinding = false
+		if c.exited {
+			c.closed = true
+			go c.stop()
+			return false
+		}
+	}
+	c.pending, c.val, c.have, c.closed, c.parked, c.panicMsg = event.Op{}, 0, false, false, false, ""
+	return true
 }
 
 // watch runs a switch into the body on a helper goroutine and reports
@@ -341,7 +419,7 @@ type G struct {
 func (g *G) ID() event.ThreadID { return g.id }
 
 func (g *G) visible(op event.Op) int64 {
-	if !g.yield(op) {
+	if !g.yield(op) || g.c.rewinding {
 		panic(abortSignal{})
 	}
 	return g.c.val

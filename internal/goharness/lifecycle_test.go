@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/model"
@@ -190,4 +191,52 @@ func TestLifecyclePanicMessages(t *testing.T) {
 			t.Fatalf("run %d: failures %v, want one %q", i, fs, want)
 		}
 	}
+}
+
+// countStarts counts Source.Start calls and hands out the coroutines
+// unwrapped, so the machine sees every optional interface.
+type countStarts struct {
+	*Program
+	n int
+}
+
+func (s *countStarts) Start(t event.ThreadID) model.Coroutine {
+	s.n++
+	return s.Program.Start(t)
+}
+
+// TestLifecycleResetReusesWorkers: without the watchdog a machine
+// starts each thread's worker once and rewinds it on every Reset,
+// whether the last execution finished the thread or left it blocked;
+// with the watchdog armed it starts one per thread per execution.
+func TestLifecycleResetReusesWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, stall := range []time.Duration{0, 10 * time.Second} {
+		src := &countStarts{Program: abbaProgram()}
+		m := model.NewMachineCfg(src, model.MachineConfig{StallTimeout: stall})
+		for i := 0; i < 50; i++ {
+			if i > 0 {
+				m.Reset()
+			}
+			schedule := []event.ThreadID{0, 1} // deadlocks
+			if i%2 == 1 {
+				schedule = []event.ThreadID{0, 0, 0, 0, 1, 1, 1, 1}
+			}
+			for _, th := range schedule {
+				m.Step(th)
+			}
+			if m.Deadlocked() != (i%2 == 0) {
+				t.Fatalf("stall %v run %d: deadlocked=%v", stall, i, m.Deadlocked())
+			}
+		}
+		m.Abort()
+		want := 2
+		if stall > 0 {
+			want = 2 * 50
+		}
+		if src.n != want {
+			t.Errorf("stall %v: %d starts over 50 executions, want %d", stall, src.n, want)
+		}
+	}
+	waitGoroutines(t, before)
 }

@@ -39,9 +39,31 @@ type Coroutine interface {
 
 // Abortable is implemented by coroutines that hold external resources
 // (e.g. a goroutine) that must be released when an execution is
-// abandoned before the thread terminates.
+// abandoned before the thread terminates. The coroutine's owner
+// releases it: a Machine's owner calls Machine.Abort (exec.Runner's
+// owner calls Close), which aborts every coroutine the machine holds.
 type Abortable interface {
 	Abort()
+}
+
+// Rewinder is optionally implemented by coroutines that can run their
+// thread again from the start, so a machine reuses one per thread slot
+// across executions instead of calling Source.Start per thread per
+// execution. A machine without the stall watchdog calls KeepAlive
+// right after Start; only then does the coroutine outlive its thread,
+// and only Abort ends it. With the watchdog armed, or behind a wrapper
+// that does not forward Rewinder, coroutines are started and aborted
+// per execution instead.
+type Rewinder interface {
+	// KeepAlive asks the coroutine to stay reusable after its thread
+	// ends.
+	KeepAlive()
+	// Rewind returns the coroutine to the start of its thread,
+	// unwinding a live thread first. It reports false when the
+	// coroutine cannot be reused (it was aborted or fenced, or its
+	// thread called runtime.Goexit); the machine then starts a new
+	// one.
+	Rewind() bool
 }
 
 // TimedPeeker is implemented by coroutines whose Peek can block on
@@ -88,7 +110,8 @@ type SnapshotReuser interface {
 // Source describes a program under test: a fixed universe of threads,
 // shared variables and mutexes, plus a factory for thread coroutines.
 // Sources must be stateless with respect to executions: Start may be
-// called many times for the same thread across schedules.
+// called many times for the same thread across schedules, and a
+// Rewinder coroutine may run its thread many times.
 type Source interface {
 	// Name identifies the program in reports.
 	Name() string
@@ -98,7 +121,10 @@ type Source interface {
 	NumVars() int
 	// NumMutexes returns the number of mutexes.
 	NumMutexes() int
-	// Start creates a fresh coroutine for thread t.
+	// Start creates a fresh coroutine for thread t. A coroutine that
+	// holds resources (Abortable) is released by its owner: the
+	// machine aborts it, and the machine's owner calls Machine.Abort
+	// or exec.Runner.Close.
 	Start(t event.ThreadID) Coroutine
 	// InitiallyRunning lists the threads that are runnable at the
 	// initial state; the rest must be started via Spawn. A nil or
@@ -268,6 +294,11 @@ type Machine struct {
 	havePend []bool
 	failures []Failure
 	executed int
+	// idle[t] is a Rewinder coroutine of thread t kept from an earlier
+	// execution, for startThread to rewind instead of calling
+	// Source.Start: live (Reset left its body mid-execution) or
+	// parked (its thread ended). Abort releases it.
+	idle []Coroutine
 
 	// stall is the divergence watchdog's wall-clock budget for one
 	// Peek; 0 disables the watchdog (Peek may block forever).
@@ -409,6 +440,7 @@ func NewMachineCfg(src Source, cfg MachineConfig) *Machine {
 		owner:     make([]event.ThreadID, src.NumMutexes()),
 		status:    make([]Status, n),
 		cor:       make([]Coroutine, n),
+		idle:      make([]Coroutine, n),
 		steps:     make([]int32, n),
 		pending:   make([]event.Op, n),
 		havePend:  make([]bool, n),
@@ -453,13 +485,19 @@ func (m *Machine) start() {
 }
 
 // Reset returns the machine to its source's initial state in place,
-// reusing its storage: still-running coroutines are aborted as by
-// Abort, the initial threads are restarted, and the configuration,
-// divergence hints, undo switch and recycled coroutine checkpoints are
-// kept. The failure log is dropped rather than truncated, so a slice
-// returned by Failures before the call is never overwritten.
+// reusing its storage: still-running Rewinder coroutines move to the
+// idle slots with the finished ones, the other still-running
+// coroutines are aborted as by Abort, the initial threads are
+// restarted, and the configuration, divergence hints, undo switch and
+// recycled coroutine checkpoints are kept. The failure log is dropped
+// rather than truncated, so a slice returned by Failures before the
+// call is never overwritten.
 func (m *Machine) Reset() {
-	m.Abort()
+	for t, c := range m.cor {
+		if m.status[t] == Running {
+			m.retire(event.ThreadID(t), c)
+		}
+	}
 	clear(m.store)
 	for i := range m.chans {
 		ch := &m.chans[i]
@@ -489,8 +527,54 @@ func (m *Machine) startThread(t event.ThreadID) {
 		return
 	}
 	m.status[t] = Running
-	m.cor[t] = m.src.Start(t)
+	if c := m.idle[t]; c != nil {
+		m.idle[t] = nil
+		if c.(Rewinder).Rewind() {
+			m.cor[t] = c
+			m.refresh(t)
+			return
+		}
+	}
+	c := m.src.Start(t)
+	if r, ok := m.rewinder(c); ok {
+		r.KeepAlive()
+	}
+	m.cor[t] = c
 	m.refresh(t)
+}
+
+// rewinder reports whether the machine reuses c across executions: c
+// is a Rewinder and the watchdog is off, whose timed switches keep the
+// start-and-abort lifecycle.
+func (m *Machine) rewinder(c Coroutine) (Rewinder, bool) {
+	if m.stall > 0 {
+		return nil, false
+	}
+	r, ok := c.(Rewinder)
+	return r, ok
+}
+
+// retire takes thread t's coroutine c out of the execution: a reused
+// coroutine waits in t's idle slot for a later execution, any other
+// one is aborted.
+func (m *Machine) retire(t event.ThreadID, c Coroutine) {
+	if _, ok := m.rewinder(c); ok {
+		m.idle[t] = c
+	} else {
+		m.abort(c)
+	}
+}
+
+// abort releases coroutine c. With the watchdog armed, coroutines that
+// support timed aborts get the stall budget to comply and are
+// abandoned otherwise, so one hostile thread cannot hang the teardown
+// of an otherwise healthy execution.
+func (m *Machine) abort(c Coroutine) {
+	if ta, ok := c.(TimedAborter); ok && m.stall > 0 {
+		ta.AbortTimeout(m.stall)
+	} else if a, ok := c.(Abortable); ok {
+		a.Abort()
+	}
 }
 
 // refresh re-peeks thread t's pending operation and settles Done state.
@@ -509,7 +593,11 @@ func (m *Machine) refresh(t event.ThreadID) {
 	if !ok {
 		m.status[t] = Done
 		m.havePend[t] = false
-		m.recycle(m.cor[t])
+		if _, reused := m.rewinder(m.cor[t]); reused {
+			m.idle[t] = m.cor[t]
+		} else {
+			m.recycle(m.cor[t])
+		}
 		m.cor[t] = nil
 		return
 	}
@@ -856,11 +944,7 @@ func (m *Machine) Step(t event.ThreadID) event.Event {
 			// then fence the thread without waiting out the timeout.
 			// Prefer the timed aborter: a hostile body could swallow a
 			// plain abort and block this call forever.
-			if ta, ok := m.cor[t].(TimedAborter); ok && m.stall > 0 {
-				ta.AbortTimeout(m.stall)
-			} else if a, ok := m.cor[t].(Abortable); ok {
-				a.Abort()
-			}
+			m.abort(m.cor[t])
 			m.markDiverged(t)
 			return ev
 		}
@@ -896,30 +980,25 @@ func (m *Machine) fail(t event.ThreadID, kind FailKind, msg string) {
 // closed, close of closed): the coroutine is released like an
 // abandoned execution's and the thread is Done.
 func (m *Machine) killThread(t event.ThreadID) {
-	if ta, ok := m.cor[t].(TimedAborter); ok && m.stall > 0 {
-		ta.AbortTimeout(m.stall)
-	} else if a, ok := m.cor[t].(Abortable); ok {
-		a.Abort()
-	}
+	m.retire(t, m.cor[t])
 	m.status[t] = Done
 	m.cor[t] = nil
 	m.havePend[t] = false
 }
 
-// Abort releases external resources of all still-running coroutines.
-// The machine must not be used afterwards, except to Reset it. With
-// the watchdog armed, coroutines that support timed aborts get the
-// stall budget to comply and are abandoned otherwise, so one hostile
-// thread cannot hang the teardown of an otherwise healthy execution.
+// Abort releases external resources of all still-running coroutines
+// and of the idle ones kept for reuse, live or parked. The machine
+// must not be used afterwards, except to Reset it.
 func (m *Machine) Abort() {
 	for t, c := range m.cor {
-		if m.status[t] != Running {
-			continue
+		if m.status[t] == Running {
+			m.abort(c)
 		}
-		if ta, ok := c.(TimedAborter); ok && m.stall > 0 {
-			ta.AbortTimeout(m.stall)
-		} else if a, ok := c.(Abortable); ok {
-			a.Abort()
+	}
+	for t, c := range m.idle {
+		if c != nil {
+			m.abort(c)
+			m.idle[t] = nil
 		}
 	}
 }
@@ -937,6 +1016,7 @@ func (m *Machine) Snapshot() (*Machine, bool) {
 		chans:     append([]chanState(nil), m.chans...),
 		status:    append([]Status(nil), m.status...),
 		cor:       make([]Coroutine, len(m.cor)),
+		idle:      make([]Coroutine, len(m.cor)),
 		steps:     append([]int32(nil), m.steps...),
 		pending:   append([]event.Op(nil), m.pending...),
 		havePend:  append([]bool(nil), m.havePend...),

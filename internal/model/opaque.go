@@ -8,8 +8,9 @@ import "repro/internal/event"
 // frontend cannot snapshot. The name, the initial store and the
 // channel universe are forwarded, so a wrapped snapshottable program
 // executes identically. The coroutines' other optional interfaces
-// (abort, panic messages, the watchdog's timed calls) are hidden too:
-// only goroutine-backed coroutines have them, and those replay anyway.
+// (abort, panic messages, the watchdog's timed calls, reuse) are
+// hidden too: only goroutine-backed coroutines have them, and those
+// replay anyway.
 // It is the replay side of the undo-versus-replay equivalence checks.
 func Opaque(src Source) Source { return opaqueSource{src} }
 
