@@ -20,7 +20,10 @@
 // column, Figure 3 the hbr-caching and lazy-hbr-caching columns; -fig
 // all runs all three in one campaign. The flags mean the same in every
 // mode: -limit 0 is unlimited, -parallel 0 uses every core, and -json
-// streams the cells instead of rendering them.
+// streams the cells instead of rendering them. A flag the mode does not
+// read is a usage error (exit 2): -engines in a figure mode, -md in
+// campaign mode, -scatter outside the figure modes, and the checkpoint,
+// containment and observability flags outside campaign and firstbug.
 //
 // A partial JSONL stream checkpoint-resumes a campaign: with
 // `-resume cells.jsonl` every cell already present in the stream is
@@ -122,9 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	specs, ok := figureEngines[f.fig]
+	specs, figMode := figureEngines[f.fig]
 	switch {
-	case ok:
+	case figMode:
 	case !f.campaignMode():
 		fmt.Fprintf(stderr, "eval: unknown -fig %q\n", f.fig)
 		return 2
@@ -168,6 +171,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if f.engines != "" && figMode {
+		fmt.Fprintln(stderr, "eval: -engines applies only to -fig campaign/firstbug; the figure modes run their own engines")
+		return 2
+	}
+	if f.md && f.fig == "campaign" {
+		fmt.Fprintln(stderr, "eval: -md applies only to -fig 2/3/all/firstbug; campaign mode prints cell lines")
+		return 2
+	}
+	scatterSet := false
+	fs.Visit(func(fl *flag.Flag) { scatterSet = scatterSet || fl.Name == "scatter" })
+	if scatterSet && !figMode {
+		fmt.Fprintln(stderr, "eval: -scatter applies only to -fig 2/3/all")
+		return 2
+	}
 	if f.resume != "" && !f.campaignMode() {
 		fmt.Fprintln(stderr, "eval: -resume applies only to -fig campaign/firstbug")
 		return 2

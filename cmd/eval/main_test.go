@@ -460,4 +460,17 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"-fig", "4", "-bench", "counter-racy-2x2"}, &stdout, &stderr); code != 2 {
 		t.Error("an unknown -fig mode must be a usage error, not a silent exit 0")
 	}
+	// Flags a mode does not read are usage errors, not silent no-ops.
+	for _, args := range [][]string{
+		{"-fig", "2", "-engines", "dfs"},
+		{"-fig", "all", "-engines", "dpor"},
+		{"-fig", "campaign", "-md"},
+		{"-fig", "campaign", "-scatter"},
+		{"-fig", "firstbug", "-scatter=false"},
+	} {
+		args = append(args, "-bench", "counter-racy-2x2", "-quiet")
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v exited %d, want the usage error 2", args, code)
+		}
+	}
 }
