@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race ci bench bench-smoke bench-json perf-smoke perf-compare fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval loc
+.PHONY: build test test-full race ci bench bench-smoke bench-json perf-smoke perf-compare fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval loc check-run-patterns
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Every -run pattern of a Makefile or CI test step selects tests that
+# exist, in every package the step lists — the CI test job runs it
+# (scripts/check-run-patterns.sh).
+check-run-patterns:
+	bash scripts/check-run-patterns.sh
 
 # Everything CI gates on, in CI order.
 ci: build vet fmt test race
@@ -91,14 +97,13 @@ chaos-smoke:
 # the hand-counted DPOR schedule-count gates, the chan differential
 # oracle (every engine × both backends vs exhaustive DFS, committed
 # fuzz corpus included), the backend ablation, the trace round-trip
-# for the channel kinds — then the channel family of the corpus swept
+# for the channel kinds and the channel doc sync — the packages that
+# hold Chan tests — then the channel family of the corpus swept
 # across the firstbug engine grid through the CLI, which must find
 # every planted bug (assertion, send-on-closed panic, lost-wakeup
 # deadlock) and render the new event kinds.
 chan-smoke:
-	$(GO) test -race -count=1 -run 'Chan' \
-		./internal/model/ ./internal/hb/ ./internal/explore/ ./internal/trace/ \
-		./internal/goharness/ ./internal/progdsl/ ./internal/repro/ ./sct/
+	$(GO) test -race -count=1 -run 'Chan' ./internal/explore/ ./internal/trace/ ./sct/
 	$(GO) test -race -count=1 -run 'TestBackendAblationExact|TestChanEquivalenceCorpus' ./internal/explore/
 	$(GO) run ./cmd/eval -fig firstbug -bench chan -limit 20000 -maxsteps 2000
 	@echo "chan-smoke: channel family race-clean, engines agree, every planted bug found"
