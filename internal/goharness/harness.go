@@ -369,10 +369,7 @@ func (c *coroutine) Rewind() bool {
 	if !c.parked {
 		c.rewinding = true
 		for !c.parked && !c.exited {
-			if _, ok := c.next(); !ok {
-				c.rewinding, c.closed = false, true
-				return false
-			}
+			c.next()
 		}
 		c.rewinding = false
 		if c.exited {

@@ -18,16 +18,20 @@ import (
 // defers an Unlock, t3 swallows the abort with its own recover and
 // returns, and t0 and t3 lock a and b in opposite orders, so some
 // schedules deadlock. t4 is spawned only on some schedules, so a
-// thread slot can stay unused for a whole execution.
+// thread slot can stay unused for a whole execution, and t5's send
+// panics when t2 closed the channel before it, which kills t5
+// mid-body.
 func lifecycleProgram() *Program {
 	p := New("lifecycle")
 	x, y, z := p.Var("x"), p.Var("y"), p.Var("z")
 	a, b := p.Mutex("a"), p.Mutex("b")
-	var t1, t2, t3, t4 ThreadRef
+	c := p.Chan("c", 1)
+	var t1, t2, t3, t4, t5 ThreadRef
 	p.Thread(func(g *G) {
-		g.Spawn(t1)
 		g.Spawn(t2)
 		g.Spawn(t3)
+		g.Spawn(t5)
+		g.Spawn(t1)
 		g.Lock(a)
 		defer g.Unlock(a)
 		g.Lock(b)
@@ -49,6 +53,7 @@ func lifecycleProgram() *Program {
 	t2 = p.Thread(func(g *G) {
 		g.Write(y, 1)
 		if g.Read(x) == 0 {
+			g.Close(c)
 			runtime.Goexit()
 		}
 		g.Write(x, 2)
@@ -65,6 +70,10 @@ func lifecycleProgram() *Program {
 		g.Lock(a)
 		g.Write(z, 3)
 		g.Unlock(a)
+	})
+	t5 = p.Thread(func(g *G) {
+		g.Send(c, 1)
+		g.Write(z, 5)
 	})
 	return p
 }
@@ -172,8 +181,8 @@ func TestLifecyclePanicMessages(t *testing.T) {
 	// t1 reads x = 2 (t0 incremented it, then t2 overwrote it), then
 	// x = 1 (t0 incremented it): the messages alternate across resets.
 	schedules := map[string][]event.ThreadID{
-		"panic: boom 2": {0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 1, 1},
-		"panic: code 0": {0, 0, 0, 0, 0, 0, 0, 1, 1},
+		"panic: boom 2": {0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 1, 1},
+		"panic: code 0": {0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
 	}
 	for i := 0; i < 20; i++ {
 		want := "panic: boom 2"
