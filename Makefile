@@ -42,7 +42,7 @@ check-run-patterns:
 	bash scripts/check-run-patterns.sh
 
 # Everything CI gates on, in CI order.
-ci: build vet fmt test race
+ci: build vet fmt test check-run-patterns race
 
 # The paper's evaluation artifacts as testing.B benchmarks, including
 # the campaign and work-stealing DPOR scaling runs.
