@@ -128,12 +128,11 @@ type Outcome struct {
 	// HBFP and LazyFP fingerprint the terminal regular and lazy
 	// happens-before relations.
 	HBFP, LazyFP hb.Fingerprint
-	// StateKey exactly encodes the final machine state; StateHash is
-	// its 64-bit digest and StateSig the 128-bit digest the
-	// exploration engines' distinct-state sets key on.
-	StateKey  string
-	StateHash uint64
-	StateSig  model.StateSig
+	// StateKey exactly encodes the final machine state; StateSig is
+	// the 128-bit digest the exploration engines' distinct-state sets
+	// key on.
+	StateKey string
+	StateSig model.StateSig
 	// Deadlock is set when the execution ended with blocked threads
 	// and nothing enabled.
 	Deadlock bool
@@ -268,7 +267,6 @@ func (r *Runner) Run(ch Chooser) Outcome {
 	out.HBFP = tr.HBFingerprint()
 	out.LazyFP = tr.LazyFingerprint()
 	out.StateKey = m.StateKey()
-	out.StateHash = m.StateHash()
 	out.StateSig = m.StateSig()
 	out.Failures = m.Failures()
 	out.Races = tr.Races()

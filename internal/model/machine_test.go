@@ -500,14 +500,14 @@ func TestStateKeyAndHashAgree(t *testing.T) {
 		return m
 	}
 	a, b, c := mk(1), mk(1), mk(2)
-	if a.StateKey() != b.StateKey() || a.StateHash() != b.StateHash() {
-		t.Error("identical states must agree on key and hash")
+	if a.StateKey() != b.StateKey() || a.StateSig() != b.StateSig() {
+		t.Error("identical states must agree on key and signature")
 	}
 	if a.StateKey() == c.StateKey() {
 		t.Error("different states must produce different keys")
 	}
-	if a.StateHash() == c.StateHash() {
-		t.Error("different states should produce different hashes")
+	if a.StateSig() == c.StateSig() {
+		t.Error("different states should produce different signatures")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1176,30 +1176,80 @@ func (m *Machine) sortedFailures() []Failure {
 // StateKey returns an exact, human-readable encoding of the machine
 // state: shared store, mutex owners, thread statuses and failures
 // (canonically ordered). Equal keys mean equal states. Used by
-// equivalence tests and state counting.
+// equivalence tests and state counting. The encoding is fmt's %v
+// rendering of those slices, appended with strconv into one buffer.
 func (m *Machine) StateKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "store=%v owners=%v status=%v", m.store, m.owner, m.status)
+	b := make([]byte, 0, 32+8*(len(m.store)+len(m.owner))+10*len(m.status))
+	b = append(b, "store="...)
+	b = appendInts(b, m.store)
+	b = append(b, " owners="...)
+	b = appendInts(b, m.owner)
+	b = append(b, " status=["...)
+	for i, s := range m.status {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, s.String()...)
+	}
+	b = append(b, ']')
 	if len(m.chans) > 0 {
 		// Ring contents are rendered head-first: two rings holding the
 		// same values in the same FIFO order are the same logical
 		// state regardless of where the ring happens to start.
-		vals := make([][]int64, len(m.chans))
-		closed := make([]bool, len(m.chans))
+		b = append(b, " chans=["...)
 		for i := range m.chans {
 			ch := &m.chans[i]
-			vals[i] = make([]int64, 0, ch.count)
-			for k := int32(0); k < ch.count; k++ {
-				vals[i] = append(vals[i], ch.buf[(ch.head+k)%int32(len(ch.buf))])
+			if i > 0 {
+				b = append(b, ' ')
 			}
-			closed[i] = ch.closed
+			b = append(b, '[')
+			for k := int32(0); k < ch.count; k++ {
+				if k > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(b, ch.buf[(ch.head+k)%int32(len(ch.buf))], 10)
+			}
+			b = append(b, ']')
 		}
-		fmt.Fprintf(&b, " chans=%v closed=%v", vals, closed)
+		b = append(b, "] closed=["...)
+		for i := range m.chans {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendBool(b, m.chans[i].closed)
+		}
+		b = append(b, ']')
 	}
 	if len(m.failures) > 0 {
-		fmt.Fprintf(&b, " failures=%v", m.sortedFailures())
+		b = append(b, " failures=["...)
+		for i, f := range m.sortedFailures() {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			// Failure.String's "t%d#%d: %s".
+			b = append(b, 't')
+			b = strconv.AppendInt(b, int64(f.Thread), 10)
+			b = append(b, '#')
+			b = strconv.AppendInt(b, int64(f.Index), 10)
+			b = append(b, ": "...)
+			b = append(b, f.Msg...)
+		}
+		b = append(b, ']')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendInts appends vs as fmt's %v renders an integer slice:
+// "[v0 v1 ...]".
+func appendInts[T ~int32 | ~int64](b []byte, vs []T) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // StateSig is a 128-bit binary digest of a machine state: two
@@ -1226,9 +1276,7 @@ func splitmix64(x uint64) uint64 {
 
 // digestState feeds the canonical state encoding — shared store, mutex
 // owners, thread statuses and canonically ordered failures — to mix,
-// one word at a time. It is the single walker behind StateHash and
-// StateSig, so the two digests can never drift apart on what "state"
-// means.
+// one word at a time.
 func (m *Machine) digestState(mix func(uint64)) {
 	for _, v := range m.store {
 		mix(uint64(v))
@@ -1283,19 +1331,4 @@ func (m *Machine) StateSig() StateSig {
 		}
 	})
 	return StateSig{h1, h2}
-}
-
-// StateHash folds the canonical state encoding into a 64-bit FNV-1a
-// digest without allocating the StateKey string.
-func (m *Machine) StateHash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	m.digestState(func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
-		}
-	})
-	return h
 }

@@ -155,15 +155,15 @@ func TestQuickSnapshotEquivalence(t *testing.T) {
 			}
 			snap.Step(en[0])
 		}
-		return m.StateKey() == snap.StateKey() && m.StateHash() == snap.StateHash()
+		return m.StateKey() == snap.StateKey() && m.StateSig() == snap.StateSig()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickStateKeyHashConsistency: equal keys imply equal hashes
-// across random schedule pairs of the same program.
+// TestQuickStateKeyHashConsistency: equal keys imply equal
+// signatures across random schedule pairs of the same program.
 func TestQuickStateKeyHashConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -175,7 +175,7 @@ func TestQuickStateKeyHashConsistency(t *testing.T) {
 		m2 := NewMachine(src)
 		runRandomly(m2, r2)
 		if m1.StateKey() == m2.StateKey() {
-			return m1.StateHash() == m2.StateHash()
+			return m1.StateSig() == m2.StateSig()
 		}
 		return true
 	}
