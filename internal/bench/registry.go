@@ -125,16 +125,32 @@ const Count = 88
 // 88-entry corpus and the hostile fault-injection programs (see
 // hostile.go), which are addressable by name only.
 func ByName(name string) (Benchmark, bool) {
+	e, id, ok := lookup(name)
+	if !ok {
+		return Benchmark{}, false
+	}
+	return e.benchmark(id), true
+}
+
+// IDOf returns the ID of the benchmark ByName would return, building
+// its family's entries but no program.
+func IDOf(name string) (int, bool) {
+	_, id, ok := lookup(name)
+	return id, ok
+}
+
+// lookup finds name's entry and ID in the lookup table.
+func lookup(name string) (entry, int, bool) {
 	h := nameHash(name)
 	for i, x := range nameHashes {
 		if x != h {
 			continue
 		}
 		if e, id := entryAt(i); e.name == name {
-			return e.benchmark(id), true
+			return e, id, true
 		}
 	}
-	return Benchmark{}, false
+	return entry{}, 0, false
 }
 
 // ByID returns the benchmark with the given 1-based ID, building only

@@ -107,6 +107,26 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestIDOf: IDOf, which builds no program, agrees with ByName on every
+// corpus and hostile name and rejects the names ByName rejects.
+func TestIDOf(t *testing.T) {
+	names := Names()
+	for _, b := range Hostile() {
+		names = append(names, b.Name)
+	}
+	for _, name := range names {
+		want, _ := ByName(name)
+		if id, ok := IDOf(name); !ok || id != want.ID {
+			t.Errorf("IDOf(%q) = %d, %v; ByName's ID is %d", name, id, ok, want.ID)
+		}
+	}
+	for _, name := range []string{"", "no-such-benchmark", "synth-00", "hostile", "no-such-bench-21956289"} {
+		if id, ok := IDOf(name); ok {
+			t.Errorf("IDOf(%q) = %d, accepted an unknown name", name, id)
+		}
+	}
+}
+
 // TestEveryBenchmarkRuns executes one deterministic schedule of every
 // benchmark and checks it terminates within the depth bound.
 func TestEveryBenchmarkRuns(t *testing.T) {

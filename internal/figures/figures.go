@@ -48,17 +48,17 @@ func limitText(limit int) string {
 	return strconv.Itoa(limit)
 }
 
-// cellBench checks one streamed cell result and resolves its
-// benchmark.
-func cellBench(r campaign.CellResult) (bench.Benchmark, error) {
+// cellID checks one streamed cell result and resolves its benchmark's
+// ID.
+func cellID(r campaign.CellResult) (int, error) {
 	if r.Err != "" {
-		return bench.Benchmark{}, fmt.Errorf("figures: %s/%s: %s", r.Cell.Bench, r.Cell.Engine, r.Err)
+		return 0, fmt.Errorf("figures: %s/%s: %s", r.Cell.Bench, r.Cell.Engine, r.Err)
 	}
-	bm, ok := bench.ByName(r.Cell.Bench)
+	id, ok := bench.IDOf(r.Cell.Bench)
 	if !ok {
-		return bench.Benchmark{}, fmt.Errorf("figures: unknown benchmark %q in cell stream", r.Cell.Bench)
+		return 0, fmt.Errorf("figures: unknown benchmark %q in cell stream", r.Cell.Bench)
 	}
-	return bm, nil
+	return id, nil
 }
 
 // Fig2Row is one benchmark's Figure 2 point.
@@ -83,20 +83,21 @@ func Fig2FromCells(results []campaign.CellResult) ([]Fig2Row, error) {
 	rows := make([]Fig2Row, 0, len(results))
 	seen := make(map[string]bool, len(results))
 	for _, r := range results {
-		bm, err := cellBench(r)
+		id, err := cellID(r)
 		if err != nil {
 			return nil, err
 		}
 		if r.Cell.Engine != Fig2Engine {
 			return nil, fmt.Errorf("figures: unexpected engine %q in Figure 2 cell stream (want %q)", r.Cell.Engine, Fig2Engine)
 		}
-		if seen[bm.Name] {
-			return nil, fmt.Errorf("figures: benchmark %q has more than one Figure 2 cell", bm.Name)
+		name := r.Cell.Bench
+		if seen[name] {
+			return nil, fmt.Errorf("figures: benchmark %q has more than one Figure 2 cell", name)
 		}
-		seen[bm.Name] = true
+		seen[name] = true
 		rows = append(rows, Fig2Row{
-			ID:        bm.ID,
-			Name:      bm.Name,
+			ID:        id,
+			Name:      name,
 			Schedules: r.Result.Schedules,
 			HBRs:      r.Result.DistinctHBRs,
 			LazyHBRs:  r.Result.DistinctLazyHBRs,
@@ -164,14 +165,15 @@ type Fig3Row struct {
 func Fig3FromCells(results []campaign.CellResult) ([]Fig3Row, error) {
 	byBench := map[string]*Fig3Row{}
 	for _, r := range results {
-		bm, err := cellBench(r)
+		id, err := cellID(r)
 		if err != nil {
 			return nil, err
 		}
-		row := byBench[bm.Name]
+		name := r.Cell.Bench
+		row := byBench[name]
 		if row == nil {
-			row = &Fig3Row{ID: bm.ID, Name: bm.Name, RegularCaching: -1, LazyCaching: -1}
-			byBench[bm.Name] = row
+			row = &Fig3Row{ID: id, Name: name, RegularCaching: -1, LazyCaching: -1}
+			byBench[name] = row
 		}
 		switch eng := r.Cell.Engine; {
 		case eng == Fig3Regular && row.RegularCaching < 0:
@@ -179,7 +181,7 @@ func Fig3FromCells(results []campaign.CellResult) ([]Fig3Row, error) {
 		case eng == Fig3Lazy && row.LazyCaching < 0:
 			row.LazyCaching, row.HitLimitLazy = r.Result.DistinctLazyHBRs, r.Result.HitLimit
 		case eng == Fig3Regular || eng == Fig3Lazy:
-			return nil, fmt.Errorf("figures: benchmark %q has more than one %s cell", bm.Name, eng)
+			return nil, fmt.Errorf("figures: benchmark %q has more than one %s cell", name, eng)
 		default:
 			return nil, fmt.Errorf("figures: unexpected engine %q in Figure 3 cell stream", eng)
 		}
