@@ -286,10 +286,23 @@ var campaignBenches = []string{
 	"synth-03",
 }
 
+// firstBugBenches are small corpus members on which most default-grid
+// engines find a bug within a few schedules, so a bug-finding cell's
+// fixed costs weigh as much as its search.
+var firstBugBenches = []string{
+	"counter-racy-2x2",
+	"philosophers-3",
+	"bank-global-3",
+	"dcl-2",
+	"chan-lost-wakeup",
+}
+
 // BenchmarkCampaign measures the campaign runner's wall-clock scaling
 // on a benchmark × engine grid: workers=1 is the sequential baseline;
 // on a ≥4-core box the GOMAXPROCS variant must finish the same 40
-// cells at least 2× faster (time/op directly demonstrates it).
+// cells at least 2× faster (time/op directly demonstrates it). The
+// firstbug row runs the default grid in bug-finding mode on one
+// worker and reports the per-cell cost (us/cell, allocs/cell).
 func BenchmarkCampaign(b *testing.B) {
 	engines := []campaign.EngineSpec{"dfs", "dpor", "hbr-caching", "lazy-hbr-caching"}
 	cells := campaign.Grid(campaignBenches, engines, benchLimit, 2000)
@@ -309,6 +322,34 @@ func BenchmarkCampaign(b *testing.B) {
 			b.ReportMetric(float64(len(cells)), "cells")
 		})
 	}
+	b.Run("firstbug", func(b *testing.B) {
+		var specs []campaign.EngineSpec
+		for _, spec := range sct.DefaultGrid() {
+			specs = append(specs, campaign.EngineSpec(spec))
+		}
+		cells := campaign.Grid(firstBugBenches, specs, 200, 0)
+		for i := range cells {
+			cells[i].StopAtFirstBug = true
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := campaign.Runner{Workers: 1}
+			results, err := r.Run(context.Background(), cells)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := campaign.FirstError(results); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N * len(cells))
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/cell")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/cell")
+	})
 }
 
 // BenchmarkWorkStealDPOR is the headline artifact of the work-stealing

@@ -116,6 +116,10 @@ type Runner struct {
 	// (and any partial counters the engine surrendered) and the rest
 	// of the campaign proceeds. 0 means no per-cell deadline.
 	CellTimeout time.Duration
+
+	// lookup resolves a cell's benchmark; nil means bench.ByName.
+	// Tests count resolutions through it.
+	lookup func(string) (bench.Benchmark, bool)
 }
 
 // abandonGrace is how long a cancelled engine gets to observe its
@@ -169,6 +173,10 @@ func (r *Runner) Stream(ctx context.Context, cells []Cell) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// last is the benchmark this worker resolved last. A grid
+			// is bench-major, so the next cell usually explores the
+			// same program and reuses it instead of building it again.
+			var last bench.Benchmark
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cells) {
@@ -182,7 +190,7 @@ func (r *Runner) Stream(ctx context.Context, cells []Cell) error {
 					// returned slice.
 					res = CellResult{Index: i, Cell: cells[i], Cancelled: true}
 				} else {
-					res = r.runCell(ctx, i, cells[i], emitHB)
+					res = r.runCell(ctx, i, cells[i], emitHB, &last)
 				}
 				if r.OnResult != nil {
 					emitMu.Lock()
@@ -199,18 +207,36 @@ func (r *Runner) Stream(ctx context.Context, cells []Cell) error {
 // runCell executes one cell with fault containment: the engine runs
 // once, in its own goroutine under the cell deadline, a panic is
 // recovered into a structured error, and a hung engine is abandoned
-// rather than hanging the worker. The named return lets the deferred
+// rather than hanging the worker. It explores *last when that is the
+// cell's benchmark and leaves the cell's benchmark there for the next
+// cell, unless the cell failed. The named return lets the deferred
 // timing write reach the caller.
-func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Heartbeat)) (out CellResult) {
+func (r *Runner) runCell(ctx context.Context, index int, c Cell, emitHB func(Heartbeat), last *bench.Benchmark) (out CellResult) {
 	out = CellResult{Index: index, Cell: c}
 	start := time.Now()
 	defer func() { out.ElapsedMS = time.Since(start).Milliseconds() }()
 
-	bm, ok := bench.ByName(c.Bench)
-	if !ok {
-		out.Err = fmt.Sprintf("unknown benchmark %q", c.Bench)
-		return out
+	bm := *last
+	if bm.Program == nil || bm.Name != c.Bench {
+		lookup := r.lookup
+		if lookup == nil {
+			lookup = bench.ByName
+		}
+		var ok bool
+		if bm, ok = lookup(c.Bench); !ok {
+			out.Err = fmt.Sprintf("unknown benchmark %q", c.Bench)
+			return out
+		}
 	}
+	*last = bm
+	defer func() {
+		// A failed cell's engine may have panicked mid-exploration or
+		// still run behind an abandoned goroutine: the next cell
+		// builds a fresh program.
+		if out.Err != "" {
+			*last = bench.Benchmark{}
+		}
+	}()
 	eng, err := c.Engine.Build()
 	if err != nil {
 		out.Err = err.Error()

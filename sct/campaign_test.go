@@ -3,9 +3,11 @@ package sct_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/sct"
 )
 
@@ -95,6 +97,57 @@ func TestParseSpecs(t *testing.T) {
 	}
 	if _, err := sct.ParseSpecs("dfs,bogus"); err == nil {
 		t.Error("unknown spec in list accepted")
+	}
+}
+
+// TestCampaignMatchesRun: campaign cells, which reuse a worker's
+// built program across consecutive cells on one benchmark, report the
+// same Result as a separate sct.Run per cell, with one worker and with
+// four. The grid is the default one without its parallel engines,
+// whose first-bug schedule depends on timing.
+func TestCampaignMatchesRun(t *testing.T) {
+	var specs []string
+	for _, info := range sct.Engines() {
+		if !info.Parallel {
+			specs = append(specs, info.Grid...)
+		}
+	}
+	benches := []string{"counter-racy-2x2", "philosophers-3", "chan-lost-wakeup", "bank-global-3", "hostile-panic"}
+	cells, err := sct.Grid(benches, specs, sct.WithScheduleLimit(200), sct.StopAtFirstBug())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]sct.Result, len(cells))
+	for i, c := range cells {
+		bm, ok := bench.ByName(c.Bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", c.Bench)
+		}
+		rep, err := sct.Run(context.Background(), bm.Program, string(c.Engine),
+			sct.WithScheduleLimit(200), sct.StopAtFirstBug())
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.Bench, c.Engine, err)
+		}
+		want[i] = rep.Result
+	}
+	for _, workers := range []int{1, 4} {
+		camp, err := sct.NewCampaign(cells, sct.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for r := range camp.Results(context.Background()) {
+			n++
+			if r.Err != "" {
+				t.Errorf("workers=%d %s/%s: %s", workers, r.Cell.Bench, r.Cell.Engine, r.Err)
+			} else if !reflect.DeepEqual(r.Result, want[r.Index]) {
+				t.Errorf("workers=%d %s/%s:\ncampaign %+v\n     run %+v",
+					workers, r.Cell.Bench, r.Cell.Engine, r.Result, want[r.Index])
+			}
+		}
+		if n != len(cells) {
+			t.Errorf("workers=%d: %d results, want %d", workers, n, len(cells))
+		}
 	}
 }
 
