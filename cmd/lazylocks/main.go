@@ -6,7 +6,7 @@
 //	lazylocks -bench counter-racy-2x2 -engine lazy-hbr-caching -limit 100000
 //
 // It explores the benchmark's schedule space with the chosen engine
-// (any registry spec, e.g. "dpor+sleep", "pb:2:lazy", "pdpor:4"),
+// (any registry spec, e.g. "dpor+sleep", "pb:2", "pdpor:4"),
 // prints the paper's headline counters (#schedules, #HBRs, #lazy
 // HBRs, #states) and, when a safety violation is found, replays and
 // prints the violating schedule.

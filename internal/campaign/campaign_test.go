@@ -214,15 +214,15 @@ func TestEngineSpecGrammar(t *testing.T) {
 	good := []string{
 		"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching", "lazy-hbr-caching",
 		"random", "random:9", "pct:3", "pct:2:9", "pos", "pos:9",
-		"pb:2", "pb:1:hbr", "pb:1:lazy", "db:3",
-		"chess-pb:2", "chess-db:2", "pdpor", "pdpor:2",
+		"pb:2", "db:3", "pdpor", "pdpor:2",
 	}
 	for _, s := range good {
 		if _, err := EngineSpec(s).Build(); err != nil {
 			t.Errorf("spec %q rejected: %v", s, err)
 		}
 	}
-	bad := []string{"", "nope", "pb:x", "pb:1:bogus", "random:zzz", "pdpor:w", "pct:0", "pct:x", "pos:zzz"}
+	bad := []string{"", "nope", "pb:x", "pb:1:bogus", "pb:1:hbr", "pb:1:lazy", "chess-pb:2", "chess-db:2",
+		"random:zzz", "pdpor:w", "pct:0", "pct:x", "pos:zzz"}
 	for _, s := range bad {
 		if _, err := EngineSpec(s).Build(); err == nil {
 			t.Errorf("spec %q unexpectedly accepted", s)

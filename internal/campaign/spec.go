@@ -16,9 +16,10 @@ import (
 //	hbr-caching             regular HBR caching
 //	lazy-hbr-caching        lazy HBR caching
 //	random[:seed]           seeded random walk
-//	pb:N[:hbr|:lazy]        preemption bounding (optionally cached)
+//	pct:d[:seed]            probabilistic concurrency testing
+//	pos[:seed]              partial-order sampling
+//	pb:N                    preemption bounding
 //	db:N                    delay bounding
-//	chess-pb:N | chess-db:N iterative bound deepening
 //	pdpor[:W]               work-stealing parallel DPOR over W workers
 //
 // W and seed default to GOMAXPROCS and 1. The grammar is backed by

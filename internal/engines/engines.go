@@ -6,7 +6,7 @@
 // switch.
 //
 // A spec is a colon-separated name plus optional arguments
-// ("dpor+sleep", "pb:2:lazy", "pdpor:4"); Build parses it and hands
+// ("dpor+sleep", "pct:3:7", "pdpor:4"); Build parses it and hands
 // the arguments to the registered Builder. The sequential engines of
 // internal/explore register at package init; the parallel search
 // self-registers from internal/campaign (so it exists exactly in
@@ -33,7 +33,7 @@ type Builder func(args []string) (explore.Engine, error)
 type Info struct {
 	// Name is the canonical spec name ("dpor+sleep", "pb", "pdpor").
 	Name string
-	// Usage documents the spec grammar ("pb:N[:hbr|:lazy]"), empty
+	// Usage documents the spec grammar ("pct:d[:seed]"), empty
 	// when the name alone is the spec. Build rejects a spec with more
 	// arguments than the grammar has slots (see argSlots).
 	Usage string
@@ -144,13 +144,13 @@ func Build(spec string) (explore.Engine, error) {
 }
 
 // argSlots counts the argument slots of a Usage grammar: every colon
-// opens one, except one that starts an alternative ("|:lazy"). A
-// free-form <placeholder>, which may hold colons, has no fixed count.
+// opens one. A free-form <placeholder>, which may hold colons, has no
+// fixed count.
 func argSlots(usage string) (n int, ok bool) {
 	if strings.Contains(usage, "<") {
 		return 0, false
 	}
-	return strings.Count(usage, ":") - strings.Count(usage, "|:"), true
+	return strings.Count(usage, ":"), true
 }
 
 // IntArg parses argv[i] as an int, with a default when the argument

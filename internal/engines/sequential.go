@@ -42,43 +42,14 @@ func init() {
 		Build: NoArgs(explore.NewLazyHBRCache),
 	})
 	Register(Info{
-		Name: "pb", Usage: "pb:N[:hbr|:lazy]",
-		Summary: "preemption-bounded DFS, optionally with (lazy) HBR caching",
-		Grid:    []string{"pb:2"},
-		Build:   buildPB,
+		Name: "pb", Usage: "pb:N", Summary: "preemption-bounded DFS",
+		Grid:  []string{"pb:2"},
+		Build: bounded(explore.NewPreemptionBounded),
 	})
 	Register(Info{
 		Name: "db", Usage: "db:N", Summary: "delay-bounded DFS",
-		Grid: []string{"db:2"},
-		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := boundArg(argv, 2)
-			if err != nil {
-				return nil, err
-			}
-			return explore.NewDelayBounded(bound), nil
-		},
-	})
-	Register(Info{
-		Name: "chess-pb", Usage: "chess-pb:N",
-		Summary: "iterative preemption-bound deepening (CHESS)",
-		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := boundArg(argv, 3)
-			if err != nil {
-				return nil, err
-			}
-			return explore.NewIterativePreemptionBounding(bound), nil
-		},
-	})
-	Register(Info{
-		Name: "chess-db", Usage: "chess-db:N",
-		Summary: "iterative delay-bound deepening",
-		Build: func(argv []string) (explore.Engine, error) {
-			bound, err := boundArg(argv, 3)
-			if err != nil {
-				return nil, err
-			}
-			return explore.NewIterativeDelayBounding(bound), nil
-		},
+		Grid:  []string{"db:2"},
+		Build: bounded(explore.NewDelayBounded),
 	})
 	Register(Info{
 		Name: "random", Usage: "random[:seed]",
@@ -123,42 +94,19 @@ func init() {
 			return explore.NewPOS(int64(seed)), nil
 		},
 	})
-	Register(Info{
-		Name: "chaos", Usage: "chaos[:panic|:stall|:hang]",
-		Summary: "fault injection: panics, stalls or hangs to exercise campaign containment; a bare chaos is a plain DFS (no grid contribution)",
-		Build: func(argv []string) (explore.Engine, error) {
-			if len(argv) == 0 {
-				return explore.NewChaos("")
-			}
-			return explore.NewChaos(argv[0])
-		},
-	})
 }
 
-// boundArg parses a bounded search's bound, the first argument,
-// rejecting a negative one.
-func boundArg(argv []string, dflt int) (int, error) {
-	bound, err := IntArg(argv, 0, dflt)
-	if err == nil && bound < 0 {
-		err = fmt.Errorf("bound %d (want >= 0)", bound)
-	}
-	return bound, err
-}
-
-func buildPB(argv []string) (explore.Engine, error) {
-	bound, err := boundArg(argv, 2)
-	if err != nil {
-		return nil, err
-	}
-	if len(argv) > 1 {
-		switch argv[1] {
-		case "hbr":
-			return explore.NewPreemptionBoundedCache(bound, false), nil
-		case "lazy":
-			return explore.NewPreemptionBoundedCache(bound, true), nil
-		default:
-			return nil, fmt.Errorf("cache mode %q (want hbr or lazy)", argv[1])
+// bounded adapts a bounded search's constructor to a Builder: the one
+// argument is the bound, 2 when absent, and a negative one is rejected.
+func bounded(build func(bound int) explore.Engine) Builder {
+	return func(argv []string) (explore.Engine, error) {
+		bound, err := IntArg(argv, 0, 2)
+		if err != nil {
+			return nil, err
 		}
+		if bound < 0 {
+			return nil, fmt.Errorf("bound %d (want >= 0)", bound)
+		}
+		return build(bound), nil
 	}
-	return explore.NewPreemptionBounded(bound), nil
 }

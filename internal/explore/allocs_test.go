@@ -76,7 +76,7 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 func TestBacktrackAllocsO1(t *testing.T) {
 	opt := Options{ScheduleLimit: 500, MaxSteps: 2000}
 	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true), NewLazyDPOR(), NewHBRCache(), NewLazyHBRCache(),
-		NewPreemptionBounded(2), NewPreemptionBoundedCache(2, false), NewDelayBounded(4)} {
+		NewPreemptionBounded(2), NewDelayBounded(4)} {
 		got := allocsPerEvent(t, eng, opt, "coarse-tail-3x3")
 		if got > stackAllocsPerEvent {
 			t.Errorf("%s/undo: %.2f allocs/event, want ≤ %.2f (unrecycled coroutine snapshots, or a per-step tracker Clone?)",

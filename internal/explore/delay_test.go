@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"testing"
-
-	"repro/internal/progdsl"
-)
+import "testing"
 
 // TestDelayZeroIsSingleSchedule: with no delays the scheduler is fully
 // deterministic, so exactly one schedule is explored.
@@ -77,62 +73,10 @@ func TestDelayVsPreemptionOrdering(t *testing.T) {
 	}
 }
 
-// TestIterativeDeepeningConverges: the CHESS loop finds the full state
-// set of small programs and stops at its fixed point.
-func TestIterativeDeepeningConverges(t *testing.T) {
-	for _, mk := range []func(int) Engine{NewIterativePreemptionBounding, NewIterativeDelayBounding} {
-		eng := mk(16)
-		for _, src := range soundnessZoo()[:6] {
-			full := exploreStates(t, NewDFS(), src)
-			res := eng.Explore(src, Options{MaxSteps: 2000, RecordStates: true})
-			if res.DistinctStates != full.DistinctStates {
-				t.Errorf("%s on %s: %d states, exhaustive %d",
-					eng.Name(), src.Name(), res.DistinctStates, full.DistinctStates)
-			}
-		}
-	}
-}
-
-// TestIterativeDeepeningBudget: the loop respects the overall schedule
-// budget across rounds.
-func TestIterativeDeepeningBudget(t *testing.T) {
-	res := NewIterativePreemptionBounding(8).Explore(curatedSharedCounter(), Options{ScheduleLimit: 7})
-	if res.Schedules > 7+1 { // the final round may overshoot by its last schedule
-		t.Errorf("budget overrun: %d schedules", res.Schedules)
-	}
-	if !res.HitLimit {
-		t.Error("budget exhaustion must be reported")
-	}
-}
-
-// TestIterativeFindsShallowBugFirst: the racy counter's bug appears in
-// the first non-trivial round.
-func TestIterativeFindsShallowBugFirst(t *testing.T) {
-	b := progdsl.New("lost").AutoStart()
-	x := b.Var("x")
-	for i := 0; i < 2; i++ {
-		th := b.Thread()
-		th.Read(0, x).AddConst(0, 0, 1).Write(x, 0)
-	}
-	res := NewIterativePreemptionBounding(4).Explore(b.Build(), Options{RecordStates: true})
-	if res.DistinctStates != 2 {
-		t.Errorf("states = %d, want 2", res.DistinctStates)
-	}
-	if res.Races == 0 {
-		t.Error("the race must be reported")
-	}
-}
-
 // TestBoundedEngineNames pins the new names.
 func TestBoundedEngineNames(t *testing.T) {
 	if NewDelayBounded(2).Name() != "db2-dfs" {
 		t.Error("delay name wrong")
-	}
-	if NewIterativePreemptionBounding(3).Name() != "chess-pb3" {
-		t.Error("chess-pb name wrong")
-	}
-	if NewIterativeDelayBounding(1).Name() != "chess-db1" {
-		t.Error("chess-db name wrong")
 	}
 }
 
@@ -143,10 +87,7 @@ func TestNegativeBoundClampsToZero(t *testing.T) {
 	src := curatedSharedCounter()
 	for _, pair := range [][2]Engine{
 		{NewPreemptionBounded(-1), NewPreemptionBounded(0)},
-		{NewPreemptionBoundedCache(-1, true), NewPreemptionBoundedCache(0, true)},
 		{NewDelayBounded(-1), NewDelayBounded(0)},
-		{NewIterativePreemptionBounding(-1), NewIterativePreemptionBounding(0)},
-		{NewIterativeDelayBounding(-1), NewIterativeDelayBounding(0)},
 	} {
 		got, want := pair[0].Explore(src, Options{}), pair[1].Explore(src, Options{})
 		if got.Engine != want.Engine || countersOf(got) != countersOf(want) {

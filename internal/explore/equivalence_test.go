@@ -362,7 +362,6 @@ func TestBackendAblationExact(t *testing.T) {
 		{NewLazyHBRCache(), 0},
 		{NewLazyDPOR(), 0},
 		{NewPreemptionBounded(2), 0},
-		{NewPreemptionBoundedCache(2, true), 0},
 		{NewDelayBounded(2), 0},
 		{NewRandomWalk(11), 60},
 	}

@@ -1,9 +1,6 @@
 package explore
 
 import (
-	"context"
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/progdsl"
@@ -144,51 +141,5 @@ func TestPanicCountsAndPrecedence(t *testing.T) {
 	}})
 	if panicWitnesses != 1 {
 		t.Fatalf("panic witnesses = %d, want 1", panicWitnesses)
-	}
-}
-
-// TestChaosEngineModes pins the fault-injection engine's contract.
-func TestChaosEngineModes(t *testing.T) {
-	if _, err := NewChaos("nonsense"); err == nil {
-		t.Fatal("NewChaos accepted an unknown mode")
-	}
-
-	// panic mode panics with a value that names the chaos engine.
-	e, err := NewChaos(ChaosPanic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("chaos:panic did not panic")
-			}
-			if !strings.Contains(fmt.Sprint(r), "chaos") {
-				t.Fatalf("panic value %v does not identify chaos", r)
-			}
-		}()
-		e.Explore(divergeRacy(), Options{})
-	}()
-
-	// With no mode the engine is a plain DFS under the chaos name.
-	e, err = NewChaos("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := e.Explore(panicRacy(), Options{}); res.Engine != "chaos" || res.Panics != 1 {
-		t.Fatalf("fault-free chaos: engine=%q panics=%d, want a real DFS result", res.Engine, res.Panics)
-	}
-
-	// stall mode blocks until the context is cancelled, then reports
-	// an interrupted empty result.
-	e, err = NewChaos(ChaosStall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if res := e.Explore(divergeRacy(), Options{Ctx: ctx}); !res.Interrupted {
-		t.Fatalf("chaos:stall with cancelled ctx: %+v, want Interrupted", res)
 	}
 }

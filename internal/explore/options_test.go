@@ -159,24 +159,3 @@ func TestCtxCancelMidSearch(t *testing.T) {
 		t.Errorf("partial result breaks the invariant chain: %v", err)
 	}
 }
-
-// TestIterativeStopAtFirstBugKeepsStates: when the CHESS deepening
-// loop stops at its first bug, the violating round's recorded state
-// set must survive into the merged result (regression: the early
-// break used to skip the States merge).
-func TestIterativeStopAtFirstBugKeepsStates(t *testing.T) {
-	src := curatedDeadlockable()
-	res := NewIterativePreemptionBounding(3).Explore(src, Options{
-		MaxSteps: 500, RecordStates: true, StopAtFirstBug: true,
-	})
-	if res.FirstViolation == nil || res.ViolationKind != "deadlock" {
-		t.Fatalf("deepening loop found no deadlock: %+v", res)
-	}
-	if res.FirstBugSchedule < 1 {
-		t.Errorf("missing first-bug index: %d", res.FirstBugSchedule)
-	}
-	if len(res.States) == 0 || len(res.States) != res.DistinctStates {
-		t.Errorf("violating round's states lost: len(States)=%d, DistinctStates=%d",
-			len(res.States), res.DistinctStates)
-	}
-}

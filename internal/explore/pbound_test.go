@@ -72,37 +72,9 @@ func TestPBoundFindsShallowBugs(t *testing.T) {
 	}
 }
 
-// TestPBoundCachingComposes: preemption-bounded caching prunes
-// redundant prefixes and the lazy variant never completes more
-// schedules than the regular one needs.
-func TestPBoundCachingComposes(t *testing.T) {
-	src := curatedDisjointLocks()
-	reg := NewPreemptionBoundedCache(2, false).Explore(src, Options{})
-	lazy := NewPreemptionBoundedCache(2, true).Explore(src, Options{})
-	if err := reg.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lazy.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Terminals > reg.Terminals {
-		t.Errorf("lazy caching completed %d terminals, regular %d", lazy.Terminals, reg.Terminals)
-	}
-	if lazy.DistinctStates != reg.DistinctStates {
-		t.Errorf("caching modes disagree on states within the same bound: %d vs %d",
-			lazy.DistinctStates, reg.DistinctStates)
-	}
-}
-
 // TestPBoundNames pins the reported engine names.
 func TestPBoundNames(t *testing.T) {
 	if got := NewPreemptionBounded(3).Name(); got != "pb3-dfs" {
-		t.Errorf("name = %q", got)
-	}
-	if got := NewPreemptionBoundedCache(2, false).Name(); got != "pb2-hbr-caching" {
-		t.Errorf("name = %q", got)
-	}
-	if got := NewPreemptionBoundedCache(1, true).Name(); got != "pb1-lazy-hbr-caching" {
 		t.Errorf("name = %q", got)
 	}
 }

@@ -117,18 +117,10 @@ func treeBySpec(spec string) Engine {
 		return NewLazyHBRCache()
 	case "pb:1":
 		return NewPreemptionBounded(1)
-	case "pb:2:hbr":
-		return NewPreemptionBoundedCache(2, false)
-	case "pb:2:lazy":
-		return NewPreemptionBoundedCache(2, true)
 	case "db:1":
 		return NewDelayBounded(1)
 	case "db:2":
 		return NewDelayBounded(2)
-	case "chess-pb:3":
-		return NewIterativePreemptionBounding(3)
-	case "chess-db:3":
-		return NewIterativeDelayBounding(3)
 	case "dpor":
 		return NewDPOR(false)
 	case "dpor+sleep":
@@ -159,12 +151,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
 		{"lazy-hbr-caching", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
 		{"pb:1", "chan-mesh-2p2c", false, treePin{samplerPin{88, 0, 80, 80, 5, 510, 0x0}, 88, 0, 0, 0}},
-		{"pb:2:hbr", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 160, 160, 5, 1211, 0x0}, 160, 140, 0, 0}},
-		{"pb:2:lazy", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 160, 160, 5, 1211, 0x0}, 160, 140, 0, 0}},
 		{"db:1", "chan-mesh-2p2c", false, treePin{samplerPin{8, 0, 6, 6, 3, 59, 0x0}, 8, 0, 0, 0}},
 		{"db:2", "chan-mesh-2p2c", false, treePin{samplerPin{35, 0, 22, 22, 5, 208, 0x0}, 35, 0, 0, 0}},
-		{"chess-pb:3", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 111, 111, 5, 1537, 0x0}, 300, 0, 0, 0}},
-		{"chess-db:3", "chan-mesh-2p2c", false, treePin{samplerPin{151, 0, 57, 57, 5, 813, 0x0}, 151, 0, 0, 0}},
 		{"dpor", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
 		{"dpor+sleep", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 194, 194, 5, 1165, 0x0}, 194, 0, 0, 106}},
 		{"lazy-dpor", "chan-mesh-2p2c", false, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
@@ -172,12 +160,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
 		{"lazy-hbr-caching", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 74, 74, 5, 844, 0x0}, 74, 226, 0, 0}},
 		{"pb:1", "chan-mesh-2p2c", true, treePin{samplerPin{88, 0, 80, 80, 5, 510, 0x0}, 88, 0, 0, 0}},
-		{"pb:2:hbr", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 160, 160, 5, 1211, 0x0}, 160, 140, 0, 0}},
-		{"pb:2:lazy", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 160, 160, 5, 1211, 0x0}, 160, 140, 0, 0}},
 		{"db:1", "chan-mesh-2p2c", true, treePin{samplerPin{8, 0, 6, 6, 3, 59, 0x0}, 8, 0, 0, 0}},
 		{"db:2", "chan-mesh-2p2c", true, treePin{samplerPin{35, 0, 22, 22, 5, 208, 0x0}, 35, 0, 0, 0}},
-		{"chess-pb:3", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 111, 111, 5, 1537, 0x0}, 300, 0, 0, 0}},
-		{"chess-db:3", "chan-mesh-2p2c", true, treePin{samplerPin{151, 0, 57, 57, 5, 813, 0x0}, 151, 0, 0, 0}},
 		{"dpor", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
 		{"dpor+sleep", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 194, 194, 5, 1165, 0x0}, 194, 0, 0, 106}},
 		{"lazy-dpor", "chan-mesh-2p2c", true, treePin{samplerPin{300, 0, 182, 182, 5, 1487, 0x0}, 300, 0, 0, 0}},
@@ -185,12 +169,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "philosophers-3", false, treePin{samplerPin{96, 37, 7, 2, 2, 255, 0xd949aa186c0c4928}, 7, 89, 0, 0}},
 		{"lazy-hbr-caching", "philosophers-3", false, treePin{samplerPin{93, 36, 2, 2, 2, 225, 0xd949aa186c0c4928}, 2, 91, 0, 0}},
 		{"pb:1", "philosophers-3", false, treePin{samplerPin{75, 25, 7, 2, 2, 852, 0xd94645186c0967b2}, 75, 0, 0, 0}},
-		{"pb:2:hbr", "philosophers-3", false, treePin{samplerPin{96, 37, 7, 2, 2, 255, 0xd949aa186c0c4928}, 7, 89, 0, 0}},
-		{"pb:2:lazy", "philosophers-3", false, treePin{samplerPin{93, 36, 2, 2, 2, 225, 0xd949aa186c0c4928}, 2, 91, 0, 0}},
 		{"db:1", "philosophers-3", false, treePin{samplerPin{10, 0, 3, 1, 1, 141, 0x0}, 10, 0, 0, 0}},
 		{"db:2", "philosophers-3", false, treePin{samplerPin{39, 28, 4, 2, 2, 438, 0xd949aa186c0c4928}, 39, 0, 0, 0}},
-		{"chess-pb:3", "philosophers-3", false, treePin{samplerPin{294, 31, 7, 2, 2, 2952, 0xd94645186c0967b2}, 294, 0, 0, 0}},
-		{"chess-db:3", "philosophers-3", false, treePin{samplerPin{11, 0, 3, 1, 1, 159, 0x0}, 11, 0, 0, 0}},
 		{"dpor", "philosophers-3", false, treePin{samplerPin{21, 4, 7, 2, 2, 264, 0xd949aa186c0c4928}, 21, 0, 0, 0}},
 		{"dpor+sleep", "philosophers-3", false, treePin{samplerPin{14, 4, 7, 2, 2, 160, 0xd949aa186c0c4928}, 14, 0, 0, 0}},
 		{"lazy-dpor", "philosophers-3", false, treePin{samplerPin{12, 4, 5, 2, 2, 137, 0xd949aa186c0c4928}, 12, 0, 0, 0}},
@@ -198,12 +178,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "philosophers-3", true, treePin{samplerPin{37, 37, 4, 2, 2, 111, 0xd949aa186c0c4928}, 4, 33, 0, 0}},
 		{"lazy-hbr-caching", "philosophers-3", true, treePin{samplerPin{36, 36, 2, 2, 2, 101, 0xd949aa186c0c4928}, 2, 34, 0, 0}},
 		{"pb:1", "philosophers-3", true, treePin{samplerPin{25, 25, 4, 2, 2, 284, 0xd94645186c0967b2}, 25, 0, 0, 0}},
-		{"pb:2:hbr", "philosophers-3", true, treePin{samplerPin{37, 37, 4, 2, 2, 111, 0xd949aa186c0c4928}, 4, 33, 0, 0}},
-		{"pb:2:lazy", "philosophers-3", true, treePin{samplerPin{36, 36, 2, 2, 2, 101, 0xd949aa186c0c4928}, 2, 34, 0, 0}},
 		{"db:1", "philosophers-3", true, treePin{samplerPin{10, 0, 3, 1, 1, 141, 0x0}, 10, 0, 0, 0}},
 		{"db:2", "philosophers-3", true, treePin{samplerPin{28, 28, 4, 2, 2, 310, 0xd949aa186c0c4928}, 28, 0, 0, 0}},
-		{"chess-pb:3", "philosophers-3", true, treePin{samplerPin{31, 31, 6, 2, 2, 374, 0xd94645186c0967b2}, 31, 0, 0, 0}},
-		{"chess-db:3", "philosophers-3", true, treePin{samplerPin{11, 0, 3, 1, 1, 159, 0x0}, 11, 0, 0, 0}},
 		{"dpor", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
 		{"dpor+sleep", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
 		{"lazy-dpor", "philosophers-3", true, treePin{samplerPin{4, 4, 4, 2, 2, 47, 0xd949aa186c0c4928}, 4, 0, 0, 0}},
@@ -211,12 +187,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "synth-08", false, treePin{samplerPin{300, 2, 22, 3, 2, 926, 0x9ae5fd883dd28c52}, 22, 278, 0, 0}},
 		{"lazy-hbr-caching", "synth-08", false, treePin{samplerPin{300, 49, 3, 3, 2, 737, 0x473de543b00eaf2}, 3, 297, 0, 0}},
 		{"pb:1", "synth-08", false, treePin{samplerPin{178, 2, 73, 3, 2, 4233, 0x34ca73da25fe6f36}, 178, 0, 0, 0}},
-		{"pb:2:hbr", "synth-08", false, treePin{samplerPin{300, 2, 61, 3, 2, 1966, 0x34ca73da25fe6f36}, 61, 239, 0, 0}},
-		{"pb:2:lazy", "synth-08", false, treePin{samplerPin{300, 16, 3, 3, 2, 1228, 0x385c9357bf13c48a}, 3, 297, 0, 0}},
 		{"db:1", "synth-08", false, treePin{samplerPin{13, 2, 4, 2, 1, 385, 0x9ae5fd883dd28c52}, 13, 0, 0, 0}},
 		{"db:2", "synth-08", false, treePin{samplerPin{121, 2, 9, 2, 1, 2934, 0x9ae5fd883dd28c52}, 121, 0, 0, 0}},
-		{"chess-pb:3", "synth-08", false, treePin{samplerPin{184, 8, 73, 3, 2, 4428, 0x34ca73da25fe6f36}, 184, 0, 0, 0}},
-		{"chess-db:3", "synth-08", false, treePin{samplerPin{14, 3, 4, 2, 1, 424, 0x9ae5fd883dd28c52}, 14, 0, 0, 0}},
 		{"dpor", "synth-08", false, treePin{samplerPin{300, 2, 20, 3, 2, 4302, 0x9ae5fd883dd28c52}, 300, 0, 0, 0}},
 		{"dpor+sleep", "synth-08", false, treePin{samplerPin{300, 2, 62, 3, 2, 4500, 0x9ae5fd883dd28c52}, 298, 0, 0, 2}},
 		{"lazy-dpor", "synth-08", false, treePin{samplerPin{300, 2, 20, 3, 2, 4302, 0x9ae5fd883dd28c52}, 300, 0, 0, 0}},
@@ -224,12 +196,8 @@ func TestTreeEnginesPinned(t *testing.T) {
 		{"hbr-caching", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"lazy-hbr-caching", "synth-08", true, treePin{samplerPin{49, 49, 2, 2, 1, 174, 0x473de543b00eaf2}, 2, 47, 0, 0}},
 		{"pb:1", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x34ca73da25fe6f36}, 2, 0, 0, 0}},
-		{"pb:2:hbr", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x34ca73da25fe6f36}, 2, 0, 0, 0}},
-		{"pb:2:lazy", "synth-08", true, treePin{samplerPin{16, 16, 2, 2, 1, 141, 0x385c9357bf13c48a}, 2, 14, 0, 0}},
 		{"db:1", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"db:2", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
-		{"chess-pb:3", "synth-08", true, treePin{samplerPin{8, 8, 6, 2, 2, 256, 0x34ca73da25fe6f36}, 8, 0, 0, 0}},
-		{"chess-db:3", "synth-08", true, treePin{samplerPin{3, 3, 2, 1, 1, 100, 0x9ae5fd883dd28c52}, 3, 0, 0, 0}},
 		{"dpor", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"dpor+sleep", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},
 		{"lazy-dpor", "synth-08", true, treePin{samplerPin{2, 2, 2, 1, 1, 61, 0x9ae5fd883dd28c52}, 2, 0, 0, 0}},

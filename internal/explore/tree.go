@@ -54,9 +54,9 @@ const (
 // HBR-caching engines, pb and db: it enumerates schedules depth-first,
 // lets each node try the choices its rule allows within the bound, and
 // optionally prunes prefixes whose happens-before class was seen
-// before. HBR caching was originally proposed in the context-bounded
-// setting (MSR-TR-2007-12), so every rule composes with either caching
-// relation.
+// before. Only ruleAll caches: under a bound, two prefixes of one
+// class may have spent different amounts of it, so pruning the second
+// could drop the states only its leftover bound reaches.
 type treeEngine struct {
 	rule  treeRule
 	bound int
@@ -76,18 +76,6 @@ func NewLazyHBRCache() Engine { return &treeEngine{mode: cacheLazy} }
 // with at most bound preemptions; a negative bound means 0.
 func NewPreemptionBounded(bound int) Engine {
 	return &treeEngine{rule: rulePreempt, bound: max(bound, 0)}
-}
-
-// NewPreemptionBoundedCache composes preemption bounding with HBR
-// caching (lazy=false) or lazy HBR caching (lazy=true) — the
-// configuration of the Musuvathi–Qadeer technical report, upgraded
-// with the paper's lazy relation.
-func NewPreemptionBoundedCache(bound int, lazy bool) Engine {
-	mode := cacheHBR
-	if lazy {
-		mode = cacheLazy
-	}
-	return &treeEngine{rule: rulePreempt, bound: max(bound, 0), mode: mode}
 }
 
 // NewDelayBounded returns a delay-bounded enumeration engine; a

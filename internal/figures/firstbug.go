@@ -5,8 +5,9 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/campaign"
@@ -41,15 +42,15 @@ type FirstBugTable struct {
 }
 
 // FirstBugFromCells assembles the table from first-bug campaign
-// results (any order; cell Index restores the grid order).
+// results in any order: it sorts results in place by cell Index, which
+// restores the grid order, rather than copying a campaign-sized slice.
 func FirstBugFromCells(results []campaign.CellResult) FirstBugTable {
-	sorted := append([]campaign.CellResult(nil), results...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
+	slices.SortFunc(results, func(a, b campaign.CellResult) int { return cmp.Compare(a.Index, b.Index) })
 
 	var t FirstBugTable
 	engineIdx := map[string]int{}
 	rowIdx := map[string]int{}
-	for _, r := range sorted {
+	for _, r := range results {
 		eng := string(r.Cell.Engine)
 		if _, ok := engineIdx[eng]; !ok {
 			engineIdx[eng] = len(t.Engines)
@@ -63,7 +64,7 @@ func FirstBugFromCells(results []campaign.CellResult) FirstBugTable {
 	for i := range t.Rows {
 		t.Rows[i].Cells = make([]FirstBugCell, len(t.Engines))
 	}
-	for _, r := range sorted {
+	for _, r := range results {
 		cell := FirstBugCell{
 			Schedules: r.Result.FirstBugSchedule,
 			Kind:      r.Result.ViolationKind,

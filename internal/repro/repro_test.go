@@ -101,7 +101,7 @@ func chanSendOnClosed() model.Source {
 // 2 and 4 workers.
 var firstBugEngineSpecs = []string{
 	"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching", "lazy-hbr-caching",
-	"pb:2", "db:3", "chess-pb:2", "random:7", "pct:3", "pos:7",
+	"pb:2", "db:3", "random:7", "pct:3", "pos:7",
 	"pdpor:1", "pdpor:2", "pdpor:4",
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // EngineSpec names an engine configuration in the registry's compact
-// colon grammar ("dpor+sleep", "pb:2:lazy", "pdpor:4") — the form
+// colon grammar ("dpor+sleep", "pb:2", "pdpor:4") — the form
 // campaign cells carry.
 type EngineSpec = campaign.EngineSpec
 

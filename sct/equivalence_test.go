@@ -79,21 +79,7 @@ func TestFacadeVsDirectEquivalence(t *testing.T) {
 		{"pos", false, func() explore.Engine { return explore.NewPOS(1) }},
 		{"pos:9", false, func() explore.Engine { return explore.NewPOS(9) }},
 		{"pb:2", false, func() explore.Engine { return explore.NewPreemptionBounded(2) }},
-		{"pb:1:hbr", false, func() explore.Engine { return explore.NewPreemptionBoundedCache(1, false) }},
-		{"pb:1:lazy", false, func() explore.Engine { return explore.NewPreemptionBoundedCache(1, true) }},
 		{"db:2", false, func() explore.Engine { return explore.NewDelayBounded(2) }},
-		{"chess-pb:3", false, func() explore.Engine { return explore.NewIterativePreemptionBounding(3) }},
-		{"chess-db:3", false, func() explore.Engine { return explore.NewIterativeDelayBounding(3) }},
-		// A bare chaos delegates to a fresh DFS — the one chaos
-		// configuration that behaves like a real engine, which is what
-		// the facade pin can meaningfully compare.
-		{"chaos", false, func() explore.Engine {
-			e, err := explore.NewChaos("")
-			if err != nil {
-				panic(err)
-			}
-			return e
-		}},
 		{"pdpor:1", true, func() explore.Engine { return campaign.NewParallelDPOR(1) }},
 		{"pdpor:2", true, func() explore.Engine { return campaign.NewParallelDPOR(2) }},
 	}

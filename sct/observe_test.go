@@ -144,13 +144,29 @@ func TestCampaignMixedStreamResume(t *testing.T) {
 	}
 }
 
+// panicEngine is an embedder-registered engine whose every search
+// panics: a failing cell for the flight-recorder test.
+type panicEngine struct{}
+
+func (panicEngine) Name() string { return "custom-panic" }
+func (panicEngine) Explore(src sct.Source, opt sct.Options) sct.Result {
+	panic("custom-panic: injected fault in " + src.Name())
+}
+
 // TestCampaignFlightRecorder: a failing cell in a facade campaign
 // leaves a loadable artifact; the healthy cell leaves none.
 func TestCampaignFlightRecorder(t *testing.T) {
+	registerOnce(sct.EngineInfo{
+		Name:    "custom-panic",
+		Summary: "panics in every search (flight-recorder test)",
+		Build: func(args []string) (sct.Engine, error) {
+			return panicEngine{}, nil
+		},
+	})
 	dir := t.TempDir()
 	cells := []sct.Cell{
 		{Bench: "counter-racy-2x2", Engine: "dfs", ScheduleLimit: 100, MaxSteps: 2000},
-		{Bench: "counter-racy-2x2", Engine: "chaos:panic", ScheduleLimit: 10, MaxSteps: 2000},
+		{Bench: "counter-racy-2x2", Engine: "custom-panic", ScheduleLimit: 10, MaxSteps: 2000},
 	}
 	camp, err := sct.NewCampaign(cells, sct.WithWorkers(1), sct.WithFlightRecorder(dir))
 	if err != nil {

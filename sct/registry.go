@@ -19,8 +19,8 @@ type EngineInfo = engines.Info
 //
 // The built-in engines self-register: the sequential families
 // (dfs, dpor, dpor+sleep, lazy-dpor, hbr-caching, lazy-hbr-caching,
-// pb, db, random, pct, pos) plus the iterative-deepening loops
-// (chess-pb, chess-db) and the work-stealing parallel search (pdpor).
+// pb, db, random, pct, pos) plus the work-stealing parallel search
+// (pdpor).
 //
 // The randomized engines (random, pct, pos) are seed-
 // reproducible: every spec takes an integer seed (default 1), walk i
@@ -54,7 +54,7 @@ func DefaultGrid() []string {
 }
 
 // NewEngine builds an engine from a registry spec
-// ("name[:arg[:arg...]]"), e.g. "dpor+sleep", "pb:2:lazy",
+// ("name[:arg[:arg...]]"), e.g. "dpor+sleep", "pb:2",
 // "random:7", "pdpor:4".
 func NewEngine(spec string) (Engine, error) {
 	eng, err := engines.Build(spec)

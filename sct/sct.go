@@ -24,7 +24,7 @@
 //	        sct.WithScheduleLimit(100000),
 //	        sct.StopAtFirstBug())
 //
-// Engines are named by registry specs ("dfs", "dpor", "pb:2:lazy",
+// Engines are named by registry specs ("dfs", "dpor", "pb:2",
 // "pdpor:4", ...); [Engines] lists what is registered and [Register]
 // adds new ones, so third-party engines plug into Run, campaigns and
 // the eval tooling without forking.

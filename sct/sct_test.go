@@ -39,8 +39,7 @@ func deadlocker() *progdsl.Program {
 // registry, and test order must not matter.
 var builtinEngines = []string{
 	"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching",
-	"lazy-hbr-caching", "pb", "db", "chess-pb", "chess-db", "random",
-	"pct", "pos", "chaos", "pdpor",
+	"lazy-hbr-caching", "pb", "db", "random", "pct", "pos", "pdpor",
 }
 
 // TestRegistryComplete pins the canonical engine catalogue: every
@@ -190,23 +189,20 @@ func TestNewEngineRejectsBadSpecs(t *testing.T) {
 	for _, tc := range []struct{ spec, want string }{
 		{"pct:0", "bug depth 0 (want >= 1)"},
 		{"pb:-1", "bound -1 (want >= 0)"},
-		{"pb:-1:hbr", "bound -1 (want >= 0)"},
 		{"db:-1", "bound -1 (want >= 0)"},
-		{"chess-pb:-1", "bound -1 (want >= 0)"},
-		{"chess-db:-1", "bound -1 (want >= 0)"},
 		{"pb:x", "argument 1"},
-		{"pb:1:bogus", `cache mode "bogus"`},
 		{"random:7:junk", `more than 1 argument(s) for "random[:seed]"`},
 		{"pct:3:1:zzz", `more than 2 argument(s) for "pct:d[:seed]"`},
 		{"pos:1:2", `more than 1 argument(s) for "pos[:seed]"`},
-		{"pb:2:hbr:x", `more than 2 argument(s) for "pb:N[:hbr|:lazy]"`},
-		{"db:2:1", "more than 1 argument(s)"},
-		{"chess-pb:3:1", "more than 1 argument(s)"},
-		{"chess-db:3:1", "more than 1 argument(s)"},
-		{"chaos:panic:1", "more than 1 argument(s)"},
+		{"pb:2:lazy", `more than 1 argument(s) for "pb:N"`},
+		{"pb:1:hbr", `more than 1 argument(s) for "pb:N"`},
+		{"db:2:1", `more than 1 argument(s) for "db:N"`},
 		{"pdpor:2:1", "more than 1 argument(s)"},
 		{"dpor:extra", `more than 0 argument(s) for "dpor"`},
 		{"nope", "unknown engine spec"},
+		{"chess-pb:3", "unknown engine spec"},
+		{"chess-db:3", "unknown engine spec"},
+		{"chaos", "unknown engine spec"},
 	} {
 		_, err := sct.NewEngine(tc.spec)
 		if err == nil {
@@ -217,8 +213,7 @@ func TestNewEngineRejectsBadSpecs(t *testing.T) {
 			t.Errorf("NewEngine(%q) error %q, want it to name the spec and %q", tc.spec, msg, tc.want)
 		}
 	}
-	for _, spec := range []string{"pb:0", "pb:0:lazy", "db:0", "chess-pb:0", "chess-db:0",
-		"random:7", "pct:3:1", "pos:1", "pdpor:2"} {
+	for _, spec := range []string{"pb:0", "db:0", "random:7", "pct:3:1", "pos:1", "pdpor:2"} {
 		if _, err := sct.NewEngine(spec); err != nil {
 			t.Errorf("NewEngine(%q): %v (a zero bound is a valid search, and every argument is within the grammar)", spec, err)
 		}
