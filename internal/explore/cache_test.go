@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/event"
 	"repro/internal/model"
 	"repro/internal/progdsl"
@@ -248,4 +249,37 @@ func settledHeap() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)
 	return s[0].Value.Uint64()
+}
+
+// TestCachingTerminalsAreFresh pins what lets the caching engines keep
+// no terminal set for their own relation: every terminal is reached
+// through a prefix-cache miss on its full trace, so its class is new
+// in the pruning relation, and (HBR ⇒ lazy HBR, contrapositive) a new
+// lazy HBR is a new HBR. On every corpus program and on the
+// FuzzEngineEquivalence seeds, hbr-caching reports one distinct HBR
+// per terminal and lazy-hbr-caching one distinct HBR and one distinct
+// lazy HBR per terminal.
+func TestCachingTerminalsAreFresh(t *testing.T) {
+	var srcs []model.Source
+	for _, bm := range bench.All() {
+		srcs = append(srcs, bm.Program)
+	}
+	seeds := append([][]byte{{0, 0, 0, 0}, {1, 2, 1, 2, 17, 3, 33, 4, 49}}, progdsl.FuzzCorpus(8, 42)...)
+	for _, data := range seeds {
+		if src := progdsl.FromBytes("fuzz", data); src != nil {
+			srcs = append(srcs, src)
+		}
+	}
+	for _, src := range srcs {
+		opt := Options{ScheduleLimit: 2000, MaxSteps: 2000}
+		reg := NewHBRCache().Explore(src, opt)
+		if reg.DistinctHBRs != reg.Terminals {
+			t.Errorf("hbr-caching on %s: %d distinct HBRs, %d terminals", src.Name(), reg.DistinctHBRs, reg.Terminals)
+		}
+		lazy := NewLazyHBRCache().Explore(src, opt)
+		if lazy.DistinctLazyHBRs != lazy.Terminals || lazy.DistinctHBRs != lazy.Terminals {
+			t.Errorf("lazy-hbr-caching on %s: %d distinct HBRs, %d distinct lazy HBRs, %d terminals",
+				src.Name(), lazy.DistinctHBRs, lazy.DistinctLazyHBRs, lazy.Terminals)
+		}
+	}
 }
