@@ -123,7 +123,10 @@ func (s *stripedSet) len() int { return int(s.n.Load()) }
 // shares with its siblings (Unit.Dedup). States deduplicate on binary
 // digests; the string key of a state is rendered and recorded
 // (RecordStateKey) only for fresh digests and only under
-// Options.RecordStates.
+// Options.RecordStates. The recorder inserts a terminal's classes as
+// a chain, HBR then lazy HBR then state, and stops at the first one
+// already present (see recorder.terminal), so a set holds each class
+// of its relation whose finer classes were all new.
 type dedupSink interface {
 	AddHBR(fp hb.Fingerprint) bool
 	AddLazy(fp hb.Fingerprint) bool
@@ -131,9 +134,10 @@ type dedupSink interface {
 	RecordStateKey(key string)
 }
 
-// localDedup is the plain, single-goroutine sink — three digestSet
-// inserts per terminal, no striping or atomics on the sequential hot
-// path.
+// localDedup is the plain, single-goroutine sink — at most three
+// digestSet inserts per terminal, no striping or atomics on the
+// sequential hot path. A set the recorder never inserts into (a
+// caching engine's own relation) allocates no table.
 type localDedup struct {
 	hbrs, lazies, states digestSet
 	stateKeys            []string

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/event"
+	"repro/internal/hb"
 	"repro/internal/model"
 	"repro/internal/progdsl"
 )
@@ -206,17 +207,21 @@ func TestCachingAcrossPrefixPartitions(t *testing.T) {
 // heap as the search starts, settle it again at the final Observer
 // delivery, keep the smallest of three runs). Go maps keyed by the
 // 128-bit digests retained 515,616 B (hbr-caching) and 133,008 B
-// (lazy-hbr-caching); the flat digestSet retains 318,944 B and
-// 89,232 B. Not parallel: another test's garbage would leak into the
-// measurement.
+// (lazy-hbr-caching); the flat digestSet retained 314,336 B and
+// 84,592 B while every terminal went into all three distinctness sets.
+// A caching engine's terminals are new in its own relation and every
+// finer one, so hbr-caching keeps only the lazy HBR and state sets
+// (52,192 B) and lazy-hbr-caching only the state set (19,056 B); the
+// prefix cache is dead by the final delivery. Not parallel: another
+// test's garbage would leak into the measurement.
 func TestCachingRetainedHeap(t *testing.T) {
 	bm := benchProgram(t, "coarse-tail-3x3")
 	for _, tc := range []struct {
 		eng Engine
 		max uint64
 	}{
-		{NewHBRCache(), 400_000},
-		{NewLazyHBRCache(), 110_000},
+		{NewHBRCache(), 65_000},
+		{NewLazyHBRCache(), 25_000},
 	} {
 		best := uint64(math.MaxUint64)
 		for run := 0; run < 3; run++ {
@@ -282,4 +287,88 @@ func TestCachingTerminalsAreFresh(t *testing.T) {
 				src.Name(), lazy.DistinctHBRs, lazy.DistinctLazyHBRs, lazy.Terminals)
 		}
 	}
+}
+
+// countingSink is a localDedup that counts the inserts the recorder
+// asks of it.
+type countingSink struct {
+	localDedup
+	hbrs, lazies, states, keys int
+}
+
+func (s *countingSink) AddHBR(fp hb.Fingerprint) bool {
+	s.hbrs++
+	return s.localDedup.AddHBR(fp)
+}
+
+func (s *countingSink) AddLazy(fp hb.Fingerprint) bool {
+	s.lazies++
+	return s.localDedup.AddLazy(fp)
+}
+
+func (s *countingSink) AddState(sig model.StateSig) bool {
+	s.states++
+	return s.localDedup.AddState(sig)
+}
+
+func (s *countingSink) RecordStateKey(key string) {
+	s.keys++
+	s.localDedup.RecordStateKey(key)
+}
+
+// TestTerminalChainSkipsSeenClasses pins the work recorder.terminal
+// does per terminal. Over every terminal of an exhaustive enumeration,
+// a terminal whose HBR was seen makes no insert past AddHBR, one whose
+// lazy HBR was seen none past AddLazy (so no state digest is
+// computed), and the state key is rendered only for a new state. With
+// the caching engines' unseen relations the recorder skips the inserts
+// of that relation and every finer one, and the counters stay those of
+// the full chain.
+func TestTerminalChainSkipsSeenClasses(t *testing.T) {
+	for _, src := range []model.Source{
+		curatedDisjointLocks(),
+		curatedFigure1(),
+		curatedSharedCounter(),
+		curatedChanSelect(),
+		benchProgram(t, "philosophers-3").Program,
+	} {
+		for _, unseen := range []cacheMode{cacheNone, cacheHBR, cacheLazy} {
+			sink := &countingSink{}
+			rec := &recorder{opt: Options{RecordStates: true}, dedup: sink, unseen: unseen}
+			hbrs := map[hb.Fingerprint]bool{}
+			lazies := map[hb.Fingerprint]bool{}
+			states := map[string]bool{}
+			forEachTerminal(t, src, 20000, func(info terminalInfo) {
+				before := *sink
+				rec.terminal(info.c)
+				newHBR, newLazy, newState := !hbrs[info.hbFP], !lazies[info.lazyFP], !states[info.stateKey]
+				hbrs[info.hbFP], lazies[info.lazyFP], states[info.stateKey] = true, true, true
+				// The chain takes a class of an unseen relation as new.
+				newHBR = newHBR || unseen >= cacheHBR
+				wantHBR := unseen < cacheHBR
+				wantLazy := unseen < cacheLazy && newHBR
+				wantState := unseen >= cacheLazy || newHBR && newLazy
+				got := [4]int{sink.hbrs - before.hbrs, sink.lazies - before.lazies,
+					sink.states - before.states, sink.keys - before.keys}
+				want := [4]int{b2i(wantHBR), b2i(wantLazy), b2i(wantState), b2i(wantState && newState)}
+				if got != want {
+					t.Fatalf("%s (unseen=%d) schedule %v: inserts (hbr, lazy, state, key) = %v, want %v",
+						src.Name(), unseen, info.choices, got, want)
+				}
+			})
+			if unseen == cacheNone &&
+				(rec.res.DistinctHBRs != len(hbrs) || rec.res.DistinctLazyHBRs != len(lazies) || rec.res.DistinctStates != len(states)) {
+				t.Errorf("%s: recorder counted %d/%d/%d classes, enumeration %d/%d/%d", src.Name(),
+					rec.res.DistinctHBRs, rec.res.DistinctLazyHBRs, rec.res.DistinctStates,
+					len(hbrs), len(lazies), len(states))
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

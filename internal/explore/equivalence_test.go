@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/event"
 	"repro/internal/hb"
 	"repro/internal/model"
@@ -18,6 +19,9 @@ type terminalInfo struct {
 	lazyFP   hb.Fingerprint
 	stateKey string
 	choices  []event.ThreadID
+	// c is the enumeration's cursor, standing at this terminal; it
+	// is valid only during the callback.
+	c *cursor
 }
 
 // forEachTerminal enumerates maximal schedules of src depth-first and
@@ -37,6 +41,7 @@ func forEachTerminal(t *testing.T, src model.Source, cap int, fn func(terminalIn
 			lazyFP:   c.tr.LazyFingerprint(),
 			stateKey: c.m.StateKey(),
 			choices:  append([]event.ThreadID(nil), c.choices...),
+			c:        c,
 		})
 		return count < cap
 	}
@@ -315,6 +320,40 @@ func TestTheoremsOnRandomPrograms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			checkTheorems(t, genRandomProgram(seed), 20000)
+		})
+	}
+}
+
+// TestTheoremsOnChannelCorpus extends the theorem check to message
+// passing: every chan-* corpus program, the curated channel programs
+// and the channel decoder's corpus (the inputs of
+// TestChanEquivalenceCorpus, 120 of them, 30 under -short), each
+// enumerated up to 20,000 terminals, must satisfy Theorems 2.1 and
+// 2.2, the refinement and the counting chain with channel and select
+// edges in the relations. The recorder's HBR ⇒ lazy HBR ⇒ state chain
+// relies on them for channels too. The theorems are pairwise, so a
+// capped enumeration still checks every pair it reaches.
+func TestTheoremsOnChannelCorpus(t *testing.T) {
+	srcs := []model.Source{curatedChanRace(), curatedChanCloseRace(), curatedChanSelect()}
+	for _, bm := range bench.All() {
+		if bm.Family == "chan" {
+			srcs = append(srcs, bm.Program)
+		}
+	}
+	n := 120
+	if testing.Short() {
+		n = 30
+	}
+	for i, data := range progdsl.FuzzCorpus(n, 55) {
+		if src := progdsl.ChanFromBytes(progdsl.CorpusName("chan-fuzz", i), data); src != nil {
+			srcs = append(srcs, src)
+		}
+	}
+	for _, src := range srcs {
+		src := src
+		t.Run(src.Name(), func(t *testing.T) {
+			t.Parallel()
+			checkTheorems(t, src, 20000)
 		})
 	}
 }

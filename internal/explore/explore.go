@@ -293,6 +293,11 @@ type recorder struct {
 	res   Result
 	opt   Options
 	dedup dedupSink
+	// unseen is the coarsest relation in which every terminal is
+	// known to be new, so the recorder counts it without a set: a
+	// caching engine reaches each terminal through a prefix-cache miss
+	// on its full trace (cacheHBR, cacheLazy); cacheNone elsewhere.
+	unseen cacheMode
 	// budget is a work-stealing unit's shared schedule budget (see
 	// Unit.Budget); nil everywhere else.
 	budget *Budget
@@ -344,28 +349,35 @@ func (r *recorder) schedule() bool {
 }
 
 // terminal records a terminal execution's statistics from the cursor.
+// Equal HBRs give equal lazy HBRs and equal lazy HBRs equal states
+// (Thm 2.1's refinement and Thm 2.2), so the distinctness checks run
+// as a chain that stops at the first class already seen: every coarser
+// class is then seen too, and its check (a state's digest included) is
+// skipped and counted as a hit. Conversely a class new in a coarser
+// relation is new in every finer one, which is what r.unseen uses.
 func (r *recorder) terminal(c *cursor) {
 	r.res.Terminals++
 	if d := len(c.trace); d > r.res.MaxDepth {
 		r.res.MaxDepth = d
 	}
 	fresh := 0
-	if r.dedup.AddHBR(c.tr.HBFingerprint()) {
+	if r.unseen >= cacheHBR || r.dedup.AddHBR(c.tr.HBFingerprint()) {
 		r.res.DistinctHBRs++
 		fresh++
-	}
-	if r.dedup.AddLazy(c.tr.LazyFingerprint()) {
-		r.res.DistinctLazyHBRs++
-		fresh++
-	}
-	if r.dedup.AddState(c.m.StateSig()) {
-		r.res.DistinctStates++
-		fresh++
-		if r.opt.RecordStates {
-			// The string key is rendered only for fresh states and
-			// only when the caller asked for the diagnostic set;
-			// the hot path deduplicates on the binary digest alone.
-			r.dedup.RecordStateKey(c.m.StateKey())
+		if r.unseen >= cacheLazy || r.dedup.AddLazy(c.tr.LazyFingerprint()) {
+			r.res.DistinctLazyHBRs++
+			fresh++
+			if r.dedup.AddState(c.m.StateSig()) {
+				r.res.DistinctStates++
+				fresh++
+				if r.opt.RecordStates {
+					// The string key is rendered only for fresh
+					// states and only when the caller asked for the
+					// diagnostic set; the hot path deduplicates on the
+					// binary digest alone.
+					r.dedup.RecordStateKey(c.m.StateKey())
+				}
+			}
 		}
 	}
 	if r.tel != nil {

@@ -145,6 +145,7 @@ func (e *treeEngine) Explore(src model.Source, opt Options) Result {
 	c := newCursor(src, opt)
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
+	rec.unseen = e.mode
 
 	var cache *digestSet
 	if e.mode != cacheNone {
