@@ -9,7 +9,10 @@ import (
 	"repro/internal/model"
 )
 
-// cacheMode selects the pruning relation of a depth-first engine.
+// cacheMode selects the pruning relation of a depth-first engine. The
+// relations run from finest to coarsest, and recorder.terminal compares
+// modes by that order: a terminal new in cacheLazy's relation is new in
+// cacheHBR's too.
 type cacheMode uint8
 
 const (
